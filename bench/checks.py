@@ -225,6 +225,14 @@ def check_generation(report: dict, efforts: dict[str, int], n_prompts: int) -> N
                     f"fp8 layer {layer}: NaN codes in the cache")
 
 
+def check_full_length(report: dict, efforts: dict[str, int]) -> None:
+    """With an end token the model never emits, every request decodes to its cap."""
+    for effort, cap in efforts.items():
+        lengths = report["efforts"][effort]["lengths"]
+        require(all(n == cap for n in lengths),
+                f"effort {effort}: lengths {lengths} stop short of cap {cap} with no end token")
+
+
 # ---------------------------------------------------------------------------
 # a reference forward pass over child.bin (flat-f32-le-v1), in float64
 

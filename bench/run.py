@@ -7,8 +7,10 @@ Run from the root of a checkout; the program is imported from its `src/`.
 With --trace 0 it times whole rounds of the workload for S seconds and reports
 the end-to-end metrics; with --trace 1 it times untraced rounds for S/2
 seconds, then traced rounds for S/2 seconds, and reports the per-layer
-metrics and the tracing overhead. Human-readable lines come first; the last
-line of standard output is one JSON object:
+metrics and the tracing overhead. Set-up and round timings are scaled to a
+common host speed (hostspeed.py); span times in the traced run are wall
+times. Human-readable lines come first; the last line of standard output is
+one JSON object:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {name: {"value", "unit"}}}.
 See bench/README.md.
 """
@@ -33,6 +35,8 @@ import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
+from hostspeed import Clock  # noqa: E402  (bench/, the script's directory, leads sys.path)
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
@@ -44,11 +48,13 @@ NAMED = {  # the per-round figures each workload reports, with their units
 }
 
 
-def import_seconds() -> float:
-    """Seconds to import archsearch.cli (NumPy included) in a fresh interpreter."""
-    code = ("import time; t = time.perf_counter(); import archsearch.cli; "
-            "print(time.perf_counter() - t)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def import_seconds(kind: str) -> float:
+    """Seconds to import archsearch.cli in a fresh interpreter, timed there by
+    its own clock; hostspeed loads NumPy first, so NumPy's own import is left
+    out."""
+    code = ("import importlib, hostspeed; "
+            f"print(hostspeed.Clock({kind!r}).time(importlib.import_module, 'archsearch.cli')[1])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(BENCH))))
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, check=True,
                           capture_output=True, text=True, timeout=120)
     return float(done.stdout.split()[-1])
@@ -66,32 +72,28 @@ def timed_rounds(workload, seconds: float) -> list[dict]:
             return figures
 
 
-def fastest(rounds: list[dict]) -> dict[str, float]:
-    """Each operation's fastest time over the rounds. The host slows whole
-    seconds of work at random, so the fastest repeat is the steadiest estimate
-    of an operation's own cost."""
-    return {op: min(r[op] for r in rounds) for op in rounds[0]}
+def median_per_op(rounds: list[dict]) -> dict[str, float]:
+    """Each operation's median time over the rounds."""
+    return {op: statistics.median(r[op] for r in rounds) for op in rounds[0]}
 
 
 def run(args, workdir: Path) -> tuple[dict, dict, object]:
     from workloads import TOY_CONFIG, WORKLOADS
 
-    imports = [import_seconds() for _ in range(IMPORT_REPEATS)]
-    workload = WORKLOADS[args.workload](args.seed, workdir)
-    set_ups = []
-    for _ in range(SET_UP_REPEATS[args.workload]):
-        t0 = perf_counter()
-        workload.set_up()
-        set_ups.append(perf_counter() - t0)
+    kind = WORKLOADS[args.workload].reference
+    clock = Clock(kind)
+    imports = [import_seconds(kind) for _ in range(IMPORT_REPEATS)]
+    workload = WORKLOADS[args.workload](args.seed, workdir, clock)
+    set_ups = [clock.time(workload.set_up)[1] for _ in range(SET_UP_REPEATS[args.workload])]
     setup_s = statistics.median(imports) + statistics.median(set_ups)
     workload.warm_up()
 
-    info = {"set_up": {"import_s": imports, "in_process_s": set_ups}}
+    info = {"set_up": {"import_s": imports, "in_process_s": set_ups}, "clock": clock}
     if not args.trace:
         rounds = timed_rounds(workload, args.seconds)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         info["rounds"] = rounds
-        figures = workload.figures(fastest(rounds))
+        figures = workload.figures(median_per_op(rounds))
         metrics = {
             "setup_s": (setup_s, "s"),
             "round_s": (figures["round_s"], "s"),
@@ -112,8 +114,9 @@ def run(args, workdir: Path) -> tuple[dict, dict, object]:
         tracer.write(BENCH / "_traces" / f"{args.workload}.json")
         info["rounds"] = plain
         info["traced_rounds"] = traced
-        named = workload.figures(fastest(plain))
-        plain_s, traced_s = named["round_s"], workload.figures(fastest(traced))["round_s"]
+        named = workload.figures(median_per_op(plain))
+        plain_s = named["round_s"]
+        traced_s = workload.figures(median_per_op(traced))["round_s"]
         metrics = {k: v for k, v in span_metrics(tracer, len(traced)).items()
                    if k not in tracer.absent}
         blocks = block_seconds(args.seed)
@@ -170,6 +173,9 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed} trace {args.trace}: "
           f"{len(info['rounds'])} rounds, set-up import {statistics.median(info['set_up']['import_s']):.4f} s "
           f"+ in-process {statistics.median(info['set_up']['in_process_s']):.4f} s")
+    q = [x * 1e3 for x in statistics.quantiles(info["clock"].samples, n=4)]
+    print(f"  reference block ({info['clock'].kind}): {len(info['clock'].samples)} samples, quartiles "
+          f"{q[0]:.3f} {q[1]:.3f} {q[2]:.3f} ms (times are scaled to {info['clock'].nominal * 1e3:g} ms)")
     if not args.trace:
         for key, value in named.items():
             print(f"  {key:<32} {value:14.6f} {NAMED[key]}")

@@ -20,6 +20,7 @@ sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
 import checks  # noqa: E402
 import workloads  # noqa: E402
+from hostspeed import Clock  # noqa: E402
 from archsearch import cli  # noqa: E402
 from archsearch.scoring import make_retrieval_probes  # noqa: E402
 from archsearch.search import brute_force, solve  # noqa: E402
@@ -31,7 +32,7 @@ SEED = 5
 def pipeline(tmp_path_factory):
     """A whole pipeline run on the toy model with small probe sets and caps."""
     base = tmp_path_factory.mktemp("pipeline")
-    toy = workloads.PipelineToy(SEED, base)
+    toy = workloads.PipelineToy(SEED, base, Clock(workloads.PipelineToy.reference))
     config = dict(toy.config)
     config["probes"] = dict(lm_count=4, lm_length=32, retrieval_count=8, retrieval_length=32,
                             retrieval_pairs=4)
@@ -203,6 +204,15 @@ def test_generation_check_rejects_nan_codes(fp8_report):
     report["kv_quant"]["0"]["k_nan"] = 1
     with pytest.raises(checks.CheckError, match="NaN"):
         checks.check_generation(report, efforts, n)
+
+
+def test_full_length_check_rejects_a_request_stopped_short():
+    efforts = {"high": 6, "low": 2}
+    report = {"efforts": {e: {"lengths": [cap] * 3} for e, cap in efforts.items()}}
+    checks.check_full_length(report, efforts)
+    report["efforts"]["high"]["lengths"][1] = 5
+    with pytest.raises(checks.CheckError, match="stop short"):
+        checks.check_full_length(report, efforts)
 
 
 @pytest.mark.parametrize("precision", ["bf16", "fp8"])

@@ -14,24 +14,23 @@ import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
 import checks
+from hostspeed import Clock
 from archsearch import cli, search  # called through the modules, so traced runs see the calls
 from archsearch.costs import Budget
 from archsearch.scoring import make_retrieval_probes
 
 TOY_CONFIG = Path(cli.__file__).resolve().parent / "fixtures" / "toy_run.json"
+NO_END_TOKEN = -1  # an argmax over the vocabulary is never negative
 
 
-def call_cli(argv: list[str]) -> tuple[int, float]:
-    """One CLI call with its stdout swallowed; returns (exit code, wall seconds)."""
+def call_cli(argv: list) -> int:
+    """One CLI call with its stdout swallowed; returns its exit code."""
     with contextlib.redirect_stdout(io.StringIO()):
-        t0 = perf_counter()
-        code = cli.main([str(a) for a in argv])
-        return code, perf_counter() - t0
+        return cli.main([str(a) for a in argv])
 
 
 def fresh_dir(path: Path) -> Path:
@@ -48,17 +47,19 @@ class Workload:
     """Base: subclasses fill in set_up, warm_up, run_round and check."""
 
     name = ""
+    reference = "numpy"  # the hostspeed block kind whose work resembles this workload's
 
-    def __init__(self, seed: int, workdir: Path):
+    def __init__(self, seed: int, workdir: Path, clock: Clock):
         self.seed = seed
         self.workdir = workdir
+        self.clock = clock
         self.attempted = 0
         self.failed = 0
         self.tokens: dict[str, int] = {}
 
     def _stage(self, argv: list) -> float:
         self.attempted += 1
-        code, seconds = call_cli(argv)
+        code, seconds = self.clock.time(call_cli, argv)
         if code != 0:
             self.failed += 1
         return seconds
@@ -70,11 +71,12 @@ class Workload:
         raise NotImplementedError
 
     def run_round(self) -> dict[str, float]:
-        """One round of timed calls; returns the seconds of each operation."""
+        """One round of timed calls; returns the seconds of each operation at
+        the reference speed."""
         raise NotImplementedError
 
-    def figures(self, fastest: dict[str, float]) -> dict[str, float]:
-        """The named figures, with round_s, from each operation's fastest time."""
+    def figures(self, op_s: dict[str, float]) -> dict[str, float]:
+        """The named figures, with round_s, from each operation's seconds."""
         raise NotImplementedError
 
     def _same_tokens(self, key: str, report: dict) -> int:
@@ -102,8 +104,8 @@ class PipelineToy(Workload):
         ("eval", "--kv-precision", "bf16"), ("eval", "--kv-precision", "fp8"),
     )
 
-    def __init__(self, seed, workdir):
-        super().__init__(seed, workdir)
+    def __init__(self, seed, workdir, clock):
+        super().__init__(seed, workdir, clock)
         self.config_path = TOY_CONFIG
         self.config = json.loads(TOY_CONFIG.read_text())
         self.run = workdir / "run"
@@ -141,14 +143,14 @@ class PipelineToy(Workload):
                 (self.run / f"eval_report.{precision}.json").read_text()))
         return times
 
-    def figures(self, fastest):
+    def figures(self, op_s):
         requests = self.config["eval"]["n_prompts"] * len(self.config["efforts"])
         return {
-            "round_s": sum(fastest.values()),
-            "pipeline_s": sum(fastest.values()),
-            "decode_bf16_tok_s": self.tokens["bf16"] / fastest["eval --kv-precision bf16"],
-            "decode_fp8_tok_s": self.tokens["fp8"] / fastest["eval --kv-precision fp8"],
-            "decode_fp8_req_s": requests / fastest["eval --kv-precision fp8"],
+            "round_s": sum(op_s.values()),
+            "pipeline_s": sum(op_s.values()),
+            "decode_bf16_tok_s": self.tokens["bf16"] / op_s["eval --kv-precision bf16"],
+            "decode_fp8_tok_s": self.tokens["fp8"] / op_s["eval --kv-precision fp8"],
+            "decode_fp8_req_s": requests / op_s["eval --kv-precision fp8"],
         }
 
     def check(self) -> None:
@@ -191,14 +193,17 @@ class DecodeLong(Workload):
     then through the fp8 codec. The library offers only window 64 in place of
     global attention, and the long-scenario target needs exactly two of the
     four global layers converted, so every seed's child does the same work per
-    token; prompts of 24 plus up to 64 generated tokens reach 88 positions."""
+    token. The end token is -1, which greedy decoding never emits, so every
+    request decodes to its cap, as a fixed-output-length throughput test does,
+    and every seed generates the same number of tokens; prompts of 24 plus up
+    to 64 generated tokens reach 88 positions."""
 
     name = "decode-long"
     EFFORTS = {"high": 64, "medium": 32, "low": 16}
     N_PROMPTS = 4
 
-    def __init__(self, seed, workdir):
-        super().__init__(seed, workdir)
+    def __init__(self, seed, workdir, clock):
+        super().__init__(seed, workdir, clock)
         toy = json.loads(TOY_CONFIG.read_text())
         self.config = dict(
             toy,
@@ -207,7 +212,7 @@ class DecodeLong(Workload):
             library=dict(keep_fractions=[1.0], alt_windows=[64]),
             targets={"long": 1.1, "short": 1.0},
             efforts=self.EFFORTS,
-            eval=dict(n_prompts=self.N_PROMPTS, prompt_len=24, end_token=0),
+            eval=dict(n_prompts=self.N_PROMPTS, prompt_len=24, end_token=NO_END_TOKEN),
         )
         self.config_path = workdir / "decode_long.json"
         self.config_path.write_text(json.dumps(self.config, indent=1))
@@ -217,8 +222,8 @@ class DecodeLong(Workload):
         fresh_dir(self.run)
         for stage in (("score",), ("search", "--signal", "activation-mse"),
                       ("assemble",), ("quantize",)):
-            code, _ = call_cli(["--config", self.config_path, "--seed", self.seed,
-                                "--out", self.run, *stage])
+            code = call_cli(["--config", self.config_path, "--seed", self.seed,
+                             "--out", self.run, *stage])
             if code != 0:
                 raise RuntimeError(f"decode-long set-up stage {stage[0]} exited {code}")
 
@@ -243,13 +248,13 @@ class DecodeLong(Workload):
             self._same_tokens(precision, report)
         return times
 
-    def figures(self, fastest):
+    def figures(self, op_s):
         requests = self.N_PROMPTS * len(self.EFFORTS)
         return {
-            "round_s": fastest["bf16"] + fastest["fp8"],
-            "decode_bf16_tok_s": self.tokens["bf16"] / fastest["bf16"],
-            "decode_fp8_tok_s": self.tokens["fp8"] / fastest["fp8"],
-            "decode_fp8_req_s": requests / fastest["fp8"],
+            "round_s": op_s["bf16"] + op_s["fp8"],
+            "decode_bf16_tok_s": self.tokens["bf16"] / op_s["bf16"],
+            "decode_fp8_tok_s": self.tokens["fp8"] / op_s["fp8"],
+            "decode_fp8_req_s": requests / op_s["fp8"],
         }
 
     def check(self) -> None:
@@ -259,6 +264,9 @@ class DecodeLong(Workload):
         checks.require(windows.count("attn:window:64") == 2,
                        f"child converts {windows.count('attn:window:64')} layers to window 64, "
                        "the long target needs exactly 2")
+        for precision in ("bf16", "fp8"):
+            report = json.loads((self.run / f"eval_report.{precision}.json").read_text())
+            checks.check_full_length(report, self.EFFORTS)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,7 @@ class SolverLadder(Workload):
     measure of the draw."""
 
     name = "solver-ladder"
+    reference = "python"
     BASE_SEED = 20260218
     VARIANTS = 9
     MAX_COST = 12
@@ -315,8 +324,8 @@ class SolverLadder(Workload):
     }
     INFEASIBLE_FROM = 100
 
-    def __init__(self, seed, workdir):
-        super().__init__(seed, workdir)
+    def __init__(self, seed, workdir, clock):
+        super().__init__(seed, workdir, clock)
         relabel = np.random.default_rng(seed)
         self.instances = [
             relabelled(base_instance((self.BASE_SEED, n, d, k), n, d, tight, self.VARIANTS,
@@ -336,25 +345,33 @@ class SolverLadder(Workload):
                               self.MAX_COST)
         search.solve(small.problem())
 
+    def _solve(self, problem):
+        self.attempted += 1
+        try:
+            return search.solve(problem)
+        except Exception:  # a crash is a failed operation, reported as such
+            self.failed += 1
+            return None
+
+    def _rung(self, problems) -> list:
+        return [self._solve(problem) for problem in problems]
+
     def run_round(self) -> dict[str, float]:
+        """Each rung's instances are one timed operation, long enough (0.5-2.5 s)
+        for the clock to sample the host's speed all through it."""
         solutions, times = [], {}
-        for inst, problem in zip(self.instances, self.problems):
-            self.attempted += 1
-            t0 = perf_counter()
-            try:
-                solutions.append(search.solve(problem))
-            except Exception:  # a crash is a failed operation, reported as such
-                self.failed += 1
-                solutions.append(None)
-            times[inst.name] = perf_counter() - t0
+        for rung in self.RUNGS:
+            problems = [p for inst, p in zip(self.instances, self.problems) if inst.rung == rung]
+            found, times[f"d{rung}"] = self.clock.time(self._rung, problems)
+            solutions.extend(found)
         if self.solutions is None:
             self.solutions = solutions
         else:
             checks.require(solutions == self.solutions, "solve gave different answers across rounds")
         return times
 
-    def figures(self, fastest):
-        total = sum(fastest.values())
+    def figures(self, op_s):
+        total = sum(op_s.values())
         return {"round_s": total, "solve_s": total}
 
     def check(self) -> None:
