@@ -33,12 +33,7 @@ from .costs import (
     kv_bytes_per_sequence,
     load_measured_costs,
 )
-from .kvquant import (
-    KvQuantReport,
-    QuantScales,
-    calibrate_scales,
-    kv_quant_transform,
-)
+from .kvquant import QuantScales, calibrate_scales, forward_with_quantized_kv
 from .library import (
     ArchitectureSpec,
     ExpertRanking,
@@ -53,6 +48,7 @@ from .metrics import bundled_run_records, build_frontier, emit_frontier, load_ru
 from .model import (
     AttentionVariant,
     ConfigError,
+    KvCache,
     MismatchError,
     ModelConfig,
     count_params,
@@ -335,8 +331,7 @@ def cmd_quantize(args) -> int:
             scales = QuantScales.unit(params.config.n_layers)
         scales.save(out / "kv_scales.json")
 
-        report = KvQuantReport(per_layer={})
-        forward_batch(params, arch, calib.tokens, kv_transform=kv_quant_transform(scales, report))
+        _, report = forward_with_quantized_kv(params, arch, calib.tokens, scales)
         (out / "kv_quant_report.json").write_text(
             json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
         )
@@ -365,33 +360,33 @@ def cmd_eval(args) -> int:
     with RunLock(out):
         params, arch, source = _eval_params(out)
         probes = _retrieval_probes(rc, rc.seed + _SEED_EVAL)
-        transform = None
-        kv_section = None
+        scales = kv_section = None
         if args.kv_precision == "fp8":
             scales_path = out / "kv_scales.json"
             if not scales_path.exists():
                 raise ConfigError("eval --kv-precision fp8 needs the quantize stage first")
             scales = QuantScales.load(scales_path)
-            report = KvQuantReport(per_layer={})
-            transform = kv_quant_transform(scales, report)
-
-        trace = forward_batch(params, arch, probes.tokens, kv_transform=transform)
+            trace, report = forward_with_quantized_kv(params, arch, probes.tokens, scales)
+            kv_section = report.to_json()
+        else:
+            trace = forward_batch(params, arch, probes.tokens)
         predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
         accuracy = float(np.mean(predicted == probes.answers))
-        if args.kv_precision == "fp8":
-            kv_section = report.to_json()
 
+        n_prompts, prompt_len = rc.eval_cfg["n_prompts"], rc.eval_cfg["prompt_len"]
         rng = np.random.default_rng(rc.seed + _SEED_PROMPTS)
-        prompts = rng.integers(
-            2, rc.config.vocab_size,
-            size=(rc.eval_cfg["n_prompts"], rc.eval_cfg["prompt_len"]), dtype=np.int64,
+        prompts = rng.integers(2, rc.config.vocab_size, size=(n_prompts, prompt_len), dtype=np.int64)
+        # Greedy decoding is prefix-consistent: decoding once at the highest cap
+        # gives every lower cap's length as min(length at the top cap, cap).
+        top_cap = max(rc.efforts.values(), default=0)
+        cache = KvCache.for_generation(rc.config, arch, n_prompts, prompt_len, top_cap, scales)
+        _, top_lengths = generate_batch(
+            params, arch, prompts, max_new_tokens=top_cap,
+            end_token=rc.eval_cfg["end_token"], cache=cache,
         )
         effort_stats = {}
         for effort, cap in sorted(rc.efforts.items(), key=lambda kv: -kv[1]):
-            _, lengths = generate_batch(
-                params, arch, prompts, max_new_tokens=cap,
-                end_token=rc.eval_cfg["end_token"], kv_transform=transform,
-            )
+            lengths = np.minimum(top_lengths, cap)
             effort_stats[effort] = {
                 "max_new_tokens": cap,
                 "mean_generated": float(np.mean(lengths)),
@@ -402,6 +397,14 @@ def cmd_eval(args) -> int:
             low_mean = effort_stats["low"]["mean_generated"]
             if low_mean > 0:
                 ratio = effort_stats["high"]["mean_generated"] / low_mean
+        kv_cache = {
+            "length": cache.positions,
+            "held_bytes": cache.held_bytes(),
+            "analytic_bytes": kv_bytes_per_sequence(
+                arch, rc.config, cache.positions, args.kv_precision
+            ),
+            "stored_dtype": cache.stored_dtype,
+        }
         eval_report = {
             "source": source.name,
             "kv_precision": args.kv_precision,
@@ -409,6 +412,7 @@ def cmd_eval(args) -> int:
             "efforts": effort_stats,
             "effort_length_ratio_high_low": ratio,
             "kv_quant": kv_section,
+            "kv_cache": kv_cache,
         }
         (out / "eval_report.json").write_text(
             json.dumps(eval_report, indent=2, sort_keys=True) + "\n"

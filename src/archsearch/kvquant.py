@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .library import ArchitectureSpec
-from .model import ConfigError, ForwardTrace, ModelParams, forward_batch
+from .model import ConfigError, ForwardTrace, KvCache, ModelParams, forward_batch
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +125,7 @@ def round_up_pow2(x: float) -> float:
 
 @dataclass(frozen=True)
 class QuantScales:
-    """Per-layer K and V scales. mode: calibrated | unit | bypass."""
+    """Per-layer K and V scales. mode: calibrated | unit."""
 
     mode: str
     k_scales: tuple[float, ...]
@@ -134,7 +134,7 @@ class QuantScales:
     v_raw: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("calibrated", "unit", "bypass"):
+        if self.mode not in ("calibrated", "unit"):
             raise ConfigError(f"unknown scale mode {self.mode!r}")
         n = len(self.k_scales)
         if not (len(self.v_scales) == len(self.k_raw) == len(self.v_raw) == n):
@@ -148,11 +148,6 @@ class QuantScales:
     def unit(n_layers: int) -> "QuantScales":
         ones = (1.0,) * n_layers
         return QuantScales(mode="unit", k_scales=ones, v_scales=ones, k_raw=ones, v_raw=ones)
-
-    @staticmethod
-    def bypass(n_layers: int) -> "QuantScales":
-        ones = (1.0,) * n_layers
-        return QuantScales(mode="bypass", k_scales=ones, v_scales=ones, k_raw=ones, v_raw=ones)
 
     def to_json(self) -> dict:
         return {
@@ -196,16 +191,18 @@ def _scale_from_max(max_abs: float, what: str) -> tuple[float, float]:
 def calibrate_scales(
     params: ModelParams, arch: ArchitectureSpec, tokens: np.ndarray
 ) -> QuantScales:
-    """Run calibration tokens, take per-layer max|K| and max|V| / 448, round up
-    to a power of two."""
-    trace = forward_batch(params, arch, tokens, capture_kv=True)
+    """Prefill calibration tokens into a float cache, take per-layer max|K| and
+    max|V| over every position written / 448, round up to a power of two."""
+    tokens = np.asarray(tokens)
+    cache = KvCache(params.config, arch, len(tokens), tokens.shape[-1], report=True)
+    forward_batch(params, arch, tokens, cache=cache)
     k_raw, k_scales, v_raw, v_scales = [], [], [], []
     for layer in range(params.config.n_layers):
-        k, v = trace.kv[layer]
-        raw, scale = _scale_from_max(float(np.abs(k).max()), f"layer {layer} K cache")
+        k, v = cache.written[layer]
+        raw, scale = _scale_from_max(k.abs_max, f"layer {layer} K cache")
         k_raw.append(raw)
         k_scales.append(scale)
-        raw, scale = _scale_from_max(float(np.abs(v).max()), f"layer {layer} V cache")
+        raw, scale = _scale_from_max(v.abs_max, f"layer {layer} V cache")
         v_raw.append(raw)
         v_scales.append(scale)
     return QuantScales(
@@ -250,25 +247,18 @@ class KvQuantReport:
     def to_json(self) -> dict:
         return {str(layer): stats.to_json() for layer, stats in sorted(self.per_layer.items())}
 
-
-def kv_quant_transform(scales: QuantScales, report: KvQuantReport | None = None):
-    """A KV-cache hook quantizing K and V after position encoding, as a cache would."""
-
-    def transform(layer: int, k: np.ndarray, v: np.ndarray):
-        if scales.mode == "bypass":
-            return k, v
-        kq, k_stats = quantize_roundtrip(k, scales.k_scales[layer])
-        vq, v_stats = quantize_roundtrip(v, scales.v_scales[layer])
-        if report is not None:
-            report.per_layer[layer] = LayerKvStats(
-                k_mse=float(np.mean((kq.astype(np.float64) - k) ** 2)),
-                v_mse=float(np.mean((vq.astype(np.float64) - v) ** 2)),
-                k_stats=k_stats,
-                v_stats=v_stats,
+    @staticmethod
+    def from_cache(cache: KvCache) -> "KvQuantReport":
+        """The codec statistics of everything written to a reporting fp8 cache."""
+        per_layer = {}
+        for layer, (k, v) in cache.written.items():
+            per_layer[layer] = LayerKvStats(
+                k_mse=k.sq_error / k.n_values,
+                v_mse=v.sq_error / v.n_values,
+                k_stats=QuantStats(k.n_values, k.n_saturated, k.n_nan),
+                v_stats=QuantStats(v.n_values, v.n_saturated, v.n_nan),
             )
-        return kq, vq
-
-    return transform
+        return KvQuantReport(per_layer=per_layer)
 
 
 def forward_with_quantized_kv(
@@ -278,17 +268,11 @@ def forward_with_quantized_kv(
     scales: QuantScales,
     capture_layers: tuple[int, ...] = (),
 ) -> tuple[ForwardTrace, KvQuantReport]:
-    """Forward pass with the KV cache squeezed through the 8-bit codec."""
-    if scales.n_layers != params.config.n_layers:
-        raise ConfigError(
-            f"scales cover {scales.n_layers} layers, model has {params.config.n_layers}"
-        )
-    report = KvQuantReport(per_layer={})
-    trace = forward_batch(
-        params,
-        arch,
-        tokens,
-        capture_layers=capture_layers,
-        kv_transform=kv_quant_transform(scales, report),
+    """Forward pass that prefills an fp8 cache: every key and value is encoded
+    once through the 8-bit codec and attention reads the decoded codes."""
+    tokens = np.asarray(tokens)
+    cache = KvCache(
+        params.config, arch, len(tokens), tokens.shape[-1], scales=scales, report=True
     )
-    return trace, report
+    trace = forward_batch(params, arch, tokens, capture_layers=capture_layers, cache=cache)
+    return trace, KvQuantReport.from_cache(cache)

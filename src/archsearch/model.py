@@ -1,8 +1,9 @@
 """Deterministic toy decoder-only MoE transformer used as the search substrate.
 
-Forward passes are pure functions of (params, architecture, tokens): float32
-activations, no internal mutation, counter-based RNG for init so the same seed
-reproduces bit-identical parameters on any platform.
+Forward passes are functions of (params, architecture, tokens): float32
+activations, no internal mutation except the KvCache a forward is given to
+fill, counter-based RNG for init so the same seed reproduces bit-identical
+parameters on any platform.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -21,9 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 F32 = np.float32
 RMS_EPS = np.float32(1e-6)
-
-# (layer_index, keys, values) -> (keys, values); applied before attention uses them
-KvTransform = Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class ConfigError(ValueError):
@@ -331,46 +329,6 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
     )
 
 
-def average_checkpoints(a: ModelParams, b: ModelParams) -> ModelParams:
-    """Elementwise arithmetic mean of two same-shaped checkpoints."""
-    if a.config != b.config:
-        raise MismatchError("checkpoint configs differ")
-    for la, lb in zip(a.layers, b.layers):
-        if la.expert_ids != lb.expert_ids:
-            raise MismatchError("checkpoint expert layouts differ")
-    half = np.float32(0.5)
-
-    def mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if x.shape != y.shape:
-            raise MismatchError(f"checkpoint tensor shapes differ: {x.shape} vs {y.shape}")
-        return (x + y) * half
-
-    layers = [
-        LayerParams(
-            attn_norm=mean(la.attn_norm, lb.attn_norm),
-            wq=mean(la.wq, lb.wq),
-            wk=mean(la.wk, lb.wk),
-            wv=mean(la.wv, lb.wv),
-            wo=mean(la.wo, lb.wo),
-            ffn_norm=mean(la.ffn_norm, lb.ffn_norm),
-            router=mean(la.router, lb.router),
-            experts=[
-                ExpertParams(w_in=mean(ea.w_in, eb.w_in), w_out=mean(ea.w_out, eb.w_out))
-                for ea, eb in zip(la.experts, lb.experts)
-            ],
-            expert_ids=la.expert_ids,
-        )
-        for la, lb in zip(a.layers, b.layers)
-    ]
-    return ModelParams(
-        config=a.config,
-        embedding=mean(a.embedding, b.embedding),
-        layers=layers,
-        final_norm=mean(a.final_norm, b.final_norm),
-        lm_head=mean(a.lm_head, b.lm_head),
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization: flat little-endian float32 blob + JSON shape manifest
 
@@ -468,6 +426,161 @@ def load_params(bin_path: Path | str) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
+# KV cache
+
+
+@dataclass
+class KvWriteStats:
+    """Tally of the keys (or values) reporting writes stored in one layer,
+    summed over writes. The encode error and counts stay zero in a float cache."""
+
+    n_values: int = 0
+    abs_max: float = 0.0  # max |x| of the values as computed, before any encoding
+    sq_error: float = 0.0  # sum of (decoded - x)**2 in float64
+    n_saturated: int = 0
+    n_nan: int = 0
+
+    def add(self, x: np.ndarray, seen: np.ndarray, stats=None) -> None:
+        self.n_values += int(x.size)
+        self.abs_max = float(np.maximum(self.abs_max, np.abs(x).max()))  # NaN propagates
+        if stats is not None:
+            self.sq_error += float(np.sum((seen.astype(np.float64) - x) ** 2))
+            self.n_saturated += stats.n_saturated
+            self.n_nan += stats.n_nan
+
+
+@dataclass
+class _LayerSlots:
+    k: np.ndarray  # [batch, n_kv_heads, slots, head_dim], float32 or uint8 codes
+    v: np.ndarray
+    pos: np.ndarray  # [slots] absolute position each slot holds
+
+
+class KvCache:
+    """Post-rotary keys and values of one batch of sequences, held per layer.
+
+    A global layer holds `length` slots. A window layer of size W holds a ring
+    buffer of min(length, W) slots, position p in slot p % W. Without `scales`
+    the slots store float32. With `scales` (per-layer `k_scales` and `v_scales`,
+    as kvquant.QuantScales has) they store uint8 E4M3 codes: each position is
+    encoded once, when written, and decoded whenever attention reads it.
+
+    A cache made with report=True tallies, per layer, the keys and values
+    written to it in `written[layer] = (k_stats, v_stats)`.
+    """
+
+    def __init__(
+        self,
+        config: ModelConfig,
+        arch: "ArchitectureSpec",
+        batch: int,
+        length: int,
+        scales=None,
+        report: bool = False,
+    ):
+        self.variants = tuple(spec.attention for spec in arch.layers)
+        if len(self.variants) != config.n_layers:
+            raise MismatchError(
+                f"architecture has {len(self.variants)} layers, config has {config.n_layers}"
+            )
+        if scales is not None:
+            if len(scales.k_scales) != config.n_layers:
+                raise ConfigError(
+                    f"scales cover {len(scales.k_scales)} layers, model has {config.n_layers}"
+                )
+            from . import kvquant  # kvquant imports this module, so bind it late
+
+            self._codec = kvquant
+        self.batch = batch
+        self.length = length
+        self.scales = scales
+        self.positions = 0  # positions written so far, the same in every layer
+        self.written: dict[int, tuple[KvWriteStats, KvWriteStats]] | None = {} if report else None
+        dtype = F32 if scales is None else np.uint8
+        self._layers = []
+        for variant in self.variants:
+            shape = (batch, config.n_kv_heads, variant.effective_window(length), config.head_dim)
+            self._layers.append(
+                _LayerSlots(np.zeros(shape, dtype), np.zeros(shape, dtype),
+                            np.full(shape[2], -1, dtype=np.int64))
+            )
+
+    @classmethod
+    def for_generation(
+        cls,
+        config: ModelConfig,
+        arch: "ArchitectureSpec",
+        batch: int,
+        prompt_len: int,
+        max_new_tokens: int,
+        scales=None,
+    ) -> "KvCache":
+        """An empty cache just large enough for generate_batch; the last emitted
+        token is never fed back, so it needs no slot."""
+        length = min(prompt_len + max(max_new_tokens - 1, 0), config.max_seq_len)
+        return cls(config, arch, batch, length, scales=scales)
+
+    @property
+    def stored_dtype(self) -> str:
+        return "float32" if self.scales is None else "uint8"
+
+    def held(self, layer: int) -> int:
+        """Positions layer `layer` holds now."""
+        return min(self.positions, self._layers[layer].pos.size)
+
+    def held_bytes(self) -> int:
+        """Bytes of the filled K and V slots of one sequence, over all layers."""
+        return sum(
+            s.k[0, :, : self.held(i)].nbytes + s.v[0, :, : self.held(i)].nbytes
+            for i, s in enumerate(self._layers)
+        )
+
+    def _read(self, codes: np.ndarray, scale: float) -> np.ndarray:
+        return codes if self.scales is None else self._codec.decode(codes, scale)
+
+    def update(
+        self, layer: int, k: np.ndarray, v: np.ndarray, start: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Store k, v [batch, n_kv_heads, T, head_dim] of positions start..start+T-1.
+
+        Returns the keys, values and key positions attention reads: the slots
+        held before this write, then the T new positions as stored. A window
+        layer keeps only its last W positions after the write.
+        """
+        s = self._layers[layer]
+        held = self.held(layer)
+        n_new = k.shape[2]
+        new_pos = np.arange(start, start + n_new)
+        k_scale = v_scale = None
+        if self.scales is None:
+            k_store, v_store = k, v
+            k_stats = v_stats = None
+        else:
+            k_scale, v_scale = self.scales.k_scales[layer], self.scales.v_scales[layer]
+            k_store, k_stats = self._codec.encode(k, k_scale)
+            v_store, v_stats = self._codec.encode(v, v_scale)
+        k_seen, v_seen = self._read(k_store, k_scale), self._read(v_store, v_scale)
+        if self.written is not None:
+            k_tally, v_tally = self.written.setdefault(layer, (KvWriteStats(), KvWriteStats()))
+            k_tally.add(k, k_seen, k_stats)
+            v_tally.add(v, v_seen, v_stats)
+
+        keys, values, key_pos = k_seen, v_seen, new_pos
+        if held:
+            keys = np.concatenate([self._read(s.k[:, :, :held], k_scale), k_seen], axis=2)
+            values = np.concatenate([self._read(s.v[:, :, :held], v_scale), v_seen], axis=2)
+            key_pos = np.concatenate([s.pos[:held], new_pos])
+
+        n_slots = s.pos.size
+        keep = slice(max(0, n_new - n_slots), n_new)
+        slots = new_pos[keep] % n_slots
+        s.k[:, :, slots] = k_store[:, :, keep]
+        s.v[:, :, slots] = v_store[:, :, keep]
+        s.pos[slots] = new_pos[keep]
+        return keys, values, key_pos
+
+
+# ---------------------------------------------------------------------------
 # forward pass
 
 
@@ -476,7 +589,6 @@ class ForwardTrace:
     logits: np.ndarray  # [..., T, vocab]
     final_hidden: np.ndarray  # [..., T, d_model]; post final norm, pre LM head
     ffn_io: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    kv: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -495,12 +607,13 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _rope_tables(config: ModelConfig, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _rope_tables(config: ModelConfig, start: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     half = config.head_dim // 2
     inv_freq = config.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
     # The long-context knob divides every rotary angle; factor 1.0 is the exact
     # unscaled baseline.
-    angles = np.arange(length, dtype=np.float64)[:, None] * inv_freq[None, :] / config.rope_scale_factor
+    positions = np.arange(start, start + length, dtype=np.float64)
+    angles = positions[:, None] * inv_freq[None, :] / config.rope_scale_factor
     return np.cos(angles).astype(F32), np.sin(angles).astype(F32)
 
 
@@ -513,18 +626,19 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _attention_mask(variant: AttentionVariant, length: int) -> np.ndarray:
-    pos = np.arange(length)
-    allowed = pos[None, :] <= pos[:, None]  # causal: key s <= query t
+def _attention_mask(
+    variant: AttentionVariant, query_pos: np.ndarray, key_pos: np.ndarray
+) -> np.ndarray:
+    allowed = key_pos[None, :] <= query_pos[:, None]  # causal: key s <= query t
     if variant.kind == "window":
-        allowed &= pos[None, :] > pos[:, None] - variant.window_size
-    return allowed
+        allowed &= key_pos[None, :] > query_pos[:, None] - variant.window_size
+    return np.where(allowed, F32(0.0), F32(-np.inf))
 
 
 @lru_cache(maxsize=64)
 def _additive_mask(kind: str, window_size: int | None, length: int) -> np.ndarray:
-    allowed = _attention_mask(AttentionVariant(kind, window_size), length)
-    return np.where(allowed, F32(0.0), F32(-np.inf))
+    pos = np.arange(length)
+    return _attention_mask(AttentionVariant(kind, window_size), pos, pos)
 
 
 def route_tokens(
@@ -582,23 +696,23 @@ def forward_batch(
     arch: "ArchitectureSpec",
     tokens: np.ndarray,
     capture_layers: Iterable[int] = (),
-    capture_kv: bool = False,
-    kv_transform: KvTransform | None = None,
+    cache: KvCache | None = None,
+    start: int = 0,
 ) -> ForwardTrace:
-    """Run the model on a [batch, length] token array.
+    """Run the model on a [batch, length] token array at positions start.. .
 
-    capture_layers records each named layer's FFN (input, output) pair;
-    capture_kv records every layer's post-rotary keys/values as the attention
-    consumed them; kv_transform rewrites (keys, values) before use, which is
-    how cache quantization is injected without a second forward path.
+    Without a cache, attention reads the fresh keys/values of these tokens and
+    start must be 0. With a cache holding exactly `start` positions, each layer
+    writes the new keys/values into it and attends over every slot it holds.
+    capture_layers records each named layer's FFN (input, output) pair.
     """
     c = params.config
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise MismatchError(f"forward_batch expects [batch, length] tokens, got shape {tokens.shape}")
     batch, length = tokens.shape
-    if length > c.max_seq_len:
-        raise MismatchError(f"sequence length {length} exceeds max_seq_len {c.max_seq_len}")
+    if start + length > c.max_seq_len:
+        raise MismatchError(f"sequence length {start + length} exceeds max_seq_len {c.max_seq_len}")
     if not np.issubdtype(tokens.dtype, np.integer):
         raise MismatchError(f"tokens must be integers, got dtype {tokens.dtype}")
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
@@ -608,15 +722,29 @@ def forward_batch(
         raise MismatchError(
             f"architecture has {len(layer_specs)} layers, parameters have {len(params.layers)}"
         )
+    if cache is None:
+        if start != 0:
+            raise MismatchError(f"a forward without a cache starts at position 0, not {start}")
+    else:
+        if cache.variants != tuple(spec.attention for spec in layer_specs):
+            raise MismatchError("the cache was built for another architecture's attention")
+        if cache.batch != batch:
+            raise MismatchError(f"cache holds {cache.batch} sequences, tokens have {batch}")
+        if start != cache.positions:
+            raise MismatchError(f"cache holds {cache.positions} positions, forward starts at {start}")
+        if start + length > cache.length:
+            raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
     capture = frozenset(capture_layers)
-    cos, sin = _rope_tables(c, length)
+    cos, sin = _rope_tables(c, start, length)
+    query_pos = np.arange(start, start + length)
     group = c.n_heads // c.n_kv_heads
     scale = np.float32(1.0 / np.sqrt(c.head_dim))
     trace = ForwardTrace(logits=None, final_hidden=None)  # filled below
 
-    # Attention work buffers are the hot allocation; reuse them across layers.
-    scores_buf = np.empty((batch, c.n_kv_heads, group * length, length), dtype=F32)
+    # Attention work buffers are the hot allocation; reuse them across layers
+    # (one scores buffer per key count: a cached window layer reads fewer keys).
+    scores_bufs: dict[int, np.ndarray] = {}
     ctx_buf = np.empty((batch, c.n_kv_heads, group * length, c.head_dim), dtype=F32)
 
     hidden = params.embedding[tokens]
@@ -627,17 +755,24 @@ def forward_batch(
         v = (att_in @ layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
         q = _apply_rope(q, cos, sin)
         k = _apply_rope(k, cos, sin)
-        if kv_transform is not None:
-            k, v = kv_transform(i, k, v)
-        if capture_kv:
-            trace.kv[i] = (k.copy(), v.copy())
+        if cache is None:
+            mask = _additive_mask(spec.attention.kind, spec.attention.window_size, length)
+        else:
+            k, v, key_pos = cache.update(i, k, v, start)
+            mask = _attention_mask(spec.attention, query_pos, key_pos)
+        n_keys = k.shape[2]
+        scores_buf = scores_bufs.get(n_keys)
+        if scores_buf is None:
+            scores_buf = scores_bufs[n_keys] = np.empty(
+                (batch, c.n_kv_heads, group * length, n_keys), dtype=F32
+            )
         # Query heads grouped by their kv head: head h reads kv head h // group,
         # so stacking each group's queries keeps GQA exact while batching GEMMs.
         qg = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim)
         np.matmul(qg, k.transpose(0, 1, 3, 2), out=scores_buf)
-        scores = scores_buf.reshape(batch, c.n_heads, length, length)
+        scores = scores_buf.reshape(batch, c.n_heads, length, n_keys)
         scores *= scale
-        scores += _additive_mask(spec.attention.kind, spec.attention.window_size, length)
+        scores += mask
         # softmax over keys, in place; masked slots exp to exactly 0
         scores -= np.max(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
@@ -657,6 +792,8 @@ def forward_batch(
             trace.ffn_io[i] = (ffn_in.copy(), moe_out.copy())
         hidden = hidden + moe_out
 
+    if cache is not None:
+        cache.positions = start + length
     final = _rms_norm(hidden, params.final_norm)
     trace.final_hidden = final
     trace.logits = final @ params.lm_head
@@ -668,22 +805,16 @@ def forward(
     arch: "ArchitectureSpec",
     tokens: np.ndarray,
     capture_layers: Iterable[int] = (),
-    capture_kv: bool = False,
-    kv_transform: KvTransform | None = None,
 ) -> ForwardTrace:
     """Single-sequence forward; see forward_batch."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise MismatchError(f"forward expects a 1-D token sequence, got shape {tokens.shape}")
-    trace = forward_batch(
-        params, arch, tokens[None, :], capture_layers=capture_layers,
-        capture_kv=capture_kv, kv_transform=kv_transform,
-    )
+    trace = forward_batch(params, arch, tokens[None, :], capture_layers=capture_layers)
     return ForwardTrace(
         logits=trace.logits[0],
         final_hidden=trace.final_hidden[0],
         ffn_io={i: (x[0], y[0]) for i, (x, y) in trace.ffn_io.items()},
-        kv={i: (k[0], v[0]) for i, (k, v) in trace.kv.items()},
     )
 
 
@@ -693,9 +824,14 @@ def generate_batch(
     prompts: np.ndarray,
     max_new_tokens: int,
     end_token: int,
-    kv_transform: KvTransform | None = None,
+    cache: KvCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy decoding from [batch, prompt_len] prompts.
+
+    One forward prefills the cache with the prompts; each further token is one
+    single-position forward against it. `cache` must be empty and large enough
+    (see KvCache.for_generation, which makes the float32 cache used when none is
+    given). Pass an fp8 KvCache to decode through the 8-bit codec.
 
     Returns (sequences [batch, prompt_len + emitted], generated_lengths [batch]).
     A sequence stops growing once it emits end_token; generated_lengths counts
@@ -703,16 +839,20 @@ def generate_batch(
     """
     c = params.config
     seqs = np.asarray(prompts).copy()
-    batch = seqs.shape[0]
+    batch, prompt_len = seqs.shape
+    if cache is None:
+        cache = KvCache.for_generation(c, arch, batch, prompt_len, max_new_tokens)
     done = np.zeros(batch, dtype=bool)
     lengths = np.zeros(batch, dtype=np.int64)
+    step = seqs
     for _ in range(max_new_tokens):
         if done.all() or seqs.shape[1] >= c.max_seq_len:
             break
-        trace = forward_batch(params, arch, seqs, kv_transform=kv_transform)
+        trace = forward_batch(params, arch, step, cache=cache, start=seqs.shape[1] - step.shape[1])
         nxt = np.argmax(trace.logits[:, -1, :], axis=-1)
         nxt = np.where(done, end_token, nxt)  # finished rows just pad
         lengths += (~done).astype(np.int64)
         done |= nxt == end_token
         seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
+        step = nxt[:, None]
     return seqs, lengths

@@ -170,14 +170,6 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
-def long_context_task_score(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> float:
-    """Retrieval accuracy: does the top next-token prediction equal the planted value?"""
-    validate_retrieval_probes(probes)
-    trace = forward_batch(params, arch, probes.tokens)
-    predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
-    return float(np.mean(predicted == probes.answers))
-
-
 def _retrieval_correct(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> np.ndarray:
     validate_retrieval_probes(probes)
     trace = forward_batch(params, arch, probes.tokens)

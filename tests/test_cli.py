@@ -4,9 +4,12 @@ import shutil
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from archsearch.cli import main
+from archsearch.cli import _SEED_PROMPTS, load_run_config, main
+from archsearch.library import assembled_spec
+from archsearch.model import generate_batch, load_params
 
 
 def bundled_config() -> Path:
@@ -91,6 +94,35 @@ def test_eval_report_contents(pipeline):
         assert 0 < stats["mean_generated"] <= cap
     assert report["effort_length_ratio_high_low"] >= 1.0
     assert report["kv_quant"] is not None and "0" in report["kv_quant"]
+    # one sequence's fp8 codes at the final decode length, byte for byte
+    cache = report["kv_cache"]
+    assert cache["stored_dtype"] == "uint8"
+    assert cache["held_bytes"] == cache["analytic_bytes"] > 0
+
+
+def test_eval_decodes_once_and_lower_efforts_are_prefixes(pipeline, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline, out)
+    assert run("--config", bundled_config(), "--out", out, "eval") == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    high = report["efforts"]["high"]["lengths"]
+    for effort in ("medium", "low"):
+        stats = report["efforts"][effort]
+        assert stats["lengths"] == [min(n, stats["max_new_tokens"]) for n in high]
+    # decoding afresh at the low cap gives the same lengths
+    rc = load_run_config(bundled_config())
+    params = load_params(out / "child.bin")
+    prompts = np.random.default_rng(rc.seed + _SEED_PROMPTS).integers(
+        2, rc.config.vocab_size,
+        size=(rc.eval_cfg["n_prompts"], rc.eval_cfg["prompt_len"]), dtype=np.int64,
+    )
+    _, low = generate_batch(params, assembled_spec(params), prompts, rc.efforts["low"],
+                            end_token=rc.eval_cfg["end_token"])
+    assert report["efforts"]["low"]["lengths"] == low.tolist()
+    # the "bf16" cache stores the substrate's float32: twice the analytic bytes
+    cache = report["kv_cache"]
+    assert cache["stored_dtype"] == "float32"
+    assert cache["held_bytes"] == 2 * cache["analytic_bytes"] > 0
 
 
 def test_frontier_outputs(pipeline):

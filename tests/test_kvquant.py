@@ -15,12 +15,13 @@ from archsearch.kvquant import (
     decode,
     encode,
     forward_with_quantized_kv,
-    kv_quant_transform,
     quantize_roundtrip,
     round_up_pow2,
 )
+from archsearch import kvquant
+from archsearch.costs import kv_bytes_per_sequence
 from archsearch.library import parent_spec
-from archsearch.model import ConfigError, forward_batch
+from archsearch.model import ConfigError, KvCache, forward_batch, generate_batch, window_attention
 from archsearch.scoring import make_lm_probes
 
 
@@ -160,15 +161,6 @@ def test_all_zero_calibration_warns_and_uses_fallback(caplog, induction_model):
     assert scales.k_raw[0] == 0.0
 
 
-def test_bypass_mode_is_bit_exact(toy_cfg, toy_params, toy_arch):
-    tokens = make_lm_probes(toy_cfg, count=4, length=32, seed=22).tokens
-    plain = forward_batch(toy_params, toy_arch, tokens)
-    traced, report = forward_with_quantized_kv(
-        toy_params, toy_arch, tokens, QuantScales.bypass(toy_cfg.n_layers))
-    np.testing.assert_array_equal(plain.logits, traced.logits)
-    assert report.per_layer == {}
-
-
 def test_quantized_forward_differs_but_slightly(toy_cfg, toy_params, toy_arch):
     tokens = make_lm_probes(toy_cfg, count=4, length=32, seed=23).tokens
     scales = calibrate_scales(toy_params, toy_arch, tokens)
@@ -189,16 +181,53 @@ def test_layer_count_mismatch_is_an_error(toy_params, toy_arch):
         forward_with_quantized_kv(toy_params, toy_arch, tokens, QuantScales.unit(3))
 
 
-def test_transform_records_per_layer_stats(toy_cfg, toy_params, toy_arch):
-    from archsearch.kvquant import KvQuantReport
-
+def test_fp8_prefill_records_per_layer_stats(toy_cfg, toy_params, toy_arch):
     tokens = make_lm_probes(toy_cfg, count=2, length=16, seed=24).tokens
-    report = KvQuantReport(per_layer={})
-    forward_batch(toy_params, toy_arch, tokens,
-                  kv_transform=kv_quant_transform(
-                      calibrate_scales(toy_params, toy_arch, tokens), report))
+    scales = calibrate_scales(toy_params, toy_arch, tokens)
+    _, report = forward_with_quantized_kv(toy_params, toy_arch, tokens, scales)
     assert sorted(report.per_layer) == list(range(toy_cfg.n_layers))
     j = report.to_json()
     assert set(j) == {str(i) for i in range(toy_cfg.n_layers)}
     assert {"k_mse", "v_mse", "k_saturated", "v_saturated", "k_nan", "v_nan"} \
         <= set(j["0"])
+    # every position is counted, window layers included
+    per_position = toy_cfg.n_kv_heads * toy_cfg.head_dim
+    assert all(s.k_stats.n_values == tokens.size * per_position for s in report.per_layer.values())
+
+
+# ---------------------------------------------------------------------------
+# the fp8 cache
+
+
+def _fp8_setup(toy_cfg, toy_params, toy_arch):
+    arch = toy_arch.with_layer(1, attention=window_attention(8))
+    tokens = make_lm_probes(toy_cfg, count=2, length=16, seed=25).tokens
+    return arch, tokens, calibrate_scales(toy_params, arch, tokens)
+
+
+def test_fp8_cache_holds_exactly_the_analytic_code_bytes(toy_cfg, toy_params, toy_arch):
+    arch, tokens, scales = _fp8_setup(toy_cfg, toy_params, toy_arch)
+    cache = KvCache(toy_cfg, arch, batch=2, length=16, scales=scales)
+    assert cache.stored_dtype == "uint8"
+    forward_batch(toy_params, arch, tokens[:, :3], cache=cache)
+    for t in range(3, 16):
+        forward_batch(toy_params, arch, tokens[:, t:t + 1], cache=cache, start=t)
+        # windows 4 and 8 fill, then stop growing; global layers keep growing
+        assert cache.held_bytes() == kv_bytes_per_sequence(arch, toy_cfg, t + 1, "fp8")
+
+
+def test_fp8_decoding_encodes_each_position_once(monkeypatch, toy_cfg, toy_params, toy_arch):
+    arch, tokens, scales = _fp8_setup(toy_cfg, toy_params, toy_arch)
+    encoded_positions = []
+    real_encode = kvquant.encode
+
+    def counting_encode(values, scale):
+        encoded_positions.append(values.shape[2])
+        return real_encode(values, scale)
+
+    monkeypatch.setattr(kvquant, "encode", counting_encode)
+    cache = KvCache.for_generation(toy_cfg, arch, 2, 6, 10, scales=scales)
+    generate_batch(toy_params, arch, tokens[:, :6], 10, end_token=-1, cache=cache)
+    # K and V of every layer, for the 6 prompt positions and the 9 fed-back tokens
+    assert sum(encoded_positions) == 2 * toy_cfg.n_layers * (6 + 9)
+    assert cache.written is None  # generation tallies no codec statistics

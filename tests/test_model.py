@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from archsearch.costs import kv_bytes_per_sequence
+from archsearch.kvquant import calibrate_scales, forward_with_quantized_kv
 from archsearch.library import parent_spec
 from archsearch.model import (
     AttentionVariant,
     ConfigError,
+    KvCache,
     MismatchError,
     ModelConfig,
-    average_checkpoints,
     count_params,
     forward,
     forward_batch,
@@ -316,25 +318,90 @@ def test_generate_batch_deterministic(toy_params, toy_arch):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint averaging and serialization
+# KV cache: prefill once, then one forward per token
 
 
-def test_average_checkpoints_is_elementwise_mean(toy_cfg):
-    a = init_model(toy_cfg, seed=1)
-    b = init_model(toy_cfg, seed=2)
-    avg = average_checkpoints(a, b)
-    for (name, arr_a), (_, arr_b), (_, arr_avg) in zip(
-        param_items(a), param_items(b), param_items(avg)
-    ):
-        np.testing.assert_array_equal(arr_avg, (arr_a + arr_b) * np.float32(0.5))
-    assert avg.config == toy_cfg
+def _two_window_arch(arch):
+    # the toy's window-4 layers plus a window-8 layer, so contexts of 20+
+    # positions wrap every ring buffer
+    return arch.with_layer(1, attention=window_attention(8))
 
 
-def test_average_checkpoints_rejects_mismatch(toy_cfg):
-    a = init_model(toy_cfg, seed=1)
-    other = init_model(toy_config(d_model=32, head_dim=8), seed=1)
-    with pytest.raises(MismatchError):
-        average_checkpoints(a, other)
+def _reforward_greedy(params, arch, prompts, max_new_tokens, scales=None):
+    """Reference decoding: re-run the whole prefix for every token, with no
+    cache carried between tokens."""
+    seqs = np.asarray(prompts)
+    for _ in range(max_new_tokens):
+        if scales is None:
+            logits = forward_batch(params, arch, seqs).logits
+        else:
+            logits = forward_with_quantized_kv(params, arch, seqs, scales)[0].logits
+        seqs = np.concatenate([seqs, np.argmax(logits[:, -1], axis=-1)[:, None]], axis=1)
+    return seqs
+
+
+def test_cached_steps_match_the_full_forward(toy_params, toy_arch):
+    arch = _two_window_arch(toy_arch)
+    tokens = np.random.default_rng(7).integers(0, 256, size=(2, 20), dtype=np.int64)
+    full = forward_batch(toy_params, arch, tokens).logits
+    cache = KvCache(toy_params.config, arch, batch=2, length=20)
+    pieces, start = [], 0
+    # a prefill, a multi-token chunk that wraps the window-4 ring, then single steps
+    for n in (5, 7) + (1,) * 8:
+        trace = forward_batch(toy_params, arch, tokens[:, start:start + n], cache=cache, start=start)
+        pieces.append(trace.logits)
+        start += n
+    np.testing.assert_allclose(np.concatenate(pieces, axis=1), full, rtol=2e-4, atol=2e-5)
+
+
+@pytest.mark.parametrize("precision", ["bf16", "fp8"])
+def test_generate_batch_matches_reforward_reference(toy_params, toy_arch, precision):
+    arch = _two_window_arch(toy_arch)
+    prompts = np.random.default_rng(8).integers(2, 256, size=(3, 6), dtype=np.int64)
+    scales = None
+    if precision == "fp8":
+        scales = calibrate_scales(toy_params, arch, prompts)
+    cache = KvCache.for_generation(toy_params.config, arch, 3, 6, 16, scales=scales)
+    seqs, lengths = generate_batch(toy_params, arch, prompts, 16, end_token=-1, cache=cache)
+    np.testing.assert_array_equal(seqs, _reforward_greedy(toy_params, arch, prompts, 16, scales))
+    assert lengths.tolist() == [16, 16, 16]
+    assert cache.positions == 6 + 15  # the last token is emitted, never fed back
+
+
+def test_window_layer_holds_min_of_length_and_window(toy_params, toy_arch):
+    arch = _two_window_arch(toy_arch)
+    cfg = toy_params.config
+    tokens = np.random.default_rng(9).integers(0, 256, size=(1, 14), dtype=np.int64)
+    cache = KvCache(cfg, arch, batch=1, length=14)
+    forward_batch(toy_params, arch, tokens[:, :3], cache=cache)
+    for t in range(3, 14):
+        if t > 3:
+            forward_batch(toy_params, arch, tokens[:, t - 1:t], cache=cache, start=t - 1)
+        for i, spec in enumerate(arch.layers):
+            assert cache.held(i) == spec.attention.effective_window(cache.positions)
+        # float32 slots: twice the analytic bf16 figure
+        assert cache.held_bytes() == 2 * kv_bytes_per_sequence(arch, cfg, cache.positions, "bf16")
+    assert cache.stored_dtype == "float32"
+
+
+def test_cached_forward_validation(toy_params, toy_arch):
+    tokens = np.full((2, 4), 5, dtype=np.int64)
+    cache = KvCache(toy_params.config, toy_arch, batch=2, length=6)
+    with pytest.raises(MismatchError, match="starts at position 0"):
+        forward_batch(toy_params, toy_arch, tokens, start=2)
+    with pytest.raises(MismatchError, match="forward starts at 1"):
+        forward_batch(toy_params, toy_arch, tokens, cache=cache, start=1)
+    with pytest.raises(MismatchError, match="sequences"):
+        forward_batch(toy_params, toy_arch, tokens[:1], cache=cache)
+    with pytest.raises(MismatchError, match="architecture"):
+        forward_batch(toy_params, _two_window_arch(toy_arch), tokens, cache=cache)
+    forward_batch(toy_params, toy_arch, tokens, cache=cache)
+    with pytest.raises(MismatchError, match="at most 6 positions"):
+        forward_batch(toy_params, toy_arch, tokens, cache=cache, start=4)
+
+
+# ---------------------------------------------------------------------------
+# serialization
 
 
 def test_save_load_roundtrip(tmp_path, toy_params, toy_arch):

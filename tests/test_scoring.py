@@ -11,8 +11,8 @@ from archsearch.scoring import (
     ProbeError,
     ScoreRow,
     ScoreTable,
+    _retrieval_correct,
     expert_contribution_scores,
-    long_context_task_score,
     make_lm_probes,
     make_retrieval_probes,
     probes_from_manifest,
@@ -148,7 +148,7 @@ def test_induction_model_solves_retrieval_exactly(induction_model):
     cfg = induction_model.config
     arch = parent_spec(cfg)
     probes = make_retrieval_probes(cfg, count=64, length=64, n_pairs=4, seed=9)
-    assert long_context_task_score(induction_model, arch, probes) == 1.0
+    assert _retrieval_correct(induction_model, arch, probes).mean() == 1.0
 
 
 def test_windowing_the_global_layer_destroys_retrieval(induction_model):
@@ -156,10 +156,10 @@ def test_windowing_the_global_layer_destroys_retrieval(induction_model):
     arch = parent_spec(cfg)
     probes = make_retrieval_probes(cfg, count=64, length=64, n_pairs=4, seed=9)
     crippled = arch.with_layer(1, attention=window_attention(8))
-    assert long_context_task_score(induction_model, crippled, probes) <= 0.1
+    assert _retrieval_correct(induction_model, crippled, probes).mean() <= 0.1
     # the local hop needs to see the previous position, but nothing further
     narrow = arch.with_layer(0, attention=window_attention(1))
-    assert long_context_task_score(induction_model, narrow, probes) <= 0.1
+    assert _retrieval_correct(induction_model, narrow, probes).mean() <= 0.1
 
 
 def test_task_drop_signal_flags_global_layer_conversion(induction_model):
