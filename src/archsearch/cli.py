@@ -117,6 +117,14 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     eval_cfg.setdefault("n_prompts", 16)
     eval_cfg.setdefault("prompt_len", 16)
     eval_cfg.setdefault("end_token", 0)
+    for section, values, names in (
+        ("probes", probes, ("lm_count", "lm_length", "retrieval_count", "retrieval_length")),
+        ("eval", eval_cfg, ("n_prompts", "prompt_len")),
+    ):
+        for name in names:
+            v = values[name]
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"{section}.{name} must be a positive integer, got {v!r}")
     kv_budget = obj.get("kv_budget")
     return RunConfig(
         seed=int(seed_override if seed_override is not None else obj.get("seed", 0)),

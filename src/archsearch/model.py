@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .library import ArchitectureSpec
+    from .library import ArchitectureSpec, LayerBlockSpec
 
 F32 = np.float32
 RMS_EPS = np.float32(1e-6)
@@ -677,18 +677,132 @@ def _moe_layer(
     idx, weights = route_tokens(logits, allowed, top_k)
     out = np.zeros_like(x)
     flat_x = x.reshape(-1, x.shape[-1])
-    flat_idx = idx.reshape(-1, top_k)
-    flat_w = weights.reshape(-1, top_k)
     flat_out = out.reshape(-1, x.shape[-1])
-    for e, expert in enumerate(layer.experts):
-        sel = flat_idx == e
-        rows = np.nonzero(sel.any(axis=-1))[0]
-        if rows.size == 0:
-            continue
-        w = (flat_w[rows] * sel[rows]).sum(axis=-1, dtype=F32)
+    # Group the (token, slot) pairs by expert. The sort is stable, so each
+    # expert's tokens stay in ascending order and its matmul sees the same rows
+    # in the same order as a scan of every token would give it; experts are
+    # added in ascending order, so each token sums its slots as before.
+    pairs = idx.reshape(-1)
+    order = np.argsort(pairs, kind="stable")
+    bounds = np.searchsorted(pairs[order], np.arange(len(layer.experts) + 1))
+    rows_by_expert = order // top_k
+    weights_by_expert = weights.reshape(-1)[order]
+    for e in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        lo, hi = bounds[e], bounds[e + 1]
+        rows = rows_by_expert[lo:hi]
+        expert = layer.experts[e]
         y = _silu(flat_x[rows] @ expert.w_in) @ expert.w_out
-        flat_out[rows] += w[:, None] * y
+        flat_out[rows] += weights_by_expert[lo:hi, None] * y
     return out
+
+
+@dataclass
+class _Pass:
+    """What the layers of one forward share: the positions it runs, their
+    rotary tables, the cache it writes (if any), and attention work buffers
+    reused across layers (one scores buffer per key count: a cached window
+    layer reads fewer keys)."""
+
+    start: int
+    cos: np.ndarray
+    sin: np.ndarray
+    query_pos: np.ndarray
+    cache: KvCache | None
+    ctx_buf: np.ndarray
+    scores_bufs: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def new(
+        cls, c: ModelConfig, batch: int, length: int, start: int = 0, cache: KvCache | None = None
+    ) -> "_Pass":
+        cos, sin = _rope_tables(c, start, length)
+        group = c.n_heads // c.n_kv_heads
+        ctx_buf = np.empty((batch, c.n_kv_heads, group * length, c.head_dim), dtype=F32)
+        return cls(start, cos, sin, np.arange(start, start + length), cache, ctx_buf)
+
+
+def _layer_step(
+    params: ModelParams, i: int, spec: "LayerBlockSpec", hidden: np.ndarray, run: _Pass
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One decoder layer on the residual stream `hidden` [batch, length, d_model].
+
+    Returns (residual leaving the layer, FFN input, FFN output).
+    """
+    c = params.config
+    layer = params.layers[i]
+    batch, length = hidden.shape[:2]
+    group = c.n_heads // c.n_kv_heads
+    att_in = _rms_norm(hidden, layer.attn_norm)
+    q = (att_in @ layer.wq).reshape(batch, length, c.n_heads, c.head_dim).transpose(0, 2, 1, 3)
+    k = (att_in @ layer.wk).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
+    v = (att_in @ layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
+    q = _apply_rope(q, run.cos, run.sin)
+    k = _apply_rope(k, run.cos, run.sin)
+    if run.cache is None:
+        mask = _additive_mask(spec.attention.kind, spec.attention.window_size, length)
+    else:
+        k, v, key_pos = run.cache.update(i, k, v, run.start)
+        mask = _attention_mask(spec.attention, run.query_pos, key_pos)
+    n_keys = k.shape[2]
+    scores_buf = run.scores_bufs.get(n_keys)
+    if scores_buf is None:
+        scores_buf = run.scores_bufs[n_keys] = np.empty(
+            (batch, c.n_kv_heads, group * length, n_keys), dtype=F32
+        )
+    # Query heads grouped by their kv head: head h reads kv head h // group,
+    # so stacking each group's queries keeps GQA exact while batching GEMMs.
+    qg = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim)
+    np.matmul(qg, k.transpose(0, 1, 3, 2), out=scores_buf)
+    scores = scores_buf.reshape(batch, c.n_heads, length, n_keys)
+    scores *= np.float32(1.0 / np.sqrt(c.head_dim))
+    scores += mask
+    # softmax over keys, in place; masked slots exp to exactly 0
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.sum(scores, axis=-1, keepdims=True)
+    np.matmul(scores_buf, v, out=run.ctx_buf)
+    ctx = (
+        run.ctx_buf.reshape(batch, c.n_heads, length, c.head_dim)
+        .transpose(0, 2, 1, 3)
+        .reshape(batch, length, c.n_heads * c.head_dim)
+    )
+    hidden = hidden + ctx @ layer.wo
+
+    ffn_in = _rms_norm(hidden, layer.ffn_norm)
+    allowed_experts = _expert_allowed_mask(layer, spec.expert_keep_set, c.top_k)
+    moe_out = _moe_layer(ffn_in, layer, allowed_experts, c.top_k)
+    return hidden + moe_out, ffn_in, moe_out
+
+
+def _layer_specs(params: ModelParams, arch: "ArchitectureSpec") -> list["LayerBlockSpec"]:
+    layer_specs = list(arch.layers)
+    if len(layer_specs) != len(params.layers):
+        raise MismatchError(
+            f"architecture has {len(layer_specs)} layers, parameters have {len(params.layers)}"
+        )
+    return layer_specs
+
+
+def _check_tokens(c: ModelConfig, tokens: np.ndarray, start: int = 0) -> np.ndarray:
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise MismatchError(f"forward_batch expects [batch, length] tokens, got shape {tokens.shape}")
+    if tokens.size == 0:
+        raise MismatchError(f"forward_batch needs at least one token, got shape {tokens.shape}")
+    end = start + tokens.shape[1]
+    if end > c.max_seq_len:
+        raise MismatchError(f"sequence length {end} exceeds max_seq_len {c.max_seq_len}")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise MismatchError(f"tokens must be integers, got dtype {tokens.dtype}")
+    if tokens.min() < 0 or tokens.max() >= c.vocab_size:
+        raise MismatchError("token id out of range for vocab_size")
+    return tokens
+
+
+def _finish(params: ModelParams, hidden: np.ndarray, trace: ForwardTrace) -> ForwardTrace:
+    trace.final_hidden = _rms_norm(hidden, params.final_norm)
+    trace.logits = trace.final_hidden @ params.lm_head
+    return trace
 
 
 def forward_batch(
@@ -707,21 +821,9 @@ def forward_batch(
     capture_layers records each named layer's FFN (input, output) pair.
     """
     c = params.config
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise MismatchError(f"forward_batch expects [batch, length] tokens, got shape {tokens.shape}")
+    tokens = _check_tokens(c, tokens, start)
     batch, length = tokens.shape
-    if start + length > c.max_seq_len:
-        raise MismatchError(f"sequence length {start + length} exceeds max_seq_len {c.max_seq_len}")
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise MismatchError(f"tokens must be integers, got dtype {tokens.dtype}")
-    if tokens.min() < 0 or tokens.max() >= c.vocab_size:
-        raise MismatchError("token id out of range for vocab_size")
-    layer_specs = list(arch.layers)
-    if len(layer_specs) != len(params.layers):
-        raise MismatchError(
-            f"architecture has {len(layer_specs)} layers, parameters have {len(params.layers)}"
-        )
+    layer_specs = _layer_specs(params, arch)
     if cache is None:
         if start != 0:
             raise MismatchError(f"a forward without a cache starts at position 0, not {start}")
@@ -736,68 +838,83 @@ def forward_batch(
             raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
     capture = frozenset(capture_layers)
-    cos, sin = _rope_tables(c, start, length)
-    query_pos = np.arange(start, start + length)
-    group = c.n_heads // c.n_kv_heads
-    scale = np.float32(1.0 / np.sqrt(c.head_dim))
-    trace = ForwardTrace(logits=None, final_hidden=None)  # filled below
-
-    # Attention work buffers are the hot allocation; reuse them across layers
-    # (one scores buffer per key count: a cached window layer reads fewer keys).
-    scores_bufs: dict[int, np.ndarray] = {}
-    ctx_buf = np.empty((batch, c.n_kv_heads, group * length, c.head_dim), dtype=F32)
-
+    trace = ForwardTrace(logits=None, final_hidden=None)  # filled by _finish
+    run = _Pass.new(c, batch, length, start, cache)
     hidden = params.embedding[tokens]
-    for i, (layer, spec) in enumerate(zip(params.layers, layer_specs)):
-        att_in = _rms_norm(hidden, layer.attn_norm)
-        q = (att_in @ layer.wq).reshape(batch, length, c.n_heads, c.head_dim).transpose(0, 2, 1, 3)
-        k = (att_in @ layer.wk).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
-        v = (att_in @ layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
-        q = _apply_rope(q, cos, sin)
-        k = _apply_rope(k, cos, sin)
-        if cache is None:
-            mask = _additive_mask(spec.attention.kind, spec.attention.window_size, length)
-        else:
-            k, v, key_pos = cache.update(i, k, v, start)
-            mask = _attention_mask(spec.attention, query_pos, key_pos)
-        n_keys = k.shape[2]
-        scores_buf = scores_bufs.get(n_keys)
-        if scores_buf is None:
-            scores_buf = scores_bufs[n_keys] = np.empty(
-                (batch, c.n_kv_heads, group * length, n_keys), dtype=F32
-            )
-        # Query heads grouped by their kv head: head h reads kv head h // group,
-        # so stacking each group's queries keeps GQA exact while batching GEMMs.
-        qg = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim)
-        np.matmul(qg, k.transpose(0, 1, 3, 2), out=scores_buf)
-        scores = scores_buf.reshape(batch, c.n_heads, length, n_keys)
-        scores *= scale
-        scores += mask
-        # softmax over keys, in place; masked slots exp to exactly 0
-        scores -= np.max(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.sum(scores, axis=-1, keepdims=True)
-        np.matmul(scores_buf, v, out=ctx_buf)
-        ctx = (
-            ctx_buf.reshape(batch, c.n_heads, length, c.head_dim)
-            .transpose(0, 2, 1, 3)
-            .reshape(batch, length, c.n_heads * c.head_dim)
-        )
-        hidden = hidden + ctx @ layer.wo
-
-        ffn_in = _rms_norm(hidden, layer.ffn_norm)
-        allowed_experts = _expert_allowed_mask(layer, spec.expert_keep_set, c.top_k)
-        moe_out = _moe_layer(ffn_in, layer, allowed_experts, c.top_k)
+    for i, spec in enumerate(layer_specs):
+        hidden, ffn_in, moe_out = _layer_step(params, i, spec, hidden, run)
         if i in capture:
-            trace.ffn_io[i] = (ffn_in.copy(), moe_out.copy())
-        hidden = hidden + moe_out
-
+            trace.ffn_io[i] = (ffn_in, moe_out)
     if cache is not None:
         cache.positions = start + length
-    final = _rms_norm(hidden, params.final_norm)
-    trace.final_hidden = final
-    trace.logits = final @ params.lm_head
-    return trace
+    return _finish(params, hidden, trace)
+
+
+class LayerWalk:
+    """The residual stream of a cache-free forward, entering one layer at a time.
+
+    `at(i)` steps the forward up to layer i and returns the residual stream
+    [batch, length, d_model] entering it, bit-identical to what forward_batch
+    feeds that layer. The walk only moves forward and holds only the current
+    residual. Pair it with resume_forward to re-run just the layers from i on.
+    """
+
+    def __init__(self, params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray):
+        tokens = _check_tokens(params.config, tokens)
+        self._params = params
+        self._specs = _layer_specs(params, arch)
+        self.layer = 0
+        self.hidden = params.embedding[tokens]
+
+    def at(self, layer: int) -> np.ndarray:
+        if not self.layer <= layer < len(self._specs):
+            raise MismatchError(
+                f"the walk is at layer {self.layer} of {len(self._specs)}; it cannot go to {layer}"
+            )
+        if self.layer == layer:
+            return self.hidden
+        # Work buffers live for this call only, so between calls the walk
+        # holds nothing but the residual.
+        run = _Pass.new(self._params.config, *self.hidden.shape[:2])
+        while self.layer < layer:
+            spec = self._specs[self.layer]
+            self.hidden = _layer_step(self._params, self.layer, spec, self.hidden, run)[0]
+            self.layer += 1
+        return self.hidden
+
+
+def resume_forward(
+    params: ModelParams,
+    arch: "ArchitectureSpec",
+    layer: int,
+    hidden: np.ndarray,
+    cache: KvCache | None = None,
+) -> ForwardTrace:
+    """Finish a cache-free forward from `hidden`, the residual stream entering
+    `layer` (as LayerWalk.at gives it), running only layers layer.. of `arch`.
+
+    When the layers before `layer` match the walk's architecture, the trace
+    equals forward_batch's on the same tokens bit for bit. A cached forward
+    writes every layer's keys and values, so it cannot resume: passing a cache
+    is an error.
+    """
+    c = params.config
+    if cache is not None:
+        raise MismatchError("a resumed forward runs without a cache")
+    layer_specs = _layer_specs(params, arch)
+    if not 0 <= layer < len(layer_specs):
+        raise MismatchError(f"cannot resume at layer {layer} of a {len(layer_specs)}-layer model")
+    hidden = np.asarray(hidden)
+    if hidden.ndim != 3 or hidden.shape[2] != c.d_model or hidden.size == 0:
+        raise MismatchError(
+            f"resume_forward expects a [batch, length, {c.d_model}] residual, got shape {hidden.shape}"
+        )
+    if hidden.shape[1] > c.max_seq_len:
+        raise MismatchError(f"sequence length {hidden.shape[1]} exceeds max_seq_len {c.max_seq_len}")
+    run = _Pass.new(c, hidden.shape[0], hidden.shape[1])
+    for i in range(layer, len(layer_specs)):
+        hidden = _layer_step(params, i, layer_specs[i], hidden, run)[0]
+    return _finish(params, hidden, ForwardTrace(logits=None, final_hidden=None))
 
 
 def forward(

@@ -22,10 +22,12 @@ from .library import ArchitectureSpec, BlockLibrary, ExpertRanking
 from .model import (
     AttentionVariant,
     ConfigError,
+    LayerWalk,
     MismatchError,
     ModelConfig,
     ModelParams,
     forward_batch,
+    resume_forward,
     route_tokens,
 )
 
@@ -170,9 +172,20 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
-def _retrieval_correct(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> np.ndarray:
+def _retrieval_correct(
+    params: ModelParams,
+    arch: ArchitectureSpec,
+    probes: ProbeSet,
+    layer: int = 0,
+    layer_input: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-probe 1.0/0.0 retrieval outcome. Given the residual entering `layer`
+    (see replace_one_block_score), only layers layer.. are run."""
     validate_retrieval_probes(probes)
-    trace = forward_batch(params, arch, probes.tokens)
+    if layer_input is None:
+        trace = forward_batch(params, arch, probes.tokens)
+    else:
+        trace = resume_forward(params, arch, layer, layer_input)
     predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
@@ -289,9 +302,13 @@ def replace_one_block_score(
     attention: AttentionVariant | None = None,
     expert_keep_set: tuple[int, ...] | None = None,
     baseline_final: np.ndarray | None = None,
+    layer_input: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Final-hidden MSE against the unmodified model with one layer's block swapped.
 
+    `layer_input`, the unmodified model's residual stream entering `layer` on
+    these probes (LayerWalk.at), lets the variant's forward resume there: the
+    layers before it are the parent's own, so re-running them repeats work.
     Returns (mean squared error, per-sequence MSE array).
     """
     if attention is None and expert_keep_set is None:
@@ -299,7 +316,10 @@ def replace_one_block_score(
     if baseline_final is None:
         baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
     variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
-    variant_final = forward_batch(params, variant_arch, probes.tokens).final_hidden
+    if layer_input is None:
+        variant_final = forward_batch(params, variant_arch, probes.tokens).final_hidden
+    else:
+        variant_final = resume_forward(params, variant_arch, layer, layer_input).final_hidden
     diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
     return float(per_seq.mean()), per_seq
@@ -399,6 +419,9 @@ def score_library(
 
     Activation MSE covers both attention and FFN variants (on the LM probes).
     Task drop is restricted to attention variants (on the retrieval probes).
+    A variant differs from the parent in one layer only, so its forward resumes
+    from the parent's residual entering that layer: one walk per probe set
+    steps the parent layer by layer, holding only the current residual.
     """
     unknown = set(signals) - {SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP}
     if unknown:
@@ -411,6 +434,8 @@ def score_library(
     baseline_final = forward_batch(params, arch, lm_probes.tokens).final_hidden if want_mse else None
     parent_correct = _retrieval_correct(params, arch, retrieval_probes) if want_task else None
     parent_acc = float(parent_correct.mean()) if want_task else 0.0
+    lm_walk = LayerWalk(params, arch, lm_probes.tokens) if want_mse else None
+    task_walk = LayerWalk(params, arch, retrieval_probes.tokens) if want_task else None
 
     rows: list[ScoreRow] = []
     for layer_idx, layer_lib in enumerate(library.layers):
@@ -425,7 +450,7 @@ def score_library(
                 else:
                     mse, per_seq = replace_one_block_score(
                         params, arch, layer_idx, lm_probes, attention=attn,
-                        baseline_final=baseline_final,
+                        baseline_final=baseline_final, layer_input=lm_walk.at(layer_idx),
                     )
                 rows.append(
                     ScoreRow(
@@ -439,7 +464,10 @@ def score_library(
                     correct = parent_correct
                 else:
                     variant_arch = arch.with_layer(layer_idx, attention=attn)
-                    correct = _retrieval_correct(params, variant_arch, retrieval_probes)
+                    correct = _retrieval_correct(
+                        params, variant_arch, retrieval_probes,
+                        layer_idx, task_walk.at(layer_idx),
+                    )
                 drop = parent_acc - float(correct.mean())
                 per_seq = parent_correct - correct
                 rows.append(
@@ -457,7 +485,7 @@ def score_library(
                 else:
                     mse, per_seq = replace_one_block_score(
                         params, arch, layer_idx, lm_probes, expert_keep_set=keep,
-                        baseline_final=baseline_final,
+                        baseline_final=baseline_final, layer_input=lm_walk.at(layer_idx),
                     )
                 rows.append(
                     ScoreRow(

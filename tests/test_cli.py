@@ -218,3 +218,23 @@ def test_version_flag_prints_and_exits(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "archsearch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, field, stage", [
+    ("probes", "lm_count", "score"),
+    ("probes", "lm_length", "score"),
+    ("probes", "retrieval_count", "score"),
+    ("probes", "retrieval_length", "score"),
+    ("eval", "n_prompts", "eval"),
+    ("eval", "prompt_len", "eval"),
+])
+def test_empty_inputs_are_config_errors(tmp_path, capsys, section, field, stage):
+    cfg = json.loads(bundled_config().read_text())
+    cfg[section][field] = 0
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, stage) == 1
+    err = capsys.readouterr().err
+    assert f"error: {section}.{field} must be a positive integer" in err
+    assert not (out / ".lock").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from archsearch import model as model_mod
 from archsearch.costs import kv_bytes_per_sequence
 from archsearch.kvquant import calibrate_scales, forward_with_quantized_kv
 from archsearch.library import parent_spec
@@ -8,6 +9,7 @@ from archsearch.model import (
     AttentionVariant,
     ConfigError,
     KvCache,
+    LayerWalk,
     MismatchError,
     ModelConfig,
     count_params,
@@ -19,6 +21,7 @@ from archsearch.model import (
     load_params,
     param_items,
     params_checksum,
+    resume_forward,
     route_tokens,
     save_params,
     toy_config,
@@ -256,6 +259,111 @@ def test_forward_single_sequence_wrapper(toy_params, toy_arch):
     batch = forward_batch(toy_params, toy_arch, tokens[None, :])
     np.testing.assert_array_equal(one.logits, batch.logits[0])
     assert one.final_hidden.shape == (10, 64)
+
+
+def _pruned_window_arch(arch):
+    # the toy's window-4 layers, one global layer narrowed to window 16, and
+    # strict expert subsets on three layers
+    return (
+        arch.with_layer(3, attention=window_attention(16))
+        .with_layer(0, expert_keep_set=tuple(range(0, 16, 2)))
+        .with_layer(3, expert_keep_set=(1, 4, 5, 9))
+        .with_layer(6, expert_keep_set=tuple(range(8)))
+    )
+
+
+def test_forward_rejects_empty_tokens(toy_params, toy_arch):
+    for shape in ((0, 4), (2, 0)):
+        with pytest.raises(MismatchError, match="at least one"):
+            forward_batch(toy_params, toy_arch, np.zeros(shape, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# resuming a forward from the residual entering one layer
+
+
+def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_arch):
+    arch = _pruned_window_arch(toy_arch)
+    tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
+    full = forward_batch(toy_params, arch, tokens)
+    walk = LayerWalk(toy_params, arch, tokens)
+    for i in range(toy_params.config.n_layers):
+        resumed = resume_forward(toy_params, arch, i, walk.at(i))
+        np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
+        np.testing.assert_array_equal(resumed.logits, full.logits)
+
+
+def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
+    arch = _pruned_window_arch(toy_arch)
+    tokens = np.random.default_rng(11).integers(0, 256, size=(2, 24), dtype=np.int64)
+    entering = {}
+    step = model_mod._layer_step
+
+    def recording_step(params, i, spec, hidden, run):
+        entering[i] = hidden.copy()
+        return step(params, i, spec, hidden, run)
+
+    monkeypatch.setattr(model_mod, "_layer_step", recording_step)
+    forward_batch(toy_params, arch, tokens)
+    monkeypatch.undo()
+    assert sorted(entering) == list(range(toy_params.config.n_layers))
+    walk = LayerWalk(toy_params, arch, tokens)
+    for i, hidden in entering.items():
+        np.testing.assert_array_equal(walk.at(i), hidden)
+
+
+def test_resume_validation(toy_params, toy_arch):
+    tokens = np.full((2, 4), 5, dtype=np.int64)
+    walk = LayerWalk(toy_params, toy_arch, tokens)
+    hidden = walk.at(2)
+    cache = KvCache(toy_params.config, toy_arch, batch=2, length=4)
+    with pytest.raises(MismatchError, match="without a cache"):
+        resume_forward(toy_params, toy_arch, 2, hidden, cache=cache)
+    for layer in (-1, toy_params.config.n_layers):
+        with pytest.raises(MismatchError, match="cannot resume"):
+            resume_forward(toy_params, toy_arch, layer, hidden)
+    with pytest.raises(MismatchError, match="residual"):
+        resume_forward(toy_params, toy_arch, 2, hidden[..., :8])
+    with pytest.raises(MismatchError, match="cannot go to 1"):
+        walk.at(1)  # the walk only moves forward
+
+
+# ---------------------------------------------------------------------------
+# MoE dispatch
+
+
+def _moe_reference(x, layer, allowed, top_k):
+    """Scan every token for every present expert, in ascending expert order."""
+    logits = x @ layer.router.T
+    idx, weights = route_tokens(logits, allowed, top_k)
+    out = np.zeros_like(x)
+    flat_x = x.reshape(-1, x.shape[-1])
+    flat_idx = idx.reshape(-1, top_k)
+    flat_w = weights.reshape(-1, top_k)
+    flat_out = out.reshape(-1, x.shape[-1])
+    for e, expert in enumerate(layer.experts):
+        sel = flat_idx == e
+        rows = np.nonzero(sel.any(axis=-1))[0]
+        if rows.size == 0:
+            continue
+        w = (flat_w[rows] * sel[rows]).sum(axis=-1, dtype=np.float32)
+        y = model_mod._silu(flat_x[rows] @ expert.w_in) @ expert.w_out
+        flat_out[rows] += w[:, None] * y
+    return out
+
+
+@pytest.mark.parametrize("shape, keep", [
+    ((24, 96), tuple(range(16))),  # a scoring batch
+    ((16, 1), tuple(range(16))),  # one decode step: only the routed experts run
+    ((6, 20), (2, 3, 7, 11, 12)),  # a pruned layer: a strict subset is allowed
+])
+def test_moe_dispatch_is_bit_identical_to_the_per_expert_scan(toy_params, shape, keep):
+    layer = toy_params.layers[3]
+    top_k = toy_params.config.top_k
+    x = np.random.default_rng(12).standard_normal(shape + (64,)).astype(np.float32)
+    allowed = model_mod._expert_allowed_mask(layer, keep, top_k)
+    got = model_mod._moe_layer(x, layer, allowed, top_k)
+    assert np.array_equal(got, _moe_reference(x, layer, allowed, top_k))
 
 
 # ---------------------------------------------------------------------------

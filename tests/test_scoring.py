@@ -201,6 +201,56 @@ def test_score_library_produces_both_signals(toy_params, toy_arch, toy_cfg,
     assert table.get(0, "ffn:keep:16", SIGNAL_ACTIVATION_MSE).value == 0.0
 
 
+@pytest.mark.parametrize("model", ["toy", "induction"])
+def test_score_library_equals_scoring_by_full_forwards(request, model):
+    # On the planted-retrieval model a window of 64 on its global layer keeps
+    # every 40-token probe answered, so the task rows show a wrong resumed
+    # residual as well as the activation rows do.
+    if model == "toy":
+        params = request.getfixturevalue("toy_params")
+        menu = LibraryMenu(keep_fractions=(1.0, 0.5, 0.25), alt_windows=(16,))
+    else:
+        params = request.getfixturevalue("induction_model")
+        menu = LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(64, 8))
+    cfg = params.config
+    parent = parent_spec(cfg)
+    lm = make_lm_probes(cfg, count=3, length=40, seed=303)
+    retrieval = make_retrieval_probes(cfg, count=4, length=40, n_pairs=4, seed=404)
+    lib = build_library(cfg, menu)
+    ranking = rank_experts(params, parent, lm)
+    table = score_library(params, parent, lib, ranking, lm, retrieval)
+
+    # the same rows, each variant scored by a plain forward over every layer
+    def final(arch):
+        return forward_batch(params, arch, lm.tokens).final_hidden.astype(np.float64)
+
+    def correct(arch):
+        logits = forward_batch(params, arch, retrieval.tokens).logits
+        return (np.argmax(logits[:, -1, :], axis=-1) == retrieval.answers).astype(np.float64)
+
+    def mse_row(layer, variant_id, arch):
+        per_seq = np.square(base - final(arch)).mean(axis=(1, 2))
+        mse = float(per_seq.mean())
+        return ScoreRow(layer, variant_id, SIGNAL_ACTIVATION_MSE, mse, mse, lm.count,
+                        tuple(per_seq.tolist()))
+
+    base, parent_correct = final(parent), correct(parent)
+    want = []
+    for i, layer_lib in enumerate(lib.layers):
+        for attn in layer_lib.attention_options:
+            arch = parent.with_layer(i, attention=attn)
+            want.append(mse_row(i, attn.variant_id, arch))
+            ok = correct(arch)
+            drop = float(parent_correct.mean()) - float(ok.mean())
+            want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop), drop,
+                                 retrieval.count, tuple((parent_correct - ok).tolist())))
+        for count in layer_lib.keep_counts:
+            arch = parent.with_layer(i, expert_keep_set=ranking.keep_set(i, count))
+            want.append(mse_row(i, f"ffn:keep:{count}", arch))
+    assert any(r.value > 0 for r in want)
+    assert table.rows == want
+
+
 def test_score_table_roundtrip_and_line_errors(tmp_path):
     table = ScoreTable(rows=[
         ScoreRow(layer=1, variant_id="attn:global", signal="activation_mse",
