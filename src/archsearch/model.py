@@ -850,37 +850,23 @@ def forward_batch(
     return _finish(params, hidden, trace)
 
 
-class LayerWalk:
-    """The residual stream of a cache-free forward, entering one layer at a time.
+def _layer_inputs(
+    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield the residual stream [batch, length, d_model] entering each layer of
+    a cache-free forward in turn, bit-identical to what forward_batch feeds it.
 
-    `at(i)` steps the forward up to layer i and returns the residual stream
-    [batch, length, d_model] entering it, bit-identical to what forward_batch
-    feeds that layer. The walk only moves forward and holds only the current
-    residual. Pair it with resume_forward to re-run just the layers from i on.
+    The next layer runs only when its input is asked for, and only the current
+    residual is held: work buffers live for one step.
     """
-
-    def __init__(self, params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray):
-        tokens = _check_tokens(params.config, tokens)
-        self._params = params
-        self._specs = _layer_specs(params, arch)
-        self.layer = 0
-        self.hidden = params.embedding[tokens]
-
-    def at(self, layer: int) -> np.ndarray:
-        if not self.layer <= layer < len(self._specs):
-            raise MismatchError(
-                f"the walk is at layer {self.layer} of {len(self._specs)}; it cannot go to {layer}"
-            )
-        if self.layer == layer:
-            return self.hidden
-        # Work buffers live for this call only, so between calls the walk
-        # holds nothing but the residual.
-        run = _Pass.new(self._params.config, *self.hidden.shape[:2])
-        while self.layer < layer:
-            spec = self._specs[self.layer]
-            self.hidden = _layer_step(self._params, self.layer, spec, self.hidden, run)[0]
-            self.layer += 1
-        return self.hidden
+    c = params.config
+    tokens = _check_tokens(c, tokens)
+    layer_specs = _layer_specs(params, arch)
+    hidden = params.embedding[tokens]
+    for i, spec in enumerate(layer_specs):
+        yield hidden
+        if i + 1 < len(layer_specs):
+            hidden = _layer_step(params, i, spec, hidden, _Pass.new(c, *hidden.shape[:2]))[0]
 
 
 def resume_forward(
@@ -891,9 +877,9 @@ def resume_forward(
     cache: KvCache | None = None,
 ) -> ForwardTrace:
     """Finish a cache-free forward from `hidden`, the residual stream entering
-    `layer` (as LayerWalk.at gives it), running only layers layer.. of `arch`.
+    `layer` (as _layer_inputs gives it), running only layers layer.. of `arch`.
 
-    When the layers before `layer` match the walk's architecture, the trace
+    When the layers before `layer` match those `hidden` came from, the trace
     equals forward_batch's on the same tokens bit for bit. A cached forward
     writes every layer's keys and values, so it cannot resume: passing a cache
     is an error.

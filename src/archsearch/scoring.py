@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,10 +23,10 @@ from .library import ArchitectureSpec, BlockLibrary, ExpertRanking
 from .model import (
     AttentionVariant,
     ConfigError,
-    LayerWalk,
     MismatchError,
     ModelConfig,
     ModelParams,
+    _layer_inputs,
     forward_batch,
     resume_forward,
     route_tokens,
@@ -172,6 +173,15 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
+def _parent_input(
+    params: ModelParams, arch: ArchitectureSpec, tokens: np.ndarray, layer: int
+) -> np.ndarray:
+    """The residual stream entering `layer` of `arch` on `tokens`."""
+    if not 0 <= layer < len(params.layers):
+        raise MismatchError(f"no layer {layer} in a {len(params.layers)}-layer model")
+    return next(islice(_layer_inputs(params, arch, tokens), layer, None))
+
+
 def _retrieval_correct(
     params: ModelParams,
     arch: ArchitectureSpec,
@@ -179,13 +189,12 @@ def _retrieval_correct(
     layer: int = 0,
     layer_input: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-probe 1.0/0.0 retrieval outcome. Given the residual entering `layer`
-    (see replace_one_block_score), only layers layer.. are run."""
+    """Per-probe 1.0/0.0 retrieval outcome; only layers layer.. are run, from
+    `layer_input` (see replace_one_block_score)."""
     validate_retrieval_probes(probes)
     if layer_input is None:
-        trace = forward_batch(params, arch, probes.tokens)
-    else:
-        trace = resume_forward(params, arch, layer, layer_input)
+        layer_input = _parent_input(params, arch, probes.tokens, layer)
+    trace = resume_forward(params, arch, layer, layer_input)
     predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
@@ -306,20 +315,19 @@ def replace_one_block_score(
 ) -> tuple[float, np.ndarray]:
     """Final-hidden MSE against the unmodified model with one layer's block swapped.
 
-    `layer_input`, the unmodified model's residual stream entering `layer` on
-    these probes (LayerWalk.at), lets the variant's forward resume there: the
-    layers before it are the parent's own, so re-running them repeats work.
-    Returns (mean squared error, per-sequence MSE array).
+    The variant's forward resumes from `layer_input`, the unmodified model's
+    residual stream entering `layer` on these probes (computed when not
+    given): the layers before it are the parent's own, so re-running them
+    would repeat work. Returns (mean squared error, per-sequence MSE array).
     """
     if attention is None and expert_keep_set is None:
         raise ConfigError("nothing to replace: give attention and/or expert_keep_set")
     if baseline_final is None:
         baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
-    variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
     if layer_input is None:
-        variant_final = forward_batch(params, variant_arch, probes.tokens).final_hidden
-    else:
-        variant_final = resume_forward(params, variant_arch, layer, layer_input).final_hidden
+        layer_input = _parent_input(params, arch, probes.tokens, layer)
+    variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
+    variant_final = resume_forward(params, variant_arch, layer, layer_input).final_hidden
     diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
     return float(per_seq.mean()), per_seq
@@ -434,11 +442,12 @@ def score_library(
     baseline_final = forward_batch(params, arch, lm_probes.tokens).final_hidden if want_mse else None
     parent_correct = _retrieval_correct(params, arch, retrieval_probes) if want_task else None
     parent_acc = float(parent_correct.mean()) if want_task else 0.0
-    lm_walk = LayerWalk(params, arch, lm_probes.tokens) if want_mse else None
-    task_walk = LayerWalk(params, arch, retrieval_probes.tokens) if want_task else None
+    lm_inputs = _layer_inputs(params, arch, lm_probes.tokens) if want_mse else repeat(None)
+    task_inputs = _layer_inputs(params, arch, retrieval_probes.tokens) if want_task else repeat(None)
 
     rows: list[ScoreRow] = []
-    for layer_idx, layer_lib in enumerate(library.layers):
+    walk = zip(library.layers, lm_inputs, task_inputs)
+    for layer_idx, (layer_lib, lm_input, task_input) in enumerate(walk):
         for attn in layer_lib.attention_options:
             # The parent variant leaves the architecture unchanged; the forward
             # pass is pure, so rescoring it would reproduce the baseline
@@ -450,7 +459,7 @@ def score_library(
                 else:
                     mse, per_seq = replace_one_block_score(
                         params, arch, layer_idx, lm_probes, attention=attn,
-                        baseline_final=baseline_final, layer_input=lm_walk.at(layer_idx),
+                        baseline_final=baseline_final, layer_input=lm_input,
                     )
                 rows.append(
                     ScoreRow(
@@ -466,7 +475,7 @@ def score_library(
                     variant_arch = arch.with_layer(layer_idx, attention=attn)
                     correct = _retrieval_correct(
                         params, variant_arch, retrieval_probes,
-                        layer_idx, task_walk.at(layer_idx),
+                        layer_idx, task_input,
                     )
                 drop = parent_acc - float(correct.mean())
                 per_seq = parent_correct - correct
@@ -485,7 +494,7 @@ def score_library(
                 else:
                     mse, per_seq = replace_one_block_score(
                         params, arch, layer_idx, lm_probes, expert_keep_set=keep,
-                        baseline_final=baseline_final, layer_input=lm_walk.at(layer_idx),
+                        baseline_final=baseline_final, layer_input=lm_input,
                     )
                 rows.append(
                     ScoreRow(

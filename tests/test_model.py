@@ -9,7 +9,6 @@ from archsearch.model import (
     AttentionVariant,
     ConfigError,
     KvCache,
-    LayerWalk,
     MismatchError,
     ModelConfig,
     count_params,
@@ -286,9 +285,8 @@ def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens)
-    walk = LayerWalk(toy_params, arch, tokens)
-    for i in range(toy_params.config.n_layers):
-        resumed = resume_forward(toy_params, arch, i, walk.at(i))
+    for i, hidden in enumerate(model_mod._layer_inputs(toy_params, arch, tokens)):
+        resumed = resume_forward(toy_params, arch, i, hidden)
         np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
         np.testing.assert_array_equal(resumed.logits, full.logits)
 
@@ -306,16 +304,15 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
     monkeypatch.setattr(model_mod, "_layer_step", recording_step)
     forward_batch(toy_params, arch, tokens)
     monkeypatch.undo()
-    assert sorted(entering) == list(range(toy_params.config.n_layers))
-    walk = LayerWalk(toy_params, arch, tokens)
-    for i, hidden in entering.items():
-        np.testing.assert_array_equal(walk.at(i), hidden)
+    walked = list(model_mod._layer_inputs(toy_params, arch, tokens))
+    assert sorted(entering) == list(range(len(walked)))
+    for i, hidden in enumerate(walked):
+        np.testing.assert_array_equal(hidden, entering[i])
 
 
 def test_resume_validation(toy_params, toy_arch):
     tokens = np.full((2, 4), 5, dtype=np.int64)
-    walk = LayerWalk(toy_params, toy_arch, tokens)
-    hidden = walk.at(2)
+    hidden = toy_params.embedding[tokens]
     cache = KvCache(toy_params.config, toy_arch, batch=2, length=4)
     with pytest.raises(MismatchError, match="without a cache"):
         resume_forward(toy_params, toy_arch, 2, hidden, cache=cache)
@@ -324,8 +321,6 @@ def test_resume_validation(toy_params, toy_arch):
             resume_forward(toy_params, toy_arch, layer, hidden)
     with pytest.raises(MismatchError, match="residual"):
         resume_forward(toy_params, toy_arch, 2, hidden[..., :8])
-    with pytest.raises(MismatchError, match="cannot go to 1"):
-        walk.at(1)  # the walk only moves forward
 
 
 # ---------------------------------------------------------------------------

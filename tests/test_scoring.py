@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from archsearch.library import LibraryMenu, build_library, parent_spec
-from archsearch.model import forward_batch, global_attention, window_attention
+from archsearch.model import MismatchError, forward_batch, global_attention, window_attention
 from archsearch.scoring import (
     PAD_TOKEN,
     QUERY_MARKER,
@@ -138,6 +138,15 @@ def test_deeper_pruning_hurts_more(toy_params, toy_arch, lm_probes_small):
         expert_keep_set=ranking.keep_set(0, 4),
     )
     assert 0.0 < mse8 < mse4
+
+
+def test_replace_one_block_rejects_a_missing_layer(toy_params, toy_arch, lm_probes_small):
+    for layer in (-1, toy_params.config.n_layers):
+        with pytest.raises(MismatchError, match="no layer"):
+            replace_one_block_score(
+                toy_params, toy_arch, layer=layer, probes=lm_probes_small,
+                attention=window_attention(4),
+            )
 
 
 # ---------------------------------------------------------------------------
