@@ -68,7 +68,6 @@ from .scoring import (
     ScoreTable,
     make_lm_probes,
     make_retrieval_probes,
-    rank_experts,
     score_library,
     validate_retrieval_probes,
 )
@@ -110,9 +109,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     probes.setdefault("retrieval_count", 48)
     probes.setdefault("retrieval_length", 96)
     probes.setdefault("retrieval_pairs", 4)
-    efforts = {k: int(v) for k, v in obj.get(
-        "efforts", {"high": 48, "medium": 24, "low": 12}
-    ).items()}
+    efforts = dict(obj.get("efforts", {"high": 48, "medium": 24, "low": 12}))
     eval_cfg = dict(obj.get("eval", {}))
     eval_cfg.setdefault("n_prompts", 16)
     eval_cfg.setdefault("prompt_len", 16)
@@ -120,6 +117,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     for section, values, names in (
         ("probes", probes, ("lm_count", "lm_length", "retrieval_count", "retrieval_length")),
         ("eval", eval_cfg, ("n_prompts", "prompt_len")),
+        ("efforts", efforts, tuple(efforts)),
     ):
         for name in names:
             v = values[name]
@@ -199,9 +197,8 @@ def cmd_score(args) -> int:
             json.dumps({"lm": lm.manifest, "retrieval": retrieval.manifest},
                        indent=2, sort_keys=True) + "\n"
         )
-        ranking = rank_experts(params, arch, lm)
+        ranking, table = score_library(params, arch, library, lm, retrieval)
         ranking.save(out / "ranking.json")
-        table = score_library(params, arch, library, ranking, lm, retrieval)
         table.save(out / "scores.jsonl")
 
         RunManifest(out).record_stage(

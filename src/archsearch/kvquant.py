@@ -266,7 +266,6 @@ def forward_with_quantized_kv(
     arch: ArchitectureSpec,
     tokens: np.ndarray,
     scales: QuantScales,
-    capture_layers: tuple[int, ...] = (),
 ) -> tuple[ForwardTrace, KvQuantReport]:
     """Forward pass that prefills an fp8 cache: every key and value is encoded
     once through the 8-bit codec and attention reads the decoded codes."""
@@ -274,5 +273,5 @@ def forward_with_quantized_kv(
     cache = KvCache(
         params.config, arch, len(tokens), tokens.shape[-1], scales=scales, report=True
     )
-    trace = forward_batch(params, arch, tokens, capture_layers=capture_layers, cache=cache)
+    trace = forward_batch(params, arch, tokens, cache=cache)
     return trace, KvQuantReport.from_cache(cache)

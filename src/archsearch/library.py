@@ -124,6 +124,13 @@ def parent_spec(config: ModelConfig) -> ArchitectureSpec:
 # expert rankings
 
 
+def top_experts(order: tuple[int, ...], count: int) -> tuple[int, ...]:
+    """The first `count` expert ids of a most-important-first `order`, ascending."""
+    if not (1 <= count <= len(order)):
+        raise ConfigError(f"keep count {count} out of range for layer with {len(order)} experts")
+    return tuple(sorted(order[:count]))
+
+
 @dataclass(frozen=True)
 class ExpertRanking:
     """Per layer, expert ids ordered most-important-first plus their scores."""
@@ -146,10 +153,7 @@ class ExpertRanking:
 
     def keep_set(self, layer: int, count: int) -> tuple[int, ...]:
         """The top-`count` experts of `layer`, as an ascending id tuple."""
-        order = self.orders[layer]
-        if not (1 <= count <= len(order)):
-            raise ConfigError(f"keep count {count} out of range for layer with {len(order)} experts")
-        return tuple(sorted(order[:count]))
+        return top_experts(self.orders[layer], count)
 
     def to_json(self) -> dict:
         return {

@@ -588,7 +588,6 @@ class KvCache:
 class ForwardTrace:
     logits: np.ndarray  # [..., T, vocab]
     final_hidden: np.ndarray  # [..., T, d_model]; post final norm, pre LM head
-    ffn_io: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -723,10 +722,10 @@ class _Pass:
 
 def _layer_step(
     params: ModelParams, i: int, spec: "LayerBlockSpec", hidden: np.ndarray, run: _Pass
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer on the residual stream `hidden` [batch, length, d_model].
 
-    Returns (residual leaving the layer, FFN input, FFN output).
+    Returns (residual leaving the layer, FFN input).
     """
     c = params.config
     layer = params.layers[i]
@@ -770,8 +769,7 @@ def _layer_step(
 
     ffn_in = _rms_norm(hidden, layer.ffn_norm)
     allowed_experts = _expert_allowed_mask(layer, spec.expert_keep_set, c.top_k)
-    moe_out = _moe_layer(ffn_in, layer, allowed_experts, c.top_k)
-    return hidden + moe_out, ffn_in, moe_out
+    return hidden + _moe_layer(ffn_in, layer, allowed_experts, c.top_k), ffn_in
 
 
 def _layer_specs(params: ModelParams, arch: "ArchitectureSpec") -> list["LayerBlockSpec"]:
@@ -799,17 +797,15 @@ def _check_tokens(c: ModelConfig, tokens: np.ndarray, start: int = 0) -> np.ndar
     return tokens
 
 
-def _finish(params: ModelParams, hidden: np.ndarray, trace: ForwardTrace) -> ForwardTrace:
-    trace.final_hidden = _rms_norm(hidden, params.final_norm)
-    trace.logits = trace.final_hidden @ params.lm_head
-    return trace
+def _finish(params: ModelParams, hidden: np.ndarray) -> ForwardTrace:
+    final_hidden = _rms_norm(hidden, params.final_norm)
+    return ForwardTrace(logits=final_hidden @ params.lm_head, final_hidden=final_hidden)
 
 
 def forward_batch(
     params: ModelParams,
     arch: "ArchitectureSpec",
     tokens: np.ndarray,
-    capture_layers: Iterable[int] = (),
     cache: KvCache | None = None,
     start: int = 0,
 ) -> ForwardTrace:
@@ -818,7 +814,6 @@ def forward_batch(
     Without a cache, attention reads the fresh keys/values of these tokens and
     start must be 0. With a cache holding exactly `start` positions, each layer
     writes the new keys/values into it and attends over every slot it holds.
-    capture_layers records each named layer's FFN (input, output) pair.
     """
     c = params.config
     tokens = _check_tokens(c, tokens, start)
@@ -837,36 +832,33 @@ def forward_batch(
         if start + length > cache.length:
             raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
-    capture = frozenset(capture_layers)
-    trace = ForwardTrace(logits=None, final_hidden=None)  # filled by _finish
     run = _Pass.new(c, batch, length, start, cache)
     hidden = params.embedding[tokens]
     for i, spec in enumerate(layer_specs):
-        hidden, ffn_in, moe_out = _layer_step(params, i, spec, hidden, run)
-        if i in capture:
-            trace.ffn_io[i] = (ffn_in, moe_out)
+        hidden = _layer_step(params, i, spec, hidden, run)[0]
     if cache is not None:
         cache.positions = start + length
-    return _finish(params, hidden, trace)
+    return _finish(params, hidden)
 
 
-def _layer_inputs(
+def _layer_walk(
     params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield the residual stream [batch, length, d_model] entering each layer of
-    a cache-free forward in turn, bit-identical to what forward_batch feeds it.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, for each layer of a cache-free forward in turn, (the residual
+    stream [batch, length, d_model] entering it, its FFN input), bit-identical
+    to what forward_batch computes.
 
-    The next layer runs only when its input is asked for, and only the current
-    residual is held: work buffers live for one step.
+    A layer runs only when its item is asked for. The walk holds that layer's
+    item and the residual leaving it, no earlier layer's; work buffers live
+    for one step.
     """
     c = params.config
     tokens = _check_tokens(c, tokens)
-    layer_specs = _layer_specs(params, arch)
     hidden = params.embedding[tokens]
-    for i, spec in enumerate(layer_specs):
-        yield hidden
-        if i + 1 < len(layer_specs):
-            hidden = _layer_step(params, i, spec, hidden, _Pass.new(c, *hidden.shape[:2]))[0]
+    for i, spec in enumerate(_layer_specs(params, arch)):
+        leaving, ffn_in = _layer_step(params, i, spec, hidden, _Pass.new(c, *hidden.shape[:2]))
+        yield hidden, ffn_in
+        hidden = leaving
 
 
 def resume_forward(
@@ -874,19 +866,14 @@ def resume_forward(
     arch: "ArchitectureSpec",
     layer: int,
     hidden: np.ndarray,
-    cache: KvCache | None = None,
 ) -> ForwardTrace:
     """Finish a cache-free forward from `hidden`, the residual stream entering
-    `layer` (as _layer_inputs gives it), running only layers layer.. of `arch`.
+    `layer` (as _layer_walk gives it), running only layers layer.. of `arch`.
 
     When the layers before `layer` match those `hidden` came from, the trace
-    equals forward_batch's on the same tokens bit for bit. A cached forward
-    writes every layer's keys and values, so it cannot resume: passing a cache
-    is an error.
+    equals forward_batch's on the same tokens bit for bit.
     """
     c = params.config
-    if cache is not None:
-        raise MismatchError("a resumed forward runs without a cache")
     layer_specs = _layer_specs(params, arch)
     if not 0 <= layer < len(layer_specs):
         raise MismatchError(f"cannot resume at layer {layer} of a {len(layer_specs)}-layer model")
@@ -900,25 +887,7 @@ def resume_forward(
     run = _Pass.new(c, hidden.shape[0], hidden.shape[1])
     for i in range(layer, len(layer_specs)):
         hidden = _layer_step(params, i, layer_specs[i], hidden, run)[0]
-    return _finish(params, hidden, ForwardTrace(logits=None, final_hidden=None))
-
-
-def forward(
-    params: ModelParams,
-    arch: "ArchitectureSpec",
-    tokens: np.ndarray,
-    capture_layers: Iterable[int] = (),
-) -> ForwardTrace:
-    """Single-sequence forward; see forward_batch."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise MismatchError(f"forward expects a 1-D token sequence, got shape {tokens.shape}")
-    trace = forward_batch(params, arch, tokens[None, :], capture_layers=capture_layers)
-    return ForwardTrace(
-        logits=trace.logits[0],
-        final_hidden=trace.final_hidden[0],
-        ffn_io={i: (x[0], y[0]) for i, (x, y) in trace.ffn_io.items()},
-    )
+    return _finish(params, hidden)
 
 
 def generate_batch(

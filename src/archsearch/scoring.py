@@ -6,6 +6,11 @@ Task drop: accuracy loss on a synthetic long-range retrieval task whose answer
 sits far behind the query. Expert contribution scores measure how much each
 expert's removal (with routing re-selected over the remaining experts) moves a
 layer's FFN output.
+
+Scoring looks inside the parent only through one walk of its layers per probe
+set (model._layer_walk): each layer's experts are ranked from the FFN input
+the walk gives, and each replace-one-block variant resumes from the residual
+the walk gives at its layer.
 """
 
 from __future__ import annotations
@@ -13,20 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .library import ArchitectureSpec, BlockLibrary, ExpertRanking
+from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, top_experts
 from .model import (
     AttentionVariant,
     ConfigError,
     MismatchError,
     ModelConfig,
     ModelParams,
-    _layer_inputs,
+    _layer_walk,
+    _silu,  # internal on purpose: identical math to the forward pass
     forward_batch,
     resume_forward,
     route_tokens,
@@ -173,13 +179,14 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
-def _parent_input(
+def _parent_item(
     params: ModelParams, arch: ArchitectureSpec, tokens: np.ndarray, layer: int
-) -> np.ndarray:
-    """The residual stream entering `layer` of `arch` on `tokens`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residual stream entering `layer` of `arch` on `tokens`, and the
+    layer's FFN input."""
     if not 0 <= layer < len(params.layers):
         raise MismatchError(f"no layer {layer} in a {len(params.layers)}-layer model")
-    return next(islice(_layer_inputs(params, arch, tokens), layer, None))
+    return next(islice(_layer_walk(params, arch, tokens), layer, None))
 
 
 def _retrieval_correct(
@@ -193,7 +200,7 @@ def _retrieval_correct(
     `layer_input` (see replace_one_block_score)."""
     validate_retrieval_probes(probes)
     if layer_input is None:
-        layer_input = _parent_input(params, arch, probes.tokens, layer)
+        layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
     trace = resume_forward(params, arch, layer, layer_input)
     predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
@@ -208,7 +215,6 @@ class ExpertScores:
     layer: int
     expert_ids: tuple[int, ...]  # ascending ids the scores align to
     scores: np.ndarray  # [n] float64, >= 0
-    per_sample: np.ndarray  # [n, n_probes] float64 per-sequence MSE
 
     def ranking_order(self) -> tuple[int, ...]:
         # most important first; ties break toward the lower expert id
@@ -233,8 +239,7 @@ def expert_contribution_scores(
     lp = params.layers[layer]
     keep = arch.layers[layer].expert_keep_set
     if ffn_input is None:
-        trace = forward_batch(params, arch, probes.tokens, capture_layers=(layer,))
-        ffn_input = trace.ffn_io[layer][0]
+        ffn_input = _parent_item(params, arch, probes.tokens, layer)[1]
     n_probes, seq_len, d = ffn_input.shape
     x = ffn_input.reshape(-1, d)
     n_tokens = x.shape[0]
@@ -244,8 +249,6 @@ def expert_contribution_scores(
 
     # Expert outputs are routing-independent; cache them once.
     outputs = np.zeros((len(lp.expert_ids), n_tokens, d), dtype=F32)
-    from .model import _silu  # internal on purpose: identical math to the forward pass
-
     for pos, on in enumerate(allowed):
         if on:
             outputs[pos] = _silu(x @ lp.experts[pos].w_in) @ lp.experts[pos].w_out
@@ -265,7 +268,6 @@ def expert_contribution_scores(
     kept_positions = [pos for pos, on in enumerate(allowed) if on]
     ids = tuple(int(lp.expert_ids[pos]) for pos in kept_positions)
     scores = np.zeros(len(kept_positions), dtype=np.float64)
-    per_sample = np.zeros((len(kept_positions), n_probes), dtype=np.float64)
     for out_i, pos in enumerate(kept_positions):
         affected = np.nonzero((base_idx == pos).any(axis=-1))[0]
         if affected.size == 0:
@@ -276,27 +278,34 @@ def expert_contribution_scores(
         sq = np.square(base[affected].astype(np.float64) - alt.astype(np.float64)).mean(axis=-1)
         row_total = np.zeros(n_tokens, dtype=np.float64)
         row_total[affected] = sq
-        per_seq = row_total.reshape(n_probes, seq_len).mean(axis=1)
-        per_sample[out_i] = per_seq
-        scores[out_i] = per_seq.mean()
-    return ExpertScores(layer=layer, expert_ids=ids, scores=scores, per_sample=per_sample)
+        scores[out_i] = row_total.reshape(n_probes, seq_len).mean(axis=1).mean()
+    return ExpertScores(layer=layer, expert_ids=ids, scores=scores)
+
+
+def _layer_ranking(
+    params: ModelParams,
+    arch: ArchitectureSpec,
+    layer: int,
+    probes: ProbeSet,
+    ffn_input: np.ndarray,
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """One layer's expert ids, most important first, and their scores."""
+    es = expert_contribution_scores(params, arch, layer, probes, ffn_input=ffn_input)
+    order = es.ranking_order()
+    by_id = dict(zip(es.expert_ids, es.scores.tolist()))
+    return order, tuple(by_id[eid] for eid in order)
 
 
 def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> ExpertRanking:
-    """Per-layer expert importance ranking from contribution scores."""
-    n_layers = len(params.layers)
-    trace = forward_batch(params, arch, probes.tokens, capture_layers=range(n_layers))
-    orders = []
-    score_rows = []
-    for layer in range(n_layers):
-        es = expert_contribution_scores(
-            params, arch, layer, probes, ffn_input=trace.ffn_io[layer][0]
-        )
-        order = es.ranking_order()
-        by_id = {eid: float(s) for eid, s in zip(es.expert_ids, es.scores)}
-        orders.append(order)
-        score_rows.append(tuple(by_id[eid] for eid in order))
-    return ExpertRanking(orders=tuple(orders), scores=tuple(score_rows))
+    """Per-layer expert importance ranking from contribution scores, from one
+    walk of the parent over `probes` (score_library ranks the same way)."""
+    ranked = [
+        _layer_ranking(params, arch, i, probes, ffn_input)
+        for i, (_, ffn_input) in enumerate(_layer_walk(params, arch, probes.tokens))
+    ]
+    return ExpertRanking(
+        orders=tuple(order for order, _ in ranked), scores=tuple(sc for _, sc in ranked)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +334,7 @@ def replace_one_block_score(
     if baseline_final is None:
         baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
     if layer_input is None:
-        layer_input = _parent_input(params, arch, probes.tokens, layer)
+        layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
     variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
     variant_final = resume_forward(params, variant_arch, layer, layer_input).final_hidden
     diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
@@ -414,127 +423,113 @@ class ScoreTable:
         return ScoreTable(rows=rows)
 
 
+def _activation_pass(
+    params: ModelParams, arch: ArchitectureSpec, library: BlockLibrary, probes: ProbeSet
+) -> tuple[ExpertRanking, list[ScoreRow]]:
+    """The expert ranking and every activation-MSE row, from one walk of the
+    parent over the LM probes.
+
+    Every row needs the parent's final hidden before layer 0's variants run,
+    so that baseline is one plain forward ahead of the walk.
+    """
+    baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
+    orders, order_scores, rows = [], [], []
+    walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
+    for i, (layer_lib, (layer_input, ffn_input)) in enumerate(walk):
+        order, scores = _layer_ranking(params, arch, i, probes, ffn_input)
+        orders.append(order)
+        order_scores.append(scores)
+        parent = arch.layers[i]
+        variants = [
+            (attn.variant_id, {"attention": attn}, attn == parent.attention)
+            for attn in layer_lib.attention_options
+        ]
+        for count in layer_lib.keep_counts:
+            keep = top_experts(order, count)
+            variants.append(
+                (f"ffn:keep:{count}", {"expert_keep_set": keep}, keep == parent.expert_keep_set)
+            )
+        for variant_id, change, is_parent in variants:
+            # The parent's own block leaves the architecture unchanged; the
+            # forward pass is pure, so rescoring it would reproduce the
+            # baseline bit for bit. Record the identity outcome without it.
+            if is_parent:
+                mse, per_seq = 0.0, np.zeros(probes.count)
+            else:
+                mse, per_seq = replace_one_block_score(
+                    params, arch, i, probes, **change,
+                    baseline_final=baseline_final, layer_input=layer_input,
+                )
+            rows.append(
+                ScoreRow(
+                    layer=i, variant_id=variant_id, signal=SIGNAL_ACTIVATION_MSE,
+                    value=mse, raw=mse, n_samples=probes.count,
+                    per_sample=tuple(per_seq.tolist()),
+                )
+            )
+    return ExpertRanking(orders=tuple(orders), scores=tuple(order_scores)), rows
+
+
+def _task_drop_pass(
+    params: ModelParams, arch: ArchitectureSpec, library: BlockLibrary, probes: ProbeSet
+) -> list[ScoreRow]:
+    """The task-drop row of every attention variant, from one walk of the
+    parent over the retrieval probes.
+
+    Each variant's per-probe outcome is kept until the parent's own is known:
+    the parent's outcome resumes from the residual entering its last layer.
+    """
+    outcomes = []  # (layer, variant id, per-probe outcome; None for the parent's block)
+    walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
+    for i, (layer_lib, (layer_input, _)) in enumerate(walk):
+        for attn in layer_lib.attention_options:
+            correct = None
+            if attn != arch.layers[i].attention:
+                variant_arch = arch.with_layer(i, attention=attn)
+                correct = _retrieval_correct(params, variant_arch, probes, i, layer_input)
+            outcomes.append((i, attn.variant_id, correct))
+    # the walk has ended: i and layer_input are the last layer's
+    parent_correct = _retrieval_correct(params, arch, probes, i, layer_input)
+    parent_acc = float(parent_correct.mean())
+    rows = []
+    for i, variant_id, correct in outcomes:
+        if correct is None:
+            correct = parent_correct
+        drop = parent_acc - float(correct.mean())
+        rows.append(
+            ScoreRow(
+                layer=i, variant_id=variant_id, signal=SIGNAL_TASK_DROP,
+                value=max(0.0, drop), raw=drop, n_samples=probes.count,
+                per_sample=tuple((parent_correct - correct).tolist()),
+            )
+        )
+    return rows
+
+
 def score_library(
     params: ModelParams,
     arch: ArchitectureSpec,
     library: BlockLibrary,
-    ranking: ExpertRanking,
     lm_probes: ProbeSet,
-    retrieval_probes: ProbeSet | None,
-    signals: Sequence[str] = (SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP),
-) -> ScoreTable:
-    """Score every library variant of every layer against the unmodified model.
+    retrieval_probes: ProbeSet,
+) -> tuple[ExpertRanking, ScoreTable]:
+    """Rank every layer's experts and score every library variant of every
+    layer against the unmodified model.
 
-    Activation MSE covers both attention and FFN variants (on the LM probes).
-    Task drop is restricted to attention variants (on the retrieval probes).
-    A variant differs from the parent in one layer only, so its forward resumes
-    from the parent's residual entering that layer: one walk per probe set
-    steps the parent layer by layer, holding only the current residual.
+    Activation MSE covers both attention and FFN variants (on the LM probes);
+    FFN variants keep a prefix of the ranking made on the same probes. Task
+    drop is restricted to attention variants (on the retrieval probes). A
+    variant differs from the parent in one layer only, so its forward resumes
+    from the parent's residual entering that layer. Each probe set gets one
+    walk of the parent, stepping it layer by layer; the LM pass ends and
+    releases its arrays before the retrieval walk starts.
+
+    Rows are all activation-MSE rows, then all task-drop rows, each in layer
+    order (ScoreTable.save sorts them).
     """
-    unknown = set(signals) - {SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP}
-    if unknown:
-        raise ConfigError(f"unknown scoring signals: {sorted(unknown)}")
     if library.n_layers != len(params.layers):
         raise MismatchError("library and parameters disagree on layer count")
-    want_mse = SIGNAL_ACTIVATION_MSE in signals
-    want_task = SIGNAL_TASK_DROP in signals and retrieval_probes is not None
-
-    baseline_final = forward_batch(params, arch, lm_probes.tokens).final_hidden if want_mse else None
-    parent_correct = _retrieval_correct(params, arch, retrieval_probes) if want_task else None
-    parent_acc = float(parent_correct.mean()) if want_task else 0.0
-    lm_inputs = _layer_inputs(params, arch, lm_probes.tokens) if want_mse else repeat(None)
-    task_inputs = _layer_inputs(params, arch, retrieval_probes.tokens) if want_task else repeat(None)
-
-    rows: list[ScoreRow] = []
-    walk = zip(library.layers, lm_inputs, task_inputs)
-    for layer_idx, (layer_lib, lm_input, task_input) in enumerate(walk):
-        for attn in layer_lib.attention_options:
-            # The parent variant leaves the architecture unchanged; the forward
-            # pass is pure, so rescoring it would reproduce the baseline
-            # bit-for-bit. Record the identity outcome without the re-run.
-            is_parent = arch.layers[layer_idx].attention == attn
-            if want_mse:
-                if is_parent:
-                    mse, per_seq = 0.0, np.zeros(lm_probes.count)
-                else:
-                    mse, per_seq = replace_one_block_score(
-                        params, arch, layer_idx, lm_probes, attention=attn,
-                        baseline_final=baseline_final, layer_input=lm_input,
-                    )
-                rows.append(
-                    ScoreRow(
-                        layer=layer_idx, variant_id=attn.variant_id,
-                        signal=SIGNAL_ACTIVATION_MSE, value=mse, raw=mse,
-                        n_samples=lm_probes.count, per_sample=tuple(per_seq.tolist()),
-                    )
-                )
-            if want_task:
-                if is_parent:
-                    correct = parent_correct
-                else:
-                    variant_arch = arch.with_layer(layer_idx, attention=attn)
-                    correct = _retrieval_correct(
-                        params, variant_arch, retrieval_probes,
-                        layer_idx, task_input,
-                    )
-                drop = parent_acc - float(correct.mean())
-                per_seq = parent_correct - correct
-                rows.append(
-                    ScoreRow(
-                        layer=layer_idx, variant_id=attn.variant_id,
-                        signal=SIGNAL_TASK_DROP, value=max(0.0, drop), raw=drop,
-                        n_samples=retrieval_probes.count, per_sample=tuple(per_seq.tolist()),
-                    )
-                )
-        if want_mse:
-            for count in layer_lib.keep_counts:
-                keep = ranking.keep_set(layer_idx, count)
-                if keep == arch.layers[layer_idx].expert_keep_set:
-                    mse, per_seq = 0.0, np.zeros(lm_probes.count)
-                else:
-                    mse, per_seq = replace_one_block_score(
-                        params, arch, layer_idx, lm_probes, expert_keep_set=keep,
-                        baseline_final=baseline_final, layer_input=lm_input,
-                    )
-                rows.append(
-                    ScoreRow(
-                        layer=layer_idx, variant_id=f"ffn:keep:{count}",
-                        signal=SIGNAL_ACTIVATION_MSE, value=mse, raw=mse,
-                        n_samples=lm_probes.count, per_sample=tuple(per_seq.tolist()),
-                    )
-                )
-    return ScoreTable(rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# per-sample rank averaging (diagnostic aggregation)
-
-
-def _average_ranks_desc(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, largest score ranked 1; ties share the mean rank."""
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    pos = 1.0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        group = order[i : j + 1]
-        ranks[group] = pos + (j - i) / 2.0
-        pos += j - i + 1
-        i = j + 1
-    return ranks
-
-
-def rank_average(per_sample: Mapping[object, Sequence[float]]) -> dict[object, float]:
-    """Mean per-sample rank per item (rank 1 = most degradation on that sample)."""
-    keys = sorted(per_sample.keys(), key=repr)
-    if not keys:
-        return {}
-    mat = np.asarray([list(per_sample[k]) for k in keys], dtype=np.float64)
-    if mat.ndim != 2:
-        raise ConfigError("per-sample score lists must share one length")
-    ranks = np.stack([_average_ranks_desc(mat[:, s]) for s in range(mat.shape[1])], axis=1)
-    means = ranks.mean(axis=1)
-    return {k: float(m) for k, m in zip(keys, means)}
+    validate_retrieval_probes(retrieval_probes)
+    ranking, rows = _activation_pass(params, arch, library, lm_probes)
+    rows += _task_drop_pass(params, arch, library, retrieval_probes)
+    return ranking, ScoreTable(rows=rows)

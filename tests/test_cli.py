@@ -227,6 +227,7 @@ def test_version_flag_prints_and_exits(capsys):
     ("probes", "retrieval_length", "score"),
     ("eval", "n_prompts", "eval"),
     ("eval", "prompt_len", "eval"),
+    ("efforts", "low", "eval"),
 ])
 def test_empty_inputs_are_config_errors(tmp_path, capsys, section, field, stage):
     cfg = json.loads(bundled_config().read_text())
@@ -237,4 +238,17 @@ def test_empty_inputs_are_config_errors(tmp_path, capsys, section, field, stage)
     assert run("--config", bad, "--out", out, stage) == 1
     err = capsys.readouterr().err
     assert f"error: {section}.{field} must be a positive integer" in err
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("cap", [-3, "x", 2.5, True])
+def test_effort_caps_must_be_positive_integers(tmp_path, capsys, cap):
+    cfg = json.loads(bundled_config().read_text())
+    cfg["efforts"]["low"] = cap
+    bad = tmp_path / "bad_effort.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, "eval") == 1
+    err = capsys.readouterr().err
+    assert f"error: efforts.low must be a positive integer, got {cap!r}" in err
     assert not (out / ".lock").exists()

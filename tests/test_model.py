@@ -12,7 +12,6 @@ from archsearch.model import (
     MismatchError,
     ModelConfig,
     count_params,
-    forward,
     forward_batch,
     generate_batch,
     global_attention,
@@ -252,14 +251,6 @@ def test_forward_input_validation(toy_params, toy_arch):
         forward_batch(toy_params, toy_arch, np.full((1, 4), 256, dtype=np.int64))
 
 
-def test_forward_single_sequence_wrapper(toy_params, toy_arch):
-    tokens = np.arange(10, dtype=np.int64)
-    one = forward(toy_params, toy_arch, tokens)
-    batch = forward_batch(toy_params, toy_arch, tokens[None, :])
-    np.testing.assert_array_equal(one.logits, batch.logits[0])
-    assert one.final_hidden.shape == (10, 64)
-
-
 def _pruned_window_arch(arch):
     # the toy's window-4 layers, one global layer narrowed to window 16, and
     # strict expert subsets on three layers
@@ -285,7 +276,7 @@ def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens)
-    for i, hidden in enumerate(model_mod._layer_inputs(toy_params, arch, tokens)):
+    for i, (hidden, _) in enumerate(model_mod._layer_walk(toy_params, arch, tokens)):
         resumed = resume_forward(toy_params, arch, i, hidden)
         np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
         np.testing.assert_array_equal(resumed.logits, full.logits)
@@ -294,28 +285,46 @@ def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_
 def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(11).integers(0, 256, size=(2, 24), dtype=np.int64)
-    entering = {}
+    entering, ffn_inputs = {}, {}
     step = model_mod._layer_step
 
     def recording_step(params, i, spec, hidden, run):
         entering[i] = hidden.copy()
-        return step(params, i, spec, hidden, run)
+        leaving, ffn_in = step(params, i, spec, hidden, run)
+        ffn_inputs[i] = ffn_in.copy()
+        return leaving, ffn_in
 
     monkeypatch.setattr(model_mod, "_layer_step", recording_step)
     forward_batch(toy_params, arch, tokens)
     monkeypatch.undo()
-    walked = list(model_mod._layer_inputs(toy_params, arch, tokens))
+    walked = list(model_mod._layer_walk(toy_params, arch, tokens))
     assert sorted(entering) == list(range(len(walked)))
-    for i, hidden in enumerate(walked):
+    for i, (hidden, ffn_in) in enumerate(walked):
         np.testing.assert_array_equal(hidden, entering[i])
+        np.testing.assert_array_equal(ffn_in, ffn_inputs[i])
+
+
+def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch, monkeypatch):
+    tokens = np.full((1, 8), 5, dtype=np.int64)
+    ran = []
+    step = model_mod._layer_step
+
+    def counting_step(params, i, spec, hidden, run):
+        ran.append(i)
+        return step(params, i, spec, hidden, run)
+
+    monkeypatch.setattr(model_mod, "_layer_step", counting_step)
+    walk = model_mod._layer_walk(toy_params, toy_arch, tokens)
+    assert ran == []
+    next(walk)
+    assert ran == [0]
+    next(walk)
+    assert ran == [0, 1]
 
 
 def test_resume_validation(toy_params, toy_arch):
     tokens = np.full((2, 4), 5, dtype=np.int64)
     hidden = toy_params.embedding[tokens]
-    cache = KvCache(toy_params.config, toy_arch, batch=2, length=4)
-    with pytest.raises(MismatchError, match="without a cache"):
-        resume_forward(toy_params, toy_arch, 2, hidden, cache=cache)
     for layer in (-1, toy_params.config.n_layers):
         with pytest.raises(MismatchError, match="cannot resume"):
             resume_forward(toy_params, toy_arch, layer, hidden)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from archsearch import model as model_mod
 from archsearch.library import LibraryMenu, build_library, parent_spec
 from archsearch.model import MismatchError, forward_batch, global_attention, window_attention
 from archsearch.scoring import (
@@ -16,7 +17,6 @@ from archsearch.scoring import (
     make_lm_probes,
     make_retrieval_probes,
     probes_from_manifest,
-    rank_average,
     rank_experts,
     replace_one_block_score,
     score_library,
@@ -73,10 +73,9 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
     # 4 tokens route at most 4*top_k = 8 of the 16 experts, so some never run
     probes = make_lm_probes(toy_cfg, count=1, length=4, seed=44)
     scores = expert_contribution_scores(toy_params, toy_arch, layer=0, probes=probes)
-    trace = forward_batch(toy_params, toy_arch, probes.tokens, capture_layers=[0])
     # recompute which experts the router actually used on these probes
     from archsearch.model import route_tokens
-    ffn_in = trace.ffn_io[0][0]
+    _, ffn_in = next(model_mod._layer_walk(toy_params, toy_arch, probes.tokens))
     logits = ffn_in @ toy_params.layers[0].router.T
     idx, _ = route_tokens(logits, np.ones(16, dtype=bool), toy_params.config.top_k)
     used = set(np.unique(idx).tolist())
@@ -177,8 +176,7 @@ def test_task_drop_signal_flags_global_layer_conversion(induction_model):
     lm = make_lm_probes(cfg, count=8, length=64, seed=3)
     retrieval = make_retrieval_probes(cfg, count=64, length=64, n_pairs=4, seed=9)
     lib = build_library(cfg, LibraryMenu(keep_fractions=(1.0,), alt_windows=(8,)))
-    ranking = rank_experts(induction_model, arch, lm)
-    table = score_library(induction_model, arch, lib, ranking, lm, retrieval)
+    _, table = score_library(induction_model, arch, lib, lm, retrieval)
 
     drop = table.get(1, "attn:window:8", SIGNAL_TASK_DROP)
     assert drop.value >= 0.9  # conversion loses essentially all retrieval accuracy
@@ -196,9 +194,7 @@ def test_task_drop_signal_flags_global_layer_conversion(induction_model):
 def test_score_library_produces_both_signals(toy_params, toy_arch, toy_cfg,
                                              lm_probes_small, retrieval_probes_small):
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.25), alt_windows=(16,)))
-    ranking = rank_experts(toy_params, toy_arch, lm_probes_small)
-    table = score_library(toy_params, toy_arch, lib, ranking,
-                          lm_probes_small, retrieval_probes_small)
+    _, table = score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
     assert set(table.signals()) == {SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP}
     # attention rows carry both signals; FFN rows only activation distance
     assert table.has(1, "attn:window:16", SIGNAL_TASK_DROP)
@@ -226,8 +222,8 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
     lm = make_lm_probes(cfg, count=3, length=40, seed=303)
     retrieval = make_retrieval_probes(cfg, count=4, length=40, n_pairs=4, seed=404)
     lib = build_library(cfg, menu)
-    ranking = rank_experts(params, parent, lm)
-    table = score_library(params, parent, lib, ranking, lm, retrieval)
+    ranking, table = score_library(params, parent, lib, lm, retrieval)
+    assert ranking == rank_experts(params, parent, lm)
 
     # the same rows, each variant scored by a plain forward over every layer
     def final(arch):
@@ -244,20 +240,52 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
                         tuple(per_seq.tolist()))
 
     base, parent_correct = final(parent), correct(parent)
-    want = []
+    want = []  # every activation row, then every task row
     for i, layer_lib in enumerate(lib.layers):
         for attn in layer_lib.attention_options:
-            arch = parent.with_layer(i, attention=attn)
-            want.append(mse_row(i, attn.variant_id, arch))
-            ok = correct(arch)
-            drop = float(parent_correct.mean()) - float(ok.mean())
-            want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop), drop,
-                                 retrieval.count, tuple((parent_correct - ok).tolist())))
+            want.append(mse_row(i, attn.variant_id, parent.with_layer(i, attention=attn)))
         for count in layer_lib.keep_counts:
             arch = parent.with_layer(i, expert_keep_set=ranking.keep_set(i, count))
             want.append(mse_row(i, f"ffn:keep:{count}", arch))
+    for i, layer_lib in enumerate(lib.layers):
+        for attn in layer_lib.attention_options:
+            ok = correct(parent.with_layer(i, attention=attn))
+            drop = float(parent_correct.mean()) - float(ok.mean())
+            want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop), drop,
+                                 retrieval.count, tuple((parent_correct - ok).tolist())))
     assert any(r.value > 0 for r in want)
     assert table.rows == want
+
+
+def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, toy_arch,
+                                                           monkeypatch):
+    # The toy run's menu: two keep-count variants at every layer, and two
+    # window variants at each global layer scored on both probe sets. Each
+    # variant resumes at its layer and runs to the end: 136 layer passes.
+    # Parent passes: the LM baseline forward, one LM walk and one retrieval
+    # walk of 8 layers each, and the parent's retrieval outcome resumed at the
+    # last layer, so 25 at most.
+    lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25),
+                                             alt_windows=(64, 16)))
+    lm = make_lm_probes(toy_cfg, count=2, length=16, seed=5)
+    retrieval = make_retrieval_probes(toy_cfg, count=2, length=16, n_pairs=4, seed=6)
+    variant_passes = 0
+    for i, layer_lib in enumerate(lib.layers):
+        n_attn = sum(a != toy_arch.layers[i].attention for a in layer_lib.attention_options)
+        n_keep = sum(c != toy_cfg.n_experts for c in layer_lib.keep_counts)
+        variant_passes += (2 * n_attn + n_keep) * (toy_cfg.n_layers - i)
+    assert variant_passes == 136
+
+    calls = []
+    step = model_mod._layer_step
+
+    def counting_step(params, i, spec, hidden, run):
+        calls.append(i)
+        return step(params, i, spec, hidden, run)
+
+    monkeypatch.setattr(model_mod, "_layer_step", counting_step)
+    score_library(toy_params, toy_arch, lib, lm, retrieval)
+    assert variant_passes <= len(calls) <= variant_passes + 25
 
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
@@ -276,14 +304,3 @@ def test_score_table_roundtrip_and_line_errors(tmp_path):
     bad.write_text(path.read_text() + "{not json\n")
     with pytest.raises(ValueError, match="line 3"):
         ScoreTable.load(bad)
-
-
-def test_rank_average_handles_ties():
-    ranks = rank_average({
-        "a": [3.0, 3.0],   # always the most damaging
-        "b": [2.0, 1.0],
-        "c": [2.0, 0.5],   # ties with b on sample 0
-    })
-    assert ranks["a"] == 1.0
-    assert ranks["b"] == (2.5 + 2.0) / 2
-    assert ranks["c"] == (2.5 + 3.0) / 2

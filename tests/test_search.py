@@ -7,7 +7,6 @@ from archsearch.model import ConfigError
 from archsearch.scoring import (
     SIGNAL_ACTIVATION_MSE,
     SIGNAL_TASK_DROP,
-    rank_experts,
     score_library,
 )
 from archsearch.search import (
@@ -181,9 +180,8 @@ def test_kv_budget_validation():
 def scored_toy(toy_cfg, toy_params, toy_arch, lm_probes_small, retrieval_probes_small):
     cfg = toy_cfg
     lib = build_library(cfg, LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(16,)))
-    ranking = rank_experts(toy_params, toy_arch, lm_probes_small)
-    table = score_library(toy_params, toy_arch, lib, ranking, lm_probes_small,
-                          retrieval_probes_small)
+    ranking, table = score_library(toy_params, toy_arch, lib, lm_probes_small,
+                                   retrieval_probes_small)
     return cfg, lib, ranking, table
 
 
