@@ -93,24 +93,36 @@ class RunConfig:
     eval_cfg: dict
 
 
+def _section(obj: dict, name: str, default):
+    """A config section that must be a JSON object; `default` when absent or null."""
+    value = obj.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
+
+
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     try:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    model_obj = dict(obj.get("model", {}))
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: the run config must be a JSON object")
+    model_obj = dict(_section(obj, "model", {}))
     if "attn_pattern" in model_obj:
         model_obj["attn_pattern"] = tuple(
             AttentionVariant.from_json(a) for a in model_obj["attn_pattern"]
         )
-    probes = dict(obj.get("probes", {}))
+    probes = dict(_section(obj, "probes", {}))
     probes.setdefault("lm_count", 24)
     probes.setdefault("lm_length", 96)
     probes.setdefault("retrieval_count", 48)
     probes.setdefault("retrieval_length", 96)
     probes.setdefault("retrieval_pairs", 4)
-    efforts = dict(obj.get("efforts", {"high": 48, "medium": 24, "low": 12}))
-    eval_cfg = dict(obj.get("eval", {}))
+    efforts = dict(_section(obj, "efforts", {"high": 48, "medium": 24, "low": 12}))
+    eval_cfg = dict(_section(obj, "eval", {}))
     eval_cfg.setdefault("n_prompts", 16)
     eval_cfg.setdefault("prompt_len", 16)
     eval_cfg.setdefault("end_token", 0)
@@ -123,15 +135,16 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
             v = values[name]
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{section}.{name} must be a positive integer, got {v!r}")
-    kv_budget = obj.get("kv_budget")
+    hardware = _section(obj, "hardware", None)
+    kv_budget = _section(obj, "kv_budget", None)
     return RunConfig(
         seed=int(seed_override if seed_override is not None else obj.get("seed", 0)),
         config=toy_config(**model_obj),
         probes=probes,
-        menu=LibraryMenu.from_json(obj.get("library", {})),
+        menu=LibraryMenu.from_json(_section(obj, "library", {})),
         scenarios=[Scenario.from_json(s) for s in obj.get("scenarios", [])],
-        hw=HardwareProfile.from_json(obj["hardware"]) if "hardware" in obj else None,
-        targets={str(k): float(v) for k, v in obj.get("targets", {}).items()},
+        hw=HardwareProfile.from_json(hardware) if hardware is not None else None,
+        targets={str(k): float(v) for k, v in _section(obj, "targets", {}).items()},
         kv_budget=KvBudget.from_json(kv_budget) if kv_budget else None,
         efforts=efforts,
         eval_cfg=eval_cfg,

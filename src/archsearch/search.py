@@ -3,28 +3,72 @@
 The problem: pick exactly one block variant per layer so that every budget
 dimension (one time budget per serving scenario, optionally a KV-cache byte
 budget) is satisfied and the summed degradation score is minimal. This is a
-multiple-choice knapsack; layer counts here are small, so we solve it exactly
-with best-first branch and bound and can cross-check against brute-force
-enumeration bit for bit:
+multiple-choice knapsack. `solve` is an exact depth-first branch and bound
+that returns, bit for bit, what `brute_force` enumeration returns:
 
 * Costs are integers (nanoseconds, bytes), so feasibility checks are exact.
 * Degradations are accumulated left to right over layers in both solvers, so
-  the optimal objective compares equal, not just close.
-* The heap is keyed by (lower bound, choice path). Bounds never decrease from
-  parent to child, so the first completed selection popped is optimal; among
-  equally good optima the lexicographically smallest choice vector wins, which
-  pins down one deterministic answer.
+  the optimal objective compares equal, not just close. Among equally good
+  optima the lexicographically smallest choice vector wins.
 
-The lower bound at a node relaxes the remaining layers: each remaining layer
-contributes its cheapest-degradation variant among those that could still fit
-if every other remaining layer took its per-dimension minimum cost. A node
-whose relaxation already overruns some budget is pruned; an empty heap means
-the problem is infeasible and the binding dimensions are named.
+Dominance. Before the search, variant v of a layer is dropped when some
+variant u of the same layer with a *lower index* costs no more in every
+dimension and degrades no more. Float addition is monotone, so swapping v for
+u never raises the left-to-right sum, and on a tie u's choice vector is the
+smaller one: v is never the answer. A u with a higher index may not drop v,
+even with a strictly smaller degradation, because the rounded sums can still
+tie (after 4.0, adding 2e-16 and adding 1e-16 both give 4.0), and then the
+tie-break picks v. Chosen indices are reported in the original numbering.
+
+Bound. A node at depth k (layers 0..k-1 chosen, degradation `deg`, costs
+`spent`) is pruned when some dimension overruns its limit even if every
+remaining layer takes its cheapest variant in that dimension. Otherwise its
+bound is the larger of two admissible relaxations of the remaining layers:
+
+* every remaining layer takes its least degradation: deg + sufmin_deg[k];
+* the Lagrangian relaxation (Fisher 1981, Mgmt. Sci. 27(1)) with one
+  multiplier vector lam >= 0 per problem: deg + sufL[k] - lam.(limit - spent),
+  where sufL[k] sums min_j(deg_ij + lam.c_ij) over the remaining layers. Any
+  completion that fits has lam.(its costs - (limit - spent)) <= 0, so the
+  relaxation never exceeds its degradation, for any lam >= 0.
+
+lam is fitted once at the root by projected subgradient ascent with Polyak
+steps towards UB, the sum of each layer's largest degradation. Exactness does
+not depend on how good lam is, only the node count does. Both suffix tables
+are built once, so a child's bound costs O(dims).
+
+Search. Depth first: a node's children are visited in (bound, index) order,
+and a leaf replaces the incumbent when its degradation is smaller, or equal
+with a smaller choice vector. The first threshold is UB, which every leaf's
+left-to-right sum stays at or below; if no leaf fits, the problem is
+infeasible and the binding dimensions are named. Memory is O(layers·variants):
+the stack holds at most one node's children per depth. Past NODE_CAP expanded
+nodes the search raises an error naming the cap; it never returns a selection
+it has not proved optimal.
+
+Float safety. A bound is computed in floating point and can round above the
+real relaxation, and a leaf's left-to-right sum can round below the real sum
+of its degradations, so a node is pruned only when its bound exceeds the
+incumbent by more than
+
+    margin = 4 (n + d + 2) 2^-52 (A + 1),    A = UB + sum_i max_j lam.c_ij + lam.limit
+
+for n layers and d dimensions. Every intermediate either computation forms is
+a sum or difference of sums of nonnegative terms (degradations, lam_t c_t,
+lam_t limit_t) and so is at most A in size, and every float operation rounds
+by at most 2^-53 of its result (by at most 2^-1075 for subnormals, which the
++1 covers). A child's own `deg` is the very prefix its leaves continue from,
+so only the rest counts: its Lagrangian bound is a chain of at most
+n + 6d + 2 operations (sufL, lam.(limit - spent), lam.c_j and the three that
+combine them), the simple bound n + 1, a leaf's remainder at most n, and
+best + margin one more. Their errors stay below (2n + 6d + 3) 2^-53 (A + 1),
+under three quarters of the margin, so a pruned node holds no leaf at or below
+the incumbent and every optimum, the lexicographically smallest included, is
+reached.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -38,6 +82,7 @@ from .model import ConfigError, ModelConfig
 from .scoring import SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP, ScoreTable
 
 BRUTE_FORCE_CAP = 10_000_000
+NODE_CAP = 10_000_000  # depth-first nodes one solve may expand before it gives up
 
 
 class InfeasibleError(RuntimeError):
@@ -60,9 +105,10 @@ class VariantChoice:
     costs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not (self.degradation >= 0.0):  # also rejects NaN
+        if not (0.0 <= self.degradation < math.inf):  # also rejects NaN
             raise ConfigError(
-                f"variant {self.id}: degradation must be >= 0, got {self.degradation!r}"
+                f"variant {self.id}: degradation must be finite and >= 0, "
+                f"got {self.degradation!r}"
             )
         for c in self.costs:
             if not isinstance(c, int) or c < 0:
@@ -101,6 +147,8 @@ class Solution:
     totals: tuple[int, ...]  # per-dimension cost of the selection
     binding: tuple[str, ...] = ()  # infeasible only: dimensions that block
     nodes_expanded: int = 0
+    nodes_pruned: int = 0  # children cut by a budget or by the bound
+    root_bound: float = 0.0  # the search's bound at the root
 
     @property
     def is_optimal(self) -> bool:
@@ -117,38 +165,6 @@ def _layer_cost_minima(problem: SelectionProblem) -> tuple[list[list[int]], list
     for i in range(n - 1, -1, -1):
         suffix[i] = [suffix[i + 1][k] + layer_min[i][k] for k in range(d)]
     return layer_min, suffix
-
-
-def _lower_bound(
-    problem: SelectionProblem,
-    layer_min: list[list[int]],
-    suffix: list[list[int]],
-    depth: int,
-    spent: tuple[int, ...],
-    deg: float,
-) -> float | None:
-    """Admissible lower bound for completions of this node, None if provably none fit."""
-    limits = problem.limits
-    d = len(limits)
-    n = len(problem.layers)
-    if depth == n:
-        return deg if all(spent[k] <= limits[k] for k in range(d)) else None
-    total = deg
-    for layer_idx in range(depth, n):
-        best = None
-        for v in problem.layers[layer_idx]:
-            fits = True
-            for k in range(d):
-                rest = suffix[depth][k] - layer_min[layer_idx][k]
-                if spent[k] + rest + v.costs[k] > limits[k]:
-                    fits = False
-                    break
-            if fits and (best is None or v.degradation < best):
-                best = v.degradation
-        if best is None:
-            return None
-        total += best
-    return total
 
 
 def _binding_dimensions(problem: SelectionProblem) -> tuple[str, ...]:
@@ -176,49 +192,165 @@ def _binding_dimensions(problem: SelectionProblem) -> tuple[str, ...]:
     return tuple(b.name for b in problem.budgets)
 
 
+def _undominated(layer: Sequence[VariantChoice]) -> list[int]:
+    """Indices of a layer's variants that no lower-index variant dominates."""
+    return [
+        v
+        for v, var in enumerate(layer)
+        if not any(
+            u.degradation <= var.degradation
+            and all(cu <= cv for cu, cv in zip(u.costs, var.costs))
+            for u in layer[:v]
+        )
+    ]
+
+
+def _fit_multipliers(degs: np.ndarray, costs: np.ndarray, limits: Sequence[int],
+                     target: float) -> list[float]:
+    """Multipliers lam >= 0 that raise the Lagrangian bound
+    L(lam) = sum_i min_j (deg_ij + lam.c_ij) - lam.limit, by 200 steps of
+    projected subgradient ascent with Polyak steps towards `target`; the step
+    scale starts at 2 and halves after 10 steps without a new best L.
+
+    `degs` is (layers, variants), padded with +inf; `costs` is (layers,
+    variants, dims). Products are summed element-wise, not with a matrix
+    product, so the result does not depend on the BLAS build.
+    """
+    rows = np.arange(degs.shape[0])
+    lam = [0.0] * len(limits)
+    best_lam, best_value = lam, -math.inf
+    scale, stale = 2.0, 0
+    for _ in range(200):
+        totals = degs + (costs * lam).sum(-1)
+        pick = totals.argmin(axis=1)
+        value = float(totals[rows, pick].sum())
+        for lt, lim in zip(lam, limits):
+            value -= lt * lim
+        if value > best_value:
+            best_lam, best_value, stale = lam, value, 0
+        else:
+            stale += 1
+            if stale == 10:
+                scale, stale = scale / 2, 0
+        if value > target:  # the bound already proves that nothing fits
+            break
+        spent = costs[rows, pick].sum(axis=0).tolist()
+        # the subgradient, projected onto lam >= 0
+        grad = [s - lim if s > lim or lt > 0 else 0.0 for s, lim, lt in zip(spent, limits, lam)]
+        norm = 0.0
+        for g in grad:
+            norm += g * g
+        if norm == 0.0:  # lam is optimal
+            break
+        t = scale * (target - value) / norm
+        lam = [max(lt + t * g, 0.0) for lt, g in zip(lam, grad)]
+    return best_lam
+
+
 def solve(problem: SelectionProblem) -> Solution:
-    """Exact best-first branch and bound; see the module docstring for the invariants."""
-    n = len(problem.layers)
-    d = len(problem.budgets)
-    layer_min, suffix = _layer_cost_minima(problem)
-    root_spent = (0,) * d
-    root_bound = _lower_bound(problem, layer_min, suffix, 0, root_spent, 0.0)
-    nodes = 0
-    if root_bound is not None:
-        heap: list[tuple[float, tuple[int, ...], tuple[int, ...], float]] = [
-            (root_bound, (), root_spent, 0.0)
-        ]
-        while heap:
-            _, path, spent, deg = heapq.heappop(heap)
-            nodes += 1
-            depth = len(path)
-            if depth == n:
-                return Solution(
-                    status="optimal",
-                    chosen=path,
-                    chosen_ids=tuple(
-                        problem.layers[i][j].id for i, j in enumerate(path)
-                    ),
-                    total_degradation=deg,
-                    totals=spent,
-                    nodes_expanded=nodes,
-                )
-            for j, v in enumerate(problem.layers[depth]):
-                child_spent = tuple(spent[k] + v.costs[k] for k in range(d))
-                child_deg = deg + v.degradation
-                bound = _lower_bound(
-                    problem, layer_min, suffix, depth + 1, child_spent, child_deg
-                )
-                if bound is not None:
-                    heapq.heappush(heap, (bound, path + (j,), child_spent, child_deg))
+    """Exact depth-first branch and bound; see the module docstring for the
+    bound, the dominance rule and the pruning margin."""
+    n, d = len(problem.layers), len(problem.budgets)
+    limits = problem.limits
+    keep = [_undominated(layer) for layer in problem.layers]
+    degs = [[layer[j].degradation for j in idx] for layer, idx in zip(problem.layers, keep)]
+    costs = [[layer[j].costs for j in idx] for layer, idx in zip(problem.layers, keep)]
+    _, min_cost_suffix = _layer_cost_minima(problem)
+    # caps[k]: what layers 0..k-1 may spend and still leave room for the cheapest rest
+    caps = [tuple(limits[t] - s[t] for t in range(d)) for s in min_cost_suffix]
+
+    ub = 0.0  # summed left to right, as a leaf is, so no leaf's sum exceeds it
+    for layer_degs in degs:
+        ub += max(layer_degs)
+    width = max(len(idx) for idx in keep)
+    deg_table = np.full((n, width), np.inf)
+    cost_table = np.zeros((n, width, d))
+    for i, (layer_degs, layer_costs) in enumerate(zip(degs, costs)):
+        deg_table[i, : len(layer_degs)] = layer_degs
+        cost_table[i, : len(layer_costs)] = layer_costs
+    lam = _fit_multipliers(deg_table, cost_table, limits, ub)
+    priced = (cost_table * lam).sum(-1)  # lam.c per variant, 0 in the padding
+    lagrange = (deg_table + priced).min(axis=1).tolist()
+    sufmin = [0.0] * (n + 1)
+    sufl = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        sufmin[i] = min(degs[i]) + sufmin[i + 1]
+        sufl[i] = lagrange[i] + sufl[i + 1]
+    lam_limit = 0.0
+    for lt, lim in zip(lam, limits):
+        lam_limit += lt * lim
+    margin = 4 * (n + d + 2) * 2.0**-52 * (ub + float(priced.max(axis=1).sum()) + lam_limit + 1.0)
+    children_of = [
+        list(zip(range(len(ds)), ds, cs, priced[i, : len(ds)].tolist()))
+        for i, (ds, cs) in enumerate(zip(degs, costs))
+    ]
+
+    root_bound = max(sufmin[0], sufl[0] - lam_limit)
+    best, best_path, best_spent = ub, None, ()
+    threshold = ub + margin
+    expanded = pruned = 0
+    path = [0] * n
+    # (bound, depth, choice at depth - 1, degradation, spent); siblings sit on
+    # the stack in reverse (bound, index) order, so the lowest pops first
+    stack = [(root_bound, 0, 0, 0.0, (0,) * d)]
+    while stack:
+        bound, depth, j, deg, spent = stack.pop()
+        if bound > threshold:
+            pruned += 1
+            continue
+        expanded += 1
+        if expanded > NODE_CAP:
+            raise ConfigError(
+                f"the search expanded more than NODE_CAP={NODE_CAP} nodes without "
+                "proving an optimum"
+            )
+        if depth:
+            path[depth - 1] = j
+        if depth == n:
+            if best_path is None or deg < best or (deg == best and path < best_path):
+                best, best_path, best_spent = deg, list(path), spent
+                threshold = best + margin
+            continue
+        room = tuple(c - s for c, s in zip(caps[depth + 1], spent))
+        slack = 0.0  # lam.(limit - spent)
+        for lt, lim, s in zip(lam, limits, spent):
+            slack += lt * (lim - s)
+        low, rest = sufmin[depth + 1], sufl[depth + 1] - slack
+        children = []
+        for jj, dj, cj, pj in children_of[depth]:
+            cd = deg + dj
+            # rest + pj is sufL - lam.(limit - spent - c_j), the child's Lagrangian term
+            b = max(cd + low, cd + rest + pj)
+            if b > threshold or not all(map(int.__le__, cj, room)):
+                pruned += 1
+                continue
+            children.append((b, jj, cd, cj))
+        children.sort(reverse=True)
+        for b, jj, cd, cj in children:
+            stack.append((b, depth + 1, jj, cd, tuple(map(int.__add__, spent, cj))))
+
+    if best_path is None:
+        return Solution(
+            status="infeasible",
+            chosen=(),
+            chosen_ids=(),
+            total_degradation=math.inf,
+            totals=(),
+            binding=_binding_dimensions(problem),
+            nodes_expanded=expanded,
+            nodes_pruned=pruned,
+            root_bound=root_bound,
+        )
+    chosen = tuple(idx[j] for idx, j in zip(keep, best_path))
     return Solution(
-        status="infeasible",
-        chosen=(),
-        chosen_ids=(),
-        total_degradation=math.inf,
-        totals=(),
-        binding=_binding_dimensions(problem),
-        nodes_expanded=nodes,
+        status="optimal",
+        chosen=chosen,
+        chosen_ids=tuple(problem.layers[i][j].id for i, j in enumerate(chosen)),
+        total_degradation=best,
+        totals=best_spent,
+        nodes_expanded=expanded,
+        nodes_pruned=pruned,
+        root_bound=root_bound,
     )
 
 
@@ -450,6 +582,9 @@ def search_pipeline(
     report = dict(meta)
     report["objective"] = solution.total_degradation
     report["nodes_expanded"] = solution.nodes_expanded
+    report["nodes_pruned"] = solution.nodes_pruned
+    report["root_bound"] = solution.root_bound
+    report["root_gap"] = solution.total_degradation - solution.root_bound
     report["choices"] = [
         {
             "layer": i,

@@ -252,3 +252,33 @@ def test_effort_caps_must_be_positive_integers(tmp_path, capsys, cap):
     err = capsys.readouterr().err
     assert f"error: efforts.low must be a positive integer, got {cap!r}" in err
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("section, value, stage", [
+    ("efforts", [48, 12], "eval"),
+    ("probes", [1], "score"),
+    ("eval", [16, 16], "eval"),
+    ("model", [1], "score"),
+    ("library", [1.0, 0.5], "score"),
+    ("targets", [1.3], "search"),
+    ("kv_budget", [128], "search"),
+    ("hardware", "fast", "search"),
+])
+def test_non_object_sections_are_config_errors(tmp_path, capsys, section, value, stage):
+    cfg = json.loads(bundled_config().read_text())
+    cfg[section] = value
+    bad = tmp_path / "bad_section.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, stage) == 1
+    assert f"error: {section} must be a JSON object" in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+
+
+def test_non_object_run_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, "score") == 1
+    assert "the run config must be a JSON object" in capsys.readouterr().err
+    assert not (out / ".lock").exists()

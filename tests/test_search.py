@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from archsearch import search
 from archsearch.costs import Budget, HardwareProfile, Scenario, build_cost_table
 from archsearch.library import LibraryMenu, build_library
 from archsearch.model import ConfigError
@@ -106,6 +107,54 @@ def test_objective_is_bit_identical_left_associated_sum():
     assert got.total_degradation == acc
 
 
+def test_pruning_margin_covers_bound_rounding():
+    # Variant 1 of layer 0 degrades less than variant 0 and is searched first.
+    # Both complete to the same left-to-right sum 1e9 + 2^-23, but variant 0's
+    # bound, 2^-24 + (1e9 + 2^-23), rounds one ulp above it. Pruning on the
+    # bound alone would lose the lexicographically smaller optimum.
+    half_ulp = 2.0**-24  # of 1e9
+    problem = _problem(
+        [[(half_ulp, (1,)), (0.0, (1,))], [(1e9, (1,))], [(2 * half_ulp, (1,))]],
+        (3,),
+    )
+    assert half_ulp + (1e9 + 2 * half_ulp) > (half_ulp + 1e9) + 2 * half_ulp
+    want = brute_force(problem)
+    assert want.chosen == (0, 0, 0)
+    got = solve(problem)
+    assert got.chosen == want.chosen
+    assert got.total_degradation == want.total_degradation
+
+
+def test_dominance_needs_the_lower_index():
+    # after 4.0, adding 2e-16 and adding 1e-16 both give 4.0: the tie breaks to
+    # variant 0 although variant 1 degrades less at the same cost
+    problem = _problem([[(4.0, (1,))], [(2e-16, (1,)), (1e-16, (1,))]], (2,))
+    want = brute_force(problem)
+    assert want.chosen == (0, 0) and want.total_degradation == 4.0
+    got = solve(problem)
+    assert got.chosen == want.chosen
+    assert got.total_degradation == want.total_degradation
+
+
+def test_dominated_variants_are_reported_in_the_original_numbering():
+    # variant 0 dominates variant 1, which is dropped, so the search sees
+    # variant 2 as its second; the answer still names it 2
+    layer = [(0.25, (2,)), (0.75, (2,)), (0.5, (1,))]
+    problem = _problem([layer, layer, layer], (4,))
+    got = solve(problem)
+    assert got == solve(problem)  # two solves compare equal, counts included
+    assert got.chosen == brute_force(problem).chosen == (0, 2, 2)
+    assert got.chosen_ids == ("v0.0", "v1.2", "v2.2")
+
+
+def test_node_cap_raises_instead_of_answering(monkeypatch):
+    problem = _problem([[(1.0, (1,)), (0.5, (2,))]] * 6, (9,))
+    assert solve(problem).nodes_expanded > 3
+    monkeypatch.setattr(search, "NODE_CAP", 3)
+    with pytest.raises(ConfigError, match="NODE_CAP=3"):
+        solve(problem)
+
+
 def test_infeasible_names_single_binding_dimension():
     problem = _problem([[(0.0, (9, 1))], [(0.0, (9, 1))]], (10, 10))
     with pytest.raises(InfeasibleError, match="dim0") as exc:
@@ -133,6 +182,102 @@ def test_brute_force_cap_guards_explosion():
 
 
 # ---------------------------------------------------------------------------
+# exactness at depth, against an integer dynamic program
+
+GRID = 2**20  # degradations are k / GRID, so every sum of them is exact
+
+
+def _ladder(key, n_layers, n_dims, tightness):
+    """9 variants per layer, degradation numerators in [0, GRID), costs in
+    [1, 12]; each limit sits `tightness` of the way from the cheapest to the
+    mean total cost."""
+    rng = np.random.default_rng(key)
+    deg_num = rng.integers(0, GRID, size=(n_layers, 9))
+    costs = rng.integers(1, 13, size=(n_layers, 9, n_dims))
+    lo = costs.min(axis=1).sum(axis=0)
+    mean = costs.mean(axis=1).sum(axis=0)
+    limits = tuple(int(x) for x in lo + tightness * (mean - lo))
+    return deg_num, costs, limits
+
+
+def _dp_optimum(deg_num, costs, limits):
+    """Least degradation numerator over the selections that fit, and the
+    lexicographically smallest choice vector attaining it; None when nothing
+    fits. Backward DP over the grid of cost spent above each layer's per-
+    dimension minimum, which is all the slack the limits leave."""
+    n, m, d = costs.shape
+    excess = costs - costs.min(axis=1, keepdims=True)
+    slack = np.asarray(limits) - costs.min(axis=1).sum(axis=0)
+    if (slack < 0).any():
+        return None
+    shape = tuple(int(s) + 1 for s in slack)
+    inf = np.int32(2**30)
+    value = np.zeros(shape, dtype=np.int32)  # layers i.. given the excess spent so far
+    picks = []  # per layer, the first variant that attains value
+    for i in range(n - 1, -1, -1):
+        cur = np.full(shape, inf, dtype=np.int32)
+        pick = np.zeros(shape, dtype=np.uint8)
+        for j in range(m):
+            e = excess[i, j]
+            if (e > slack).any():
+                continue
+            dst = tuple(slice(0, s - x) for s, x in zip(shape, e))
+            cand = value[tuple(slice(x, None) for x in e)] + np.int32(deg_num[i, j])
+            better = cand < cur[dst]
+            np.copyto(cur[dst], cand, where=better)
+            np.copyto(pick[dst], j, where=better)
+        value = cur
+        picks.append(pick)
+    if value[(0,) * d] >= inf:
+        return None
+    used, chosen = np.zeros(d, dtype=np.int64), []
+    for pick, e in zip(reversed(picks), excess):
+        chosen.append(int(pick[tuple(used)]))
+        used += e[chosen[-1]]
+    return int(value[(0,) * d]), tuple(chosen)
+
+
+@pytest.mark.parametrize(
+    "n_layers, n_dims, tightness, status",
+    [
+        (16, 3, 0.2, "infeasible"),
+        (16, 3, 0.4, "optimal"),
+        (16, 3, 0.5, "optimal"),
+        (16, 3, 0.6, "optimal"),
+        (24, 3, 0.4, "optimal"),
+        (24, 3, 0.5, "optimal"),
+        (24, 3, 0.6, "optimal"),
+        (36, 2, 0.4, "optimal"),
+        (36, 2, 0.6, "optimal"),
+        (36, 3, 0.5, "optimal"),
+    ],
+)
+def test_solver_matches_integer_dp_at_depth(n_layers, n_dims, tightness, status):
+    deg_num, costs, limits = _ladder((7, n_layers, n_dims, 0), n_layers, n_dims, tightness)
+    problem = _problem(
+        [
+            [(deg_num[i, j] / GRID, tuple(int(c) for c in costs[i, j])) for j in range(9)]
+            for i in range(n_layers)
+        ],
+        limits,
+    )
+    got = solve(problem)
+    want = _dp_optimum(deg_num, costs, limits)
+    assert got.status == status == ("infeasible" if want is None else "optimal")
+    if want is None:
+        return
+    numerator, chosen = want
+    assert got.chosen == chosen
+    assert got.total_degradation == numerator / GRID
+    acc = 0.0
+    for i, j in enumerate(chosen):
+        acc += deg_num[i, j] / GRID
+    assert got.total_degradation == acc
+    assert got.totals == tuple(int(x) for x in costs[np.arange(n_layers), chosen].sum(axis=0))
+    assert got.root_bound <= got.total_degradation
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -141,6 +286,8 @@ def test_variant_choice_validation():
         VariantChoice(id="v", degradation=-0.5, costs=(1,))
     with pytest.raises(ConfigError, match="degradation"):
         VariantChoice(id="v", degradation=float("nan"), costs=(1,))
+    with pytest.raises(ConfigError, match="degradation"):
+        VariantChoice(id="v", degradation=float("inf"), costs=(1,))
     with pytest.raises(ConfigError, match="costs"):
         VariantChoice(id="v", degradation=0.0, costs=(1.5,))
     with pytest.raises(ConfigError, match="costs"):
@@ -234,6 +381,10 @@ def test_search_pipeline_speedup_changes_architecture(scored_toy):
     assert usage["time:long"]["total"] <= usage["time:long"]["limit"]
     assert usage["time:long"]["slack"] >= 0
     assert len(result.report["choices"]) == cfg.n_layers
+    report = result.report
+    assert report["nodes_expanded"] >= 1 + cfg.n_layers and report["nodes_pruned"] >= 0
+    assert report["root_gap"] == report["objective"] - report["root_bound"]
+    assert report["root_bound"] <= report["objective"]
     # the 1.05x budget cannot be met by parent blocks alone
     parent_ids = {0: "attn:window:4+ffn:keep:16", 1: "attn:global+ffn:keep:16"}
     n_changed = sum(
