@@ -20,6 +20,7 @@ integers, so budget feasibility checks are exact.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -382,6 +383,8 @@ class Budget:
     limit: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.limit, numbers.Integral) or isinstance(self.limit, bool):
+            raise ConfigError(f"budget {self.name}: limit must be an integer, got {self.limit!r}")
         if self.limit < 0:
             raise ConfigError(f"budget {self.name}: limit must be non-negative")
 

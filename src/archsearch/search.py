@@ -6,45 +6,57 @@ budget) is satisfied and the summed degradation score is minimal. This is a
 multiple-choice knapsack. `solve` is an exact depth-first branch and bound
 that returns, bit for bit, what `brute_force` enumeration returns:
 
-* Costs are integers (nanoseconds, bytes), so feasibility checks are exact.
+* Costs and limits are integers (nanoseconds, bytes), so feasibility checks
+  are exact.
 * Degradations are accumulated left to right over layers in both solvers, so
   the optimal objective compares equal, not just close. Among equally good
   optima the lexicographically smallest choice vector wins.
 
 Dominance. Before the search, variant v of a layer is dropped when some
-variant u of the same layer with a *lower index* costs no more in every
-dimension and degrades no more. Float addition is monotone, so swapping v for
-u never raises the left-to-right sum, and on a tie u's choice vector is the
-smaller one: v is never the answer. A u with a higher index may not drop v,
-even with a strictly smaller degradation, because the rounded sums can still
-tie (after 4.0, adding 2e-16 and adding 1e-16 both give 4.0), and then the
-tie-break picks v. Chosen indices are reported in the original numbering.
+variant u of the same layer costs no more in every dimension and either
+degrades less by more than `gap` (defined with the margin below), or is an
+exact copy of v at a lower index. Float addition is monotone, so swapping v
+for u never raises a left-to-right sum; with the gap it lowers it, since two
+such sums each lie within n 2^-53 (UB + 1) of their real values, and a copy
+ties but has the smaller choice vector. Either way v is never the answer. A
+smaller degradation alone is not enough: the rounded sums can still tie
+(after 4.0, adding 2e-16 and adding 1e-16 both give 4.0), and then the
+tie-break picks the lower index, which may be v's. Chosen indices are
+reported in the original numbering.
 
 Bound. A node at depth k (layers 0..k-1 chosen, degradation `deg`, costs
 `spent`) is pruned when some dimension overruns its limit even if every
 remaining layer takes its cheapest variant in that dimension. Otherwise its
-bound is the larger of two admissible relaxations of the remaining layers:
-
-* every remaining layer takes its least degradation: deg + sufmin_deg[k];
-* the Lagrangian relaxation (Fisher 1981, Mgmt. Sci. 27(1)) with one
-  multiplier vector lam >= 0 per problem: deg + sufL[k] - lam.(limit - spent),
-  where sufL[k] sums min_j(deg_ij + lam.c_ij) over the remaining layers. Any
-  completion that fits has lam.(its costs - (limit - spent)) <= 0, so the
-  relaxation never exceeds its degradation, for any lam >= 0.
+bound is deg + sufmin[k], every remaining layer at its least degradation,
+plus the Lagrangian excess over that (Fisher 1981, Mgmt. Sci. 27(1)) when it
+is positive: sufL[k] + lam.spent - lam.limit, where sufL[k] sums
+min_j(excess_ij + lam.c_ij) over the remaining layers, excess_ij is deg_ij
+less the layer's least degradation, and lam >= 0 is one multiplier vector per
+problem. Any completion that fits has lam.(its costs + spent - limit) <= 0,
+so the relaxation never exceeds its degradation, for any lam >= 0.
 
 lam is fitted once at the root by projected subgradient ascent with Polyak
-steps towards UB, the sum of each layer's largest degradation. Exactness does
-not depend on how good lam is, only the node count does. Both suffix tables
-are built once, so a child's bound costs O(dims).
+steps (see `_fit_multipliers`). Exactness does not depend on how good lam is,
+only the node count does. The suffix tables are built once and lam.spent is
+carried down the path, so a child's bound costs O(dims).
 
-Search. Depth first: a node's children are visited in (bound, index) order,
-and a leaf replaces the incumbent when its degradation is smaller, or equal
-with a smaller choice vector. The first threshold is UB, which every leaf's
-left-to-right sum stays at or below; if no leaf fits, the problem is
-infeasible and the binding dimensions are named. Memory is O(layers·variants):
-the stack holds at most one node's children per depth. Past NODE_CAP expanded
-nodes the search raises an error naming the cap; it never returns a selection
-it has not proved optimal.
+Search. Depth first: a node's children are visited in increasing bound, and
+a leaf replaces the incumbent when its degradation is smaller, or equal with
+a smaller choice vector. The first threshold is UB, the left-to-right sum of
+each layer's largest degradation, which no leaf's sum exceeds; if no leaf
+fits, the problem is infeasible and the binding dimensions are named. Memory
+is O(layers·variants): the stack holds at most one node's children per depth.
+Past NODE_CAP expanded nodes the search raises an error naming the cap; it
+never returns a selection it has not proved optimal.
+
+Relabelling. Permuting a layer's variants, permuting the dimensions, or
+adding a constant to every degradation of a layer (where the sums stay exact,
+as on a 2^-20 grid) leaves the expanded nodes unchanged, so a benchmark may
+time relabelled copies of one instance as the same work. Every sum over
+dimensions is taken in ascending order, the fit and the Lagrangian terms see
+only the excesses, and siblings are ordered by their excess plus Lagrangian
+excess, then by excess, which orders them as their bounds do; the index
+decides only between variants equal in both.
 
 Float safety. A bound is computed in floating point and can round above the
 real relaxation, and a leaf's left-to-right sum can round below the real sum
@@ -54,22 +66,26 @@ incumbent by more than
     margin = 4 (n + d + 2) 2^-52 (A + 1),    A = UB + sum_i max_j lam.c_ij + lam.limit
 
 for n layers and d dimensions. Every intermediate either computation forms is
-a sum or difference of sums of nonnegative terms (degradations, lam_t c_t,
-lam_t limit_t) and so is at most A in size, and every float operation rounds
-by at most 2^-53 of its result (by at most 2^-1075 for subnormals, which the
-+1 covers). A child's own `deg` is the very prefix its leaves continue from,
-so only the rest counts: its Lagrangian bound is a chain of at most
-n + 6d + 2 operations (sufL, lam.(limit - spent), lam.c_j and the three that
-combine them), the simple bound n + 1, a leaf's remainder at most n, and
-best + margin one more. Their errors stay below (2n + 6d + 3) 2^-53 (A + 1),
-under three quarters of the margin, so a pruned node holds no leaf at or below
-the incumbent and every optimum, the lexicographically smallest included, is
-reached.
+a sum or difference of sums of nonnegative terms (degradations, excesses,
+lam_t c_t, lam_t limit_t) and so is at most A in size, and every float
+operation rounds by at most 2^-53 of its result (by at most 2^-1075 for
+subnormals, which the +1 covers). A child's own `deg` is the very prefix its
+leaves continue from, so only the rest counts. Its bound adds up at most
+3n + 6d + 4 rounding errors: n for sufmin[k] and one adding it; 2d + 1 per
+layer term of sufL (an excess, a lam.c and their sum), which sum to at most
+(2d + 1) 2^-53 A over the layers, and n for their sum; the same for lam.spent
+with 2d - 1 per term; 2d - 1 for lam.limit; and four that combine them. A
+leaf's remainder adds at most n, and best + margin one more. Together they
+stay below (4n + 6d + 5) 2^-53 (A + 1), under the margin, so a pruned node
+holds no leaf at or below the incumbent and every optimum, the
+lexicographically smallest included, is reached. `gap` is the same formula
+with A = UB over every variant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -83,6 +99,12 @@ from .scoring import SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP, ScoreTable
 
 BRUTE_FORCE_CAP = 10_000_000
 NODE_CAP = 10_000_000  # depth-first nodes one solve may expand before it gives up
+# Subgradient steps fitting the multipliers. Against 200 steps, on the
+# benchmark's solver-ladder instances (bench/workloads.py) 100 solve in about
+# 40% less time, most of a solve being the fit, with 3% fewer nodes; their root
+# bounds are a median 0.04% (at most 1.5%) lower. On 36 instances of the same
+# family at 36 layers and 3 budgets they expand 1.1M nodes in all against 2.4M.
+FIT_STEPS = 100
 
 
 class InfeasibleError(RuntimeError):
@@ -135,7 +157,7 @@ class SelectionProblem:
 
     @property
     def limits(self) -> tuple[int, ...]:
-        return tuple(b.limit for b in self.budgets)
+        return tuple(int(b.limit) for b in self.budgets)
 
 
 @dataclass(frozen=True)
@@ -192,54 +214,73 @@ def _binding_dimensions(problem: SelectionProblem) -> tuple[str, ...]:
     return tuple(b.name for b in problem.budgets)
 
 
-def _undominated(layer: Sequence[VariantChoice]) -> list[int]:
-    """Indices of a layer's variants that no lower-index variant dominates."""
+def _undominated(layer: Sequence[VariantChoice], gap: float) -> list[int]:
+    """Indices of a layer's variants that no other variant of the layer
+    dominates. u dominates v when it costs no more in every dimension and
+    either degrades less by more than `gap`, or is an exact copy of v at a
+    lower index."""
     return [
         v
         for v, var in enumerate(layer)
         if not any(
-            u.degradation <= var.degradation
-            and all(cu <= cv for cu, cv in zip(u.costs, var.costs))
-            for u in layer[:v]
+            (var.degradation - other.degradation > gap
+             or (u < v and other.degradation == var.degradation and other.costs == var.costs))
+            and all(cu <= cv for cu, cv in zip(other.costs, var.costs))
+            for u, other in enumerate(layer)
         )
     ]
 
 
-def _fit_multipliers(degs: np.ndarray, costs: np.ndarray, limits: Sequence[int],
+def _priced(costs: np.ndarray, lam: Sequence[float]) -> np.ndarray:
+    """lam.c for every variant of `costs` (layers, variants, dims). The d
+    products are summed element-wise in ascending order, not with a matrix
+    product, so the result depends neither on the BLAS build nor on the order
+    of the dimensions."""
+    return np.sort(costs * lam, axis=-1).sum(-1)
+
+
+def _fit_multipliers(excess: np.ndarray, costs: np.ndarray, limits: Sequence[int],
                      target: float) -> list[float]:
     """Multipliers lam >= 0 that raise the Lagrangian bound
-    L(lam) = sum_i min_j (deg_ij + lam.c_ij) - lam.limit, by 200 steps of
+    L(lam) = sum_i min_j (excess_ij + lam.c_ij) - lam.limit, by FIT_STEPS steps of
     projected subgradient ascent with Polyak steps towards `target`; the step
-    scale starts at 2 and halves after 10 steps without a new best L.
+    scale starts at 2 and halves after 10 steps without a new best L. Whenever
+    the selection minimising L fits the budgets, its degradation becomes the
+    target if it is nearer: sum_i max_j excess_ij overshoots the optimum
+    several-fold, and steps aimed at it can leave L far below its maximum.
 
-    `degs` is (layers, variants), padded with +inf; `costs` is (layers,
-    variants, dims). Products are summed element-wise, not with a matrix
-    product, so the result does not depend on the BLAS build.
+    `excess` is (layers, variants), each layer's degradations less its least
+    one, padded with +inf; `costs` is (layers, variants, dims). Every sum over
+    dimensions is taken in ascending order, so relabelling the dimensions
+    permutes lam and changes nothing else.
     """
-    rows = np.arange(degs.shape[0])
+    rows = np.arange(excess.shape[0])
     lam = [0.0] * len(limits)
     best_lam, best_value = lam, -math.inf
     scale, stale = 2.0, 0
-    for _ in range(200):
-        totals = degs + (costs * lam).sum(-1)
+    for _ in range(FIT_STEPS):
+        totals = excess + _priced(costs, lam)
         pick = totals.argmin(axis=1)
-        value = float(totals[rows, pick].sum())
-        for lt, lim in zip(lam, limits):
-            value -= lt * lim
+        value = float(totals[rows, pick].sum()) - sum(
+            sorted(lt * lim for lt, lim in zip(lam, limits)))
         if value > best_value:
             best_lam, best_value, stale = lam, value, 0
         else:
             stale += 1
             if stale == 10:
                 scale, stale = scale / 2, 0
-        if value > target:  # the bound already proves that nothing fits
+        if value >= target:
+            # L never exceeds the degradation of a selection that fits: past
+            # sum_i max_j excess_ij nothing fits, and at a fitting selection's
+            # degradation lam is already optimal
             break
         spent = costs[rows, pick].sum(axis=0).tolist()
+        if all(s <= lim for s, lim in zip(spent, limits)):
+            # the pick fits the budgets, so its degradation is a nearer target
+            target = min(target, float(excess[rows, pick].sum()))
         # the subgradient, projected onto lam >= 0
         grad = [s - lim if s > lim or lt > 0 else 0.0 for s, lim, lt in zip(spent, limits, lam)]
-        norm = 0.0
-        for g in grad:
-            norm += g * g
+        norm = sum(sorted(g * g for g in grad))
         if norm == 0.0:  # lam is optimal
             break
         t = scale * (target - value) / norm
@@ -252,49 +293,56 @@ def solve(problem: SelectionProblem) -> Solution:
     bound, the dominance rule and the pruning margin."""
     n, d = len(problem.layers), len(problem.budgets)
     limits = problem.limits
-    keep = [_undominated(layer) for layer in problem.layers]
+    ub = 0.0  # summed left to right, as a leaf is, so no leaf's sum exceeds it
+    for layer in problem.layers:
+        ub += max(v.degradation for v in layer)
+    gap = 4 * (n + d + 2) * 2.0**-52 * (ub + 1.0)
+    keep = [_undominated(layer, gap) for layer in problem.layers]
     degs = [[layer[j].degradation for j in idx] for layer, idx in zip(problem.layers, keep)]
+    ub = 0.0  # the same over the variants kept
+    for layer_degs in degs:
+        ub += max(layer_degs)
     costs = [[layer[j].costs for j in idx] for layer, idx in zip(problem.layers, keep)]
     _, min_cost_suffix = _layer_cost_minima(problem)
     # caps[k]: what layers 0..k-1 may spend and still leave room for the cheapest rest
     caps = [tuple(limits[t] - s[t] for t in range(d)) for s in min_cost_suffix]
 
-    ub = 0.0  # summed left to right, as a leaf is, so no leaf's sum exceeds it
-    for layer_degs in degs:
-        ub += max(layer_degs)
+    least = [min(layer_degs) for layer_degs in degs]
     width = max(len(idx) for idx in keep)
-    deg_table = np.full((n, width), np.inf)
+    excess = np.full((n, width), np.inf)
     cost_table = np.zeros((n, width, d))
     for i, (layer_degs, layer_costs) in enumerate(zip(degs, costs)):
-        deg_table[i, : len(layer_degs)] = layer_degs
+        excess[i, : len(layer_degs)] = [x - least[i] for x in layer_degs]
         cost_table[i, : len(layer_costs)] = layer_costs
-    lam = _fit_multipliers(deg_table, cost_table, limits, ub)
-    priced = (cost_table * lam).sum(-1)  # lam.c per variant, 0 in the padding
-    lagrange = (deg_table + priced).min(axis=1).tolist()
+    target = 0.0
+    for row in excess:
+        target += max(x for x in row.tolist() if x < math.inf)
+    lam = _fit_multipliers(excess, cost_table, limits, target)
+    priced = _priced(cost_table, lam)  # 0 in the padding
+    lam_limit = sum(sorted(lt * lim for lt, lim in zip(lam, limits)))
+    lagrange = (excess + priced).min(axis=1).tolist()
     sufmin = [0.0] * (n + 1)
     sufl = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        sufmin[i] = min(degs[i]) + sufmin[i + 1]
+        sufmin[i] = least[i] + sufmin[i + 1]
         sufl[i] = lagrange[i] + sufl[i + 1]
-    lam_limit = 0.0
-    for lt, lim in zip(lam, limits):
-        lam_limit += lt * lim
     margin = 4 * (n + d + 2) * 2.0**-52 * (ub + float(priced.max(axis=1).sum()) + lam_limit + 1.0)
     children_of = [
-        list(zip(range(len(ds)), ds, cs, priced[i, : len(ds)].tolist()))
+        list(zip(range(len(ds)), ds, excess[i, : len(ds)].tolist(), cs,
+                 priced[i, : len(ds)].tolist()))
         for i, (ds, cs) in enumerate(zip(degs, costs))
     ]
 
-    root_bound = max(sufmin[0], sufl[0] - lam_limit)
+    root_bound = sufmin[0] + max(sufl[0] - lam_limit, 0.0)
     best, best_path, best_spent = ub, None, ()
     threshold = ub + margin
     expanded = pruned = 0
     path = [0] * n
-    # (bound, depth, choice at depth - 1, degradation, spent); siblings sit on
-    # the stack in reverse (bound, index) order, so the lowest pops first
-    stack = [(root_bound, 0, 0, 0.0, (0,) * d)]
+    # (bound, depth, choice at depth - 1, degradation, spent, lam.spent);
+    # siblings sit on the stack in reverse order, so the lowest bound pops first
+    stack = [(root_bound, 0, 0, 0.0, (0,) * d, 0.0)]
     while stack:
-        bound, depth, j, deg, spent = stack.pop()
+        bound, depth, j, deg, spent, paid = stack.pop()
         if bound > threshold:
             pruned += 1
             continue
@@ -311,23 +359,25 @@ def solve(problem: SelectionProblem) -> Solution:
                 best, best_path, best_spent = deg, list(path), spent
                 threshold = best + margin
             continue
-        room = tuple(c - s for c, s in zip(caps[depth + 1], spent))
-        slack = 0.0  # lam.(limit - spent)
-        for lt, lim, s in zip(lam, limits, spent):
-            slack += lt * (lim - s)
-        low, rest = sufmin[depth + 1], sufl[depth + 1] - slack
+        room = tuple(map(operator.sub, caps[depth + 1], spent))
+        low = sufmin[depth + 1]
+        rest = sufl[depth + 1] + paid - lam_limit
         children = []
-        for jj, dj, cj, pj in children_of[depth]:
+        for jj, dj, ej, cj, pj in children_of[depth]:
             cd = deg + dj
-            # rest + pj is sufL - lam.(limit - spent - c_j), the child's Lagrangian term
-            b = max(cd + low, cd + rest + pj)
-            if b > threshold or not all(map(int.__le__, cj, room)):
+            # the child's Lagrangian excess over its simple bound cd + low
+            x = rest + pj
+            if x < 0.0:
+                x = 0.0
+            b = cd + low + x
+            if b > threshold or not all(map(operator.le, cj, room)):
                 pruned += 1
                 continue
-            children.append((b, jj, cd, cj))
+            # siblings share deg and low, so ej + x orders them as b does
+            children.append((ej + x, ej, jj, b, cd, cj, paid + pj))
         children.sort(reverse=True)
-        for b, jj, cd, cj in children:
-            stack.append((b, depth + 1, jj, cd, tuple(map(int.__add__, spent, cj))))
+        for _, _, jj, b, cd, cj, paid_j in children:
+            stack.append((b, depth + 1, jj, cd, tuple(map(operator.add, spent, cj)), paid_j))
 
     if best_path is None:
         return Solution(

@@ -125,7 +125,7 @@ def test_pruning_margin_covers_bound_rounding():
     assert got.total_degradation == want.total_degradation
 
 
-def test_dominance_needs_the_lower_index():
+def test_dominance_needs_more_than_a_rounding_gap():
     # after 4.0, adding 2e-16 and adding 1e-16 both give 4.0: the tie breaks to
     # variant 0 although variant 1 degrades less at the same cost
     problem = _problem([[(4.0, (1,))], [(2e-16, (1,)), (1e-16, (1,))]], (2,))
@@ -145,6 +145,50 @@ def test_dominated_variants_are_reported_in_the_original_numbering():
     assert got == solve(problem)  # two solves compare equal, counts included
     assert got.chosen == brute_force(problem).chosen == (0, 2, 2)
     assert got.chosen_ids == ("v0.0", "v1.2", "v2.2")
+
+
+def test_a_higher_index_variant_dominates_past_the_rounding_gap():
+    # variant 2 costs no more than variants 0 and 1 and degrades less by far
+    # more than rounding can hide, so neither 0 nor 1 is ever searched
+    layer = [(0.5, (2,)), (0.75, (3,)), (0.25, (2,))]
+    problem = _problem([layer] * 4, (8,))
+    got = solve(problem)
+    assert got.chosen == brute_force(problem).chosen == (2, 2, 2, 2)
+    assert got.nodes_expanded == 5  # one child per depth, then the leaf
+
+
+def _relabel(layers, limits, rng):
+    """The same problem with each layer's variants and the budget dimensions
+    permuted and a per-layer grid offset added to every degradation."""
+    dims = rng.permutation(len(limits))
+    moved = []
+    for layer in layers:
+        offset = int(rng.integers(0, GRID)) / GRID
+        moved.append([(layer[j][0] + offset, tuple(layer[j][1][k] for k in dims))
+                      for j in rng.permutation(len(layer))])
+    return moved, tuple(limits[k] for k in dims)
+
+
+@pytest.mark.parametrize(
+    "key, n_layers, n_dims, tightness",
+    [((11, k), 10, 3, 0.5) for k in range(4)]
+    + [((99, 209), 8, 2, 0.5), ((99, 287), 7, 2, 0.6), ((77, 332), 6, 1, 0.8), ((77, 352), 6, 1, 0.6)],
+)
+def test_relabelling_keeps_the_search_tree(key, n_layers, n_dims, tightness):
+    # Relabelling changes no comparison the search makes, so every relabelling
+    # of one problem costs the same nodes: the solver-ladder benchmark times
+    # seed-relabelled copies of fixed instances and relies on this.
+    deg_num, costs, limits = _ladder(key, n_layers, n_dims, tightness)
+    layers = [[(deg_num[i, j] / GRID, tuple(int(c) for c in costs[i, j])) for j in range(9)]
+              for i in range(n_layers)]
+    layers[0][8] = layers[0][3]  # an exact duplicate at a higher index
+    layers[1][2] = (layers[1][7][0] + 0.25, layers[1][7][1])  # dominated by a later one
+    base = solve(_problem(layers, limits))
+    rng = np.random.default_rng(key)
+    for _ in range(4):
+        got = solve(_problem(*_relabel(layers, limits, rng)))
+        assert got.status == base.status == "optimal"
+        assert (got.nodes_expanded, got.nodes_pruned) == (base.nodes_expanded, base.nodes_pruned)
 
 
 def test_node_cap_raises_instead_of_answering(monkeypatch):
@@ -292,6 +336,21 @@ def test_variant_choice_validation():
         VariantChoice(id="v", degradation=0.0, costs=(1.5,))
     with pytest.raises(ConfigError, match="costs"):
         VariantChoice(id="v", degradation=0.0, costs=(-1,))
+
+
+def test_budget_limit_must_be_an_integer():
+    with pytest.raises(ConfigError, match="integer"):
+        Budget(name="d", limit=2.5)
+    with pytest.raises(ConfigError, match="integer"):
+        Budget(name="d", limit=True)
+    # a NumPy integer is an integer: it solves as the same Python int does
+    layers = [[(0.0, (3,)), (1.0, (1,))]] * 3
+    want = solve(_problem(layers, (5,)))
+    got = solve(SelectionProblem(
+        layers=_problem(layers, (5,)).layers, budgets=(Budget(name="dim0", limit=np.int64(5)),)
+    ))
+    assert got == want and want.chosen == brute_force(_problem(layers, (5,))).chosen
+    assert want.totals == (5,)
 
 
 def test_selection_problem_validation():
