@@ -103,6 +103,36 @@ def _section(obj: dict, name: str, default):
     return value
 
 
+def _parse(where: str, value, build):
+    """build(value) for one config object, naming `where` in any error."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    try:
+        return build(value)
+    except KeyError as exc:
+        raise ConfigError(f"{where}.{exc.args[0]} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _scenarios(obj: dict) -> list[Scenario]:
+    value = obj.get("scenarios")
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError("scenarios must be a JSON list")
+    return [_parse(f"scenarios[{i}]", s, Scenario.from_json) for i, s in enumerate(value)]
+
+
+def _targets(obj: dict) -> dict[str, float]:
+    targets = {}
+    for name, v in _section(obj, "targets", {}).items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"targets.{name} must be a number, got {v!r}")
+        targets[str(name)] = float(v)
+    return targets
+
+
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     try:
         obj = json.loads(Path(path).read_text())
@@ -136,16 +166,19 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{section}.{name} must be a positive integer, got {v!r}")
     hardware = _section(obj, "hardware", None)
+    if hardware is not None:
+        hardware = _parse("hardware", hardware, HardwareProfile.from_json)
     kv_budget = _section(obj, "kv_budget", None)
+    kv_budget = _parse("kv_budget", kv_budget, KvBudget.from_json) if kv_budget else None
     return RunConfig(
         seed=int(seed_override if seed_override is not None else obj.get("seed", 0)),
         config=toy_config(**model_obj),
         probes=probes,
         menu=LibraryMenu.from_json(_section(obj, "library", {})),
-        scenarios=[Scenario.from_json(s) for s in obj.get("scenarios", [])],
-        hw=HardwareProfile.from_json(hardware) if hardware is not None else None,
-        targets={str(k): float(v) for k, v in _section(obj, "targets", {}).items()},
-        kv_budget=KvBudget.from_json(kv_budget) if kv_budget else None,
+        scenarios=_scenarios(obj),
+        hw=hardware,
+        targets=_targets(obj),
+        kv_budget=kv_budget,
         efforts=efforts,
         eval_cfg=eval_cfg,
     )

@@ -10,6 +10,14 @@ rounds to the nearest representable value with ties going to the value whose
 code is even (round-to-nearest-even at code granularity). NaN inputs map to
 the NaN code, decode back to NaN, and are counted.
 
+Every scale is a power of two that float32 holds exactly, so dividing a
+float32 input by it is exact (up to overflow to inf, which saturates, and
+underflow far below the smallest code, which rounds to zero either way).
+`encode` therefore takes float32 input only and rounds on the float32 bit
+pattern: at and above 2**-6 an E4M3 code is the float32 exponent and top three
+mantissa bits, re-biased, so round-to-nearest-even is an integer add on the
+bits; below 2**-6 the codes are the multiples of 2**-9, rounded with `rint`.
+
 Calibration picks each layer's scale as max|tensor| / 448 rounded UP to a
 power of two. Power-of-two scales make the divide and multiply exact in
 binary floating point, so values already on the representable grid survive a
@@ -28,7 +36,14 @@ from typing import Mapping
 import numpy as np
 
 from .library import ArchitectureSpec
-from .model import ConfigError, ForwardTrace, KvCache, ModelParams, forward_batch
+from .model import (
+    ConfigError,
+    ForwardTrace,
+    KvCache,
+    MismatchError,
+    ModelParams,
+    forward_batch,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,11 +70,23 @@ DECODE_TABLE = np.array([_decode_code(c) for c in range(256)], dtype=np.float32)
 FINITE_CODES = np.array(
     [c for c in range(256) if math.isfinite(DECODE_TABLE[c])], dtype=np.uint8
 )
-# positive codes 0x00..0x7E decode to a strictly increasing grid; the code IS
-# the grid index, which is what makes nearest-even rounding a searchsorted.
-_POS_GRID = DECODE_TABLE[: NAN_CODE].astype(np.float64)
-assert np.all(np.diff(_POS_GRID) > 0) and _POS_GRID[0] == 0.0
-assert float(_POS_GRID[-1]) == MAX_FINITE and len(FINITE_CODES) == 254
+assert float(DECODE_TABLE[NAN_CODE - 1]) == MAX_FINITE and len(FINITE_CODES) == 254
+
+_U32 = np.uint32
+_SIGN_MASK = _U32(0x7FFFFFFF)
+_F32_INF = _U32(0x7F800000)  # magnitudes above this bit pattern are NaN
+_F32_MAX_FINITE = _U32(0x43E00000)  # 448.0
+_F32_MIN_NORMAL = _U32(0x3C800000)  # 2**-6, the smallest normal E4M3 magnitude
+_HALF_ULP = _U32(0x7FFFF)  # half a unit of the third mantissa bit (bit 20), less one
+_REBIAS = _U32((127 - EXP_BIAS) << MANT_BITS)  # float32 bias 127 -> E4M3 bias 7
+
+
+def _check_scale(scale: float) -> None:
+    """A K/V scale must be a positive power of two that float32 holds exactly."""
+    if not (2.0**-149 <= scale <= 2.0**127 and math.frexp(scale)[0] == 0.5):
+        raise ConfigError(
+            f"scale must be a power of two between 2**-149 and 2**127, got {scale!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,36 +97,44 @@ class QuantStats:
 
 
 def encode(values: np.ndarray, scale: float) -> tuple[np.ndarray, QuantStats]:
-    """Quantize to E4M3 codes (uint8, same shape). Returns (codes, stats)."""
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ConfigError(f"scale must be a positive finite number, got {scale!r}")
-    x = np.asarray(values, dtype=np.float64) / float(scale)
-    nan_mask = np.isnan(x)
-    sign = np.signbit(x) & ~nan_mask
-    mag = np.abs(np.where(nan_mask, 0.0, x))
-    sat_mask = mag > MAX_FINITE
-    mag = np.minimum(mag, MAX_FINITE)
-
-    hi = np.searchsorted(_POS_GRID, mag, side="left")  # first grid value >= mag
-    lo = np.maximum(hi - 1, 0)
-    d_lo = mag - _POS_GRID[lo]
-    d_hi = _POS_GRID[hi] - mag
-    even = np.where(lo % 2 == 0, lo, hi)  # exactly one neighbor has an even code
-    codes = np.where(d_hi < d_lo, hi, np.where(d_lo < d_hi, lo, even)).astype(np.uint8)
-    codes |= (sign.astype(np.uint8)) << 7
-    codes[nan_mask] = NAN_CODE
-    stats = QuantStats(
-        n_values=int(x.size),
-        n_saturated=int(sat_mask.sum()),
-        n_nan=int(nan_mask.sum()),
-    )
-    return codes, stats
+    """Quantize float32 values to E4M3 codes (C-contiguous uint8, same shape).
+    Returns (codes, stats)."""
+    _check_scale(scale)
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        raise MismatchError(f"encode takes float32 values, got {values.dtype}")
+    # a quotient past float32 range is inf (saturated); a signalling NaN stays NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.divide(values, np.float32(scale), order="C").reshape(-1)  # 0-d gives a scalar
+    bits = x.view(_U32)
+    mag = bits & _SIGN_MASK
+    n_over = int(np.count_nonzero(mag > _F32_MAX_FINITE))  # saturated or NaN
+    n_nan = 0
+    if n_over:
+        nan_mask = mag > _F32_INF
+        n_nan = int(np.count_nonzero(nan_mask))
+        np.minimum(mag, _F32_MAX_FINITE, out=mag)
+    # Normal range: add just under half a unit of bit 20, plus its own value
+    # (ties to even); a mantissa carry moves into the exponent, as it should.
+    r = (mag >> _U32(20)) & _U32(1)
+    r += mag
+    r += _HALF_ULP
+    r >>= _U32(20)
+    r -= _REBIAS
+    codes = r.astype(np.uint8)  # below 2**-6 this wraps; those entries are overwritten
+    sub = mag < _F32_MIN_NORMAL
+    if sub.any():
+        codes[sub] = np.rint(np.abs(x[sub]) * np.float32(2**9)).astype(np.uint8)
+    codes |= (bits >> _U32(24)).astype(np.uint8) & np.uint8(0x80)
+    if n_nan:
+        codes[nan_mask] = NAN_CODE
+    stats = QuantStats(n_values=int(x.size), n_saturated=n_over - n_nan, n_nan=n_nan)
+    return codes.reshape(values.shape), stats
 
 
 def decode(codes: np.ndarray, scale: float) -> np.ndarray:
     """Dequantize codes back to float32 values (codes * scale on the grid)."""
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ConfigError(f"scale must be a positive finite number, got {scale!r}")
+    _check_scale(scale)
     return DECODE_TABLE[np.asarray(codes, dtype=np.uint8)] * np.float32(scale)
 
 
@@ -139,6 +174,8 @@ class QuantScales:
         n = len(self.k_scales)
         if not (len(self.v_scales) == len(self.k_raw) == len(self.v_raw) == n):
             raise ConfigError("scale tuples must share one length")
+        for scale in self.k_scales + self.v_scales:
+            _check_scale(scale)
 
     @property
     def n_layers(self) -> int:

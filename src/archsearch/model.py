@@ -647,14 +647,26 @@ def route_tokens(
 
     Ties break toward the lower expert index. Returns (indices [..., k],
     weights [..., k]) with weights from a softmax over the selected logits only.
+
+    Takes top_k argmax passes, each knocking its pick out to -inf: argmax
+    returns the first of equal maxima, so this is a stable descending sort cut
+    at top_k, for logits that are not NaN or -inf.
     """
     n_allowed = int(np.count_nonzero(allowed))
     if n_allowed < top_k:
         raise MismatchError(f"only {n_allowed} experts allowed but top_k={top_k}")
     masked = np.where(allowed, router_logits, -np.inf)
-    order = np.argsort(-masked, axis=-1, kind="stable")
-    idx = order[..., :top_k]
-    selected = np.take_along_axis(masked, idx, axis=-1)
+    n_experts = masked.shape[-1]
+    flat = masked.reshape(-1)
+    row_starts = np.arange(0, flat.size, n_experts)
+    idx = np.empty(masked.shape[:-1] + (top_k,), dtype=np.intp)
+    selected = np.empty(idx.shape, dtype=masked.dtype)
+    for j in range(top_k):
+        pick = masked.argmax(axis=-1)
+        idx[..., j] = pick
+        at = row_starts + pick.reshape(-1)
+        selected[..., j] = flat[at].reshape(pick.shape)
+        flat[at] = -np.inf
     return idx, _softmax_last(selected).astype(F32)
 
 
@@ -680,8 +692,9 @@ def _moe_layer(
     # Group the (token, slot) pairs by expert. The sort is stable, so each
     # expert's tokens stay in ascending order and its matmul sees the same rows
     # in the same order as a scan of every token would give it; experts are
-    # added in ascending order, so each token sums its slots as before.
-    pairs = idx.reshape(-1)
+    # added in ascending order, so each token sums its slots as before. The
+    # narrowest unsigned type lets NumPy's stable sort use a radix sort.
+    pairs = idx.reshape(-1).astype(np.min_scalar_type(len(layer.experts) - 1))
     order = np.argsort(pairs, kind="stable")
     bounds = np.searchsorted(pairs[order], np.arange(len(layer.experts) + 1))
     rows_by_expert = order // top_k

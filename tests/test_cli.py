@@ -282,3 +282,38 @@ def test_non_object_run_config_is_a_config_error(tmp_path, capsys):
     assert run("--config", bad, "--out", out, "score") == 1
     assert "the run config must be a JSON object" in capsys.readouterr().err
     assert not (out / ".lock").exists()
+
+
+def test_eval_fp8_rejects_a_scale_that_is_not_a_power_of_two(pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("params.bin", "params.bin.json", "kv_scales.json"):
+        shutil.copy(pipeline / name, out / name)
+    scales = json.loads((out / "kv_scales.json").read_text())
+    scales["v_scales"][1] = 0.3  # a hand edit: exact encoding needs powers of two
+    (out / "kv_scales.json").write_text(json.dumps(scales))
+    assert run("--config", bundled_config(), "--out", out, "eval",
+               "--kv-precision", "fp8") == 1
+    assert "error: scale must be a power of two" in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    assert not (out / "eval_report.json").exists()
+
+
+def _drop_isl(cfg):
+    del cfg["scenarios"][0]["isl"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg.update(scenarios=[1]), "scenarios[0] must be a JSON object"),
+    (lambda cfg: cfg.update(targets={"long": "fast"}), "targets.long must be a number, got 'fast'"),
+    (_drop_isl, "scenarios[0].isl is missing"),
+], ids=["scenario-not-object", "target-not-number", "scenario-without-isl"])
+def test_malformed_scenarios_and_targets_are_config_errors(tmp_path, capsys, edit, message):
+    cfg = json.loads(bundled_config().read_text())
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, "search") == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / ".lock").exists()

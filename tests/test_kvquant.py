@@ -21,7 +21,14 @@ from archsearch.kvquant import (
 from archsearch import kvquant
 from archsearch.costs import kv_bytes_per_sequence
 from archsearch.library import parent_spec
-from archsearch.model import ConfigError, KvCache, forward_batch, generate_batch, window_attention
+from archsearch.model import (
+    ConfigError,
+    KvCache,
+    MismatchError,
+    forward_batch,
+    generate_batch,
+    window_attention,
+)
 from archsearch.scoring import make_lm_probes
 
 
@@ -32,6 +39,8 @@ from archsearch.scoring import make_lm_probes
 def test_code_table_shape():
     assert len(DECODE_TABLE) == 256
     assert len(FINITE_CODES) == 254  # two NaN encodings, no infinities
+    # the positive codes 0x00..0x7E are a strictly increasing grid from 0 to 448
+    assert np.all(np.diff(DECODE_TABLE[:NAN_CODE]) > 0) and DECODE_TABLE[0] == 0.0
     assert float(np.nanmax(np.abs(DECODE_TABLE))) == MAX_FINITE
     assert math.isnan(DECODE_TABLE[NAN_CODE])
     assert math.isnan(DECODE_TABLE[NAN_CODE | 0x80])
@@ -101,6 +110,121 @@ def test_nearest_value_wins_between_grid_points():
     nearest = dist.min(axis=1)
     got = np.abs(back.astype(np.float64) - x.astype(np.float64))
     np.testing.assert_allclose(got, nearest, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# encode against a float64 reference
+
+# The positive codes 0x00..0x7E decode to a strictly increasing grid, and the
+# code is the grid index, so nearest-even rounding is a searchsorted.
+_POS_GRID = DECODE_TABLE[:NAN_CODE].astype(np.float64)
+_SWEEP_SCALES = (1.0, 2.0**-3, 2.0**5)
+
+
+def _encode_reference(values, scale):
+    """Encode in float64 with a searchsorted over the positive grid."""
+    with np.errstate(invalid="ignore"):  # the sweeps include signalling NaNs
+        x = np.asarray(values, dtype=np.float64) / float(scale)
+    nan_mask = np.isnan(x)
+    sign = np.signbit(x) & ~nan_mask
+    mag = np.abs(np.where(nan_mask, 0.0, x))
+    sat_mask = mag > MAX_FINITE
+    mag = np.minimum(mag, MAX_FINITE)
+    hi = np.searchsorted(_POS_GRID, mag, side="left")  # first grid value >= mag
+    lo = np.maximum(hi - 1, 0)
+    d_lo = mag - _POS_GRID[lo]
+    d_hi = _POS_GRID[hi] - mag
+    even = np.where(lo % 2 == 0, lo, hi)  # exactly one neighbour has an even code
+    codes = np.where(d_hi < d_lo, hi, np.where(d_lo < d_hi, lo, even)).astype(np.uint8)
+    codes |= sign.astype(np.uint8) << 7
+    codes[nan_mask] = NAN_CODE
+    return codes, kvquant.QuantStats(x.size, int(sat_mask.sum()), int(nan_mask.sum()))
+
+
+def _assert_matches_reference(values):
+    for scale in _SWEEP_SCALES:
+        codes, stats = encode(values, scale)
+        ref_codes, ref_stats = _encode_reference(values, scale)
+        bad = np.flatnonzero(codes != ref_codes)
+        assert bad.size == 0, (
+            f"scale {scale}: {bad.size} codes differ, first at "
+            f"{values.reshape(-1)[bad[0]]!r}: {codes.reshape(-1)[bad[0]]:#04x} "
+            f"vs {ref_codes.reshape(-1)[bad[0]]:#04x}"
+        )
+        assert stats == ref_stats
+
+
+def test_encode_matches_reference_on_every_exponent_and_round_bit():
+    # every float32 upper half-word with low half-words that set or clear the
+    # round bit (bit 15 of the low half) and the sticky bits below it
+    high = np.arange(1 << 16, dtype=np.uint32) << 16
+    low = np.array([0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint32)
+    _assert_matches_reference((high[:, None] | low[None, :]).view(np.float32))
+
+
+def test_encode_matches_reference_on_grid_midpoints_and_neighbours():
+    grid = np.unique(np.abs(DECODE_TABLE[FINITE_CODES]).astype(np.float64))
+    mids = ((grid[1:] + grid[:-1]) / 2).astype(np.float32)  # exact in float32
+    below = np.nextafter(mids, np.float32(0))
+    above = np.nextafter(mids, np.float32(np.inf))
+    pos = np.concatenate([grid.astype(np.float32), mids, below, above])
+    for scale in _SWEEP_SCALES:
+        # values placed so that x / scale lands on the grid, midpoints and neighbours
+        _assert_matches_reference(np.concatenate([pos, -pos]) * np.float32(scale))
+
+
+def test_encode_matches_reference_on_special_values():
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 460.0, -460.0, 480.0, -480.0],
+        dtype=np.float32,
+    )
+    _assert_matches_reference(specials)
+    codes, stats = encode(specials, 1.0)
+    assert stats.n_nan == 2 and stats.n_saturated == 6
+    assert codes[4] == codes[5] == NAN_CODE
+
+
+def test_encode_matches_reference_on_random_floats():
+    rng = np.random.default_rng(20260218)
+    bit_patterns = rng.integers(0, 1 << 32, size=500_000, dtype=np.uint32).view(np.float32)
+    log_uniform = np.exp2(rng.uniform(-14, 12, size=500_000)) * rng.choice([-1.0, 1.0], 500_000)
+    _assert_matches_reference(np.concatenate([bit_patterns, log_uniform.astype(np.float32)]))
+
+
+def test_encode_returns_c_contiguous_codes_for_a_strided_view():
+    x = np.random.default_rng(3).standard_normal((5, 7, 3)).astype(np.float32)
+    view = x.transpose(2, 0, 1)[:, ::2]
+    codes, stats = encode(view, 2.0**-3)
+    assert codes.flags.c_contiguous and codes.shape == view.shape
+    ref_codes, ref_stats = _encode_reference(view, 2.0**-3)
+    assert np.array_equal(codes, ref_codes) and stats == ref_stats
+
+
+def test_encode_keeps_the_shape_of_empty_and_0d_inputs():
+    for values in (np.zeros((0, 3), dtype=np.float32), np.array(-500.0, dtype=np.float32)):
+        codes, stats = encode(values, 1.0)
+        ref_codes, ref_stats = _encode_reference(values, 1.0)
+        assert codes.shape == values.shape and np.array_equal(codes, ref_codes)
+        assert stats == ref_stats
+
+
+def test_encode_takes_float32_only():
+    for dtype in (np.float64, np.float16, np.int32):
+        with pytest.raises(MismatchError, match="float32"):
+            encode(np.ones(4, dtype=dtype), 1.0)
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0, 0.0, -0.5, math.inf, math.nan, 2.0**-150, 2.0**128])
+def test_scales_must_be_float32_powers_of_two(scale):
+    with pytest.raises(ConfigError, match="power of two"):
+        encode(np.ones(4, dtype=np.float32), scale)
+    with pytest.raises(ConfigError, match="power of two"):
+        decode(np.zeros(4, dtype=np.uint8), scale)
+    with pytest.raises(ConfigError, match="power of two"):
+        QuantScales(mode="calibrated", k_scales=(1.0, scale), v_scales=(1.0, 1.0),
+                    k_raw=(1.0, 1.0), v_raw=(1.0, 1.0))
+    for edge in (2.0**-149, 2.0**127):
+        encode(np.ones(4, dtype=np.float32), edge)  # the float32 extremes are fine
 
 
 # ---------------------------------------------------------------------------

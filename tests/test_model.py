@@ -400,6 +400,32 @@ def test_route_tokens_tie_breaks_to_lower_index():
     np.testing.assert_allclose(w[0], [0.5, 0.5])
 
 
+def _route_reference(router_logits, allowed, top_k):
+    """A stable descending argsort of the masked logits, cut at top_k."""
+    masked = np.where(allowed, router_logits, -np.inf)
+    order = np.argsort(-masked, axis=-1, kind="stable")
+    idx = order[..., :top_k]
+    selected = np.take_along_axis(masked, idx, axis=-1)
+    return idx, model_mod._softmax_last(selected).astype(np.float32)
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 16), (16, 1, 16), (24, 96, 16)])
+@pytest.mark.parametrize("top_k", [1, 2, 3])
+def test_route_tokens_matches_a_stable_argsort(shape, top_k):
+    rng = np.random.default_rng(31)
+    logits = rng.standard_normal(shape).astype(np.float32)
+    tied = np.round(logits * 2) / 2  # few distinct values: many exact ties
+    tied[..., 5] = tied[..., 9]  # and a duplicated expert in every row
+    pruned = np.ones(16, dtype=bool)
+    pruned[[0, 3, 9, 10, 15]] = False
+    for x in (logits, tied):
+        for allowed in (np.ones(16, dtype=bool), pruned):
+            idx, w = route_tokens(x, allowed, top_k)
+            ref_idx, ref_w = _route_reference(x, allowed, top_k)
+            assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
+            assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
+
+
 def test_route_tokens_requires_enough_experts():
     with pytest.raises(MismatchError):
         route_tokens(np.zeros((1, 4)), np.array([True, False, False, False]), top_k=2)
