@@ -397,7 +397,7 @@ def cmd_quantize(args) -> int:
             },
             extra={"mode": scales.mode, "saturated": report.total_saturated},
         )
-    worst = max((s.k_mse for s in report.per_layer.values()), default=0.0)
+    worst = max((k.mse for k, _ in report.written.values()), default=0.0)
     print(
         f"{scales.mode} cache scales for {params.config.n_layers} layers "
         f"(worst K mse {worst:.3e}, {report.total_saturated} saturated) -> {out / 'kv_scales.json'}"

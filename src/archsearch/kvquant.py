@@ -31,7 +31,6 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .model import (
     ConfigError,
     ForwardTrace,
     KvCache,
+    KvWriteStats,
     MismatchError,
     ModelParams,
     forward_batch,
@@ -255,47 +255,29 @@ def calibrate_scales(
 # running the model on a quantized cache
 
 
-@dataclass(frozen=True)
-class LayerKvStats:
-    k_mse: float
-    v_mse: float
-    k_stats: QuantStats
-    v_stats: QuantStats
-
-    def to_json(self) -> dict:
-        return {
-            "k_mse": self.k_mse,
-            "v_mse": self.v_mse,
-            "k_saturated": self.k_stats.n_saturated,
-            "v_saturated": self.v_stats.n_saturated,
-            "k_nan": self.k_stats.n_nan,
-            "v_nan": self.v_stats.n_nan,
-        }
-
-
 @dataclass
 class KvQuantReport:
-    per_layer: dict[int, LayerKvStats]
+    """What a reporting fp8 cache tallied: per layer, the (keys, values)
+    written to it (KvCache.written)."""
+
+    written: dict[int, tuple[KvWriteStats, KvWriteStats]]
 
     @property
     def total_saturated(self) -> int:
-        return sum(s.k_stats.n_saturated + s.v_stats.n_saturated for s in self.per_layer.values())
+        return sum(k.n_saturated + v.n_saturated for k, v in self.written.values())
 
     def to_json(self) -> dict:
-        return {str(layer): stats.to_json() for layer, stats in sorted(self.per_layer.items())}
-
-    @staticmethod
-    def from_cache(cache: KvCache) -> "KvQuantReport":
-        """The codec statistics of everything written to a reporting fp8 cache."""
-        per_layer = {}
-        for layer, (k, v) in cache.written.items():
-            per_layer[layer] = LayerKvStats(
-                k_mse=k.sq_error / k.n_values,
-                v_mse=v.sq_error / v.n_values,
-                k_stats=QuantStats(k.n_values, k.n_saturated, k.n_nan),
-                v_stats=QuantStats(v.n_values, v.n_saturated, v.n_nan),
-            )
-        return KvQuantReport(per_layer=per_layer)
+        return {
+            str(layer): {
+                "k_mse": k.mse,
+                "v_mse": v.mse,
+                "k_saturated": k.n_saturated,
+                "v_saturated": v.n_saturated,
+                "k_nan": k.n_nan,
+                "v_nan": v.n_nan,
+            }
+            for layer, (k, v) in sorted(self.written.items())
+        }
 
 
 def forward_with_quantized_kv(
@@ -311,4 +293,4 @@ def forward_with_quantized_kv(
         params.config, arch, len(tokens), tokens.shape[-1], scales=scales, report=True
     )
     trace = forward_batch(params, arch, tokens, cache=cache)
-    return trace, KvQuantReport.from_cache(cache)
+    return trace, KvQuantReport(cache.written)

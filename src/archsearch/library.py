@@ -8,20 +8,21 @@ expert ranking, so smaller keep-counts are contained in larger ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
+    EXPERT_TENSORS,
+    LAYER_TENSORS,
     AttentionVariant,
     ConfigError,
+    ExpertParams,
     LayerParams,
     MismatchError,
     ModelConfig,
     ModelParams,
-    ExpertParams,
-    global_attention,
     window_attention,
 )
 
@@ -288,16 +289,12 @@ def prune_layer(layer: LayerParams, keep_set: tuple[int, ...]) -> LayerParams:
     if missing:
         raise MismatchError(f"keep set references absent experts {missing}")
     positions = [present[e] for e in keep]
+    tensors = {name: getattr(layer, name).copy() for name in LAYER_TENSORS}
+    tensors["router"] = layer.router[positions]
     return LayerParams(
-        attn_norm=layer.attn_norm.copy(),
-        wq=layer.wq.copy(),
-        wk=layer.wk.copy(),
-        wv=layer.wv.copy(),
-        wo=layer.wo.copy(),
-        ffn_norm=layer.ffn_norm.copy(),
-        router=layer.router[positions].copy(),
+        **tensors,
         experts=[
-            ExpertParams(w_in=layer.experts[p].w_in.copy(), w_out=layer.experts[p].w_out.copy())
+            ExpertParams(**{name: getattr(layer.experts[p], name).copy() for name in EXPERT_TENSORS})
             for p in positions
         ],
         expert_ids=keep,
@@ -318,21 +315,7 @@ def assemble(parent: ModelParams, arch: ArchitectureSpec) -> ModelParams:
             raise MismatchError(
                 f"layer {i} keeps {spec.experts_kept} experts, fewer than top_k={c.top_k}"
             )
-    config = ModelConfig(
-        vocab_size=c.vocab_size,
-        d_model=c.d_model,
-        n_layers=c.n_layers,
-        n_heads=c.n_heads,
-        n_kv_heads=c.n_kv_heads,
-        head_dim=c.head_dim,
-        n_experts=c.n_experts,
-        top_k=c.top_k,
-        expert_hidden=c.expert_hidden,
-        max_seq_len=c.max_seq_len,
-        rope_base=c.rope_base,
-        rope_scale_factor=c.rope_scale_factor,
-        attn_pattern=tuple(spec.attention for spec in arch.layers),
-    )
+    config = replace(c, attn_pattern=tuple(spec.attention for spec in arch.layers))
     layers = [
         prune_layer(layer, spec.expert_keep_set)
         for layer, spec in zip(parent.layers, arch.layers)

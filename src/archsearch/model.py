@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -107,26 +106,19 @@ class ModelConfig:
     top_k: int
     expert_hidden: int
     max_seq_len: int
+    attn_pattern: tuple[AttentionVariant, ...]
     rope_base: float = 10000.0
     rope_scale_factor: float = 1.0
-    attn_pattern: tuple[AttentionVariant, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "vocab_size",
-            "d_model",
-            "n_layers",
-            "n_heads",
-            "n_kv_heads",
-            "head_dim",
-            "n_experts",
-            "top_k",
-            "expert_hidden",
-            "max_seq_len",
-        ):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive int, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int) or v < 1):
+                raise ConfigError(f"{f.name} must be a positive int, got {v!r}")
+            if f.type == "float":
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
+                    raise ConfigError(f"{f.name} must be a positive number, got {v!r}")
+                object.__setattr__(self, f.name, float(v))
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_kv_heads must divide n_heads, got n_heads={self.n_heads} n_kv_heads={self.n_kv_heads}"
@@ -135,10 +127,6 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
         if self.top_k > self.n_experts:
             raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
-        if not (self.rope_base > 0):
-            raise ConfigError(f"rope_base must be positive, got {self.rope_base!r}")
-        if not (self.rope_scale_factor > 0):
-            raise ConfigError(f"rope_scale_factor must be positive, got {self.rope_scale_factor!r}")
         if len(self.attn_pattern) != self.n_layers:
             raise ConfigError(
                 f"attn_pattern has {len(self.attn_pattern)} entries for n_layers={self.n_layers}"
@@ -146,63 +134,28 @@ class ModelConfig:
         object.__setattr__(self, "attn_pattern", tuple(self.attn_pattern))
 
     def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "n_kv_heads": self.n_kv_heads,
-            "head_dim": self.head_dim,
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "expert_hidden": self.expert_hidden,
-            "max_seq_len": self.max_seq_len,
-            "rope_base": self.rope_base,
-            "rope_scale_factor": self.rope_scale_factor,
-            "attn_pattern": [v.to_json() for v in self.attn_pattern],
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["attn_pattern"] = [v.to_json() for v in self.attn_pattern]
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "ModelConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"model config must be an object, got {type(obj).__name__}")
-        required = {
-            "vocab_size",
-            "d_model",
-            "n_layers",
-            "n_heads",
-            "n_kv_heads",
-            "head_dim",
-            "n_experts",
-            "top_k",
-            "expert_hidden",
-            "max_seq_len",
-            "attn_pattern",
-        }
-        missing = sorted(required - set(obj))
+        names = {f.name for f in fields(ModelConfig)}
+        unknown = sorted(set(obj) - names)
+        if unknown:
+            raise ConfigError(f"model config has unknown fields: {', '.join(unknown)}")
+        missing = sorted(f.name for f in fields(ModelConfig) if f.default is MISSING and f.name not in obj)
         if missing:
             raise ConfigError(f"model config missing fields: {', '.join(missing)}")
         pattern = tuple(AttentionVariant.from_json(v) for v in obj["attn_pattern"])
-        return ModelConfig(
-            vocab_size=obj["vocab_size"],
-            d_model=obj["d_model"],
-            n_layers=obj["n_layers"],
-            n_heads=obj["n_heads"],
-            n_kv_heads=obj["n_kv_heads"],
-            head_dim=obj["head_dim"],
-            n_experts=obj["n_experts"],
-            top_k=obj["top_k"],
-            expert_hidden=obj["expert_hidden"],
-            max_seq_len=obj["max_seq_len"],
-            rope_base=float(obj.get("rope_base", 10000.0)),
-            rope_scale_factor=float(obj.get("rope_scale_factor", 1.0)),
-            attn_pattern=pattern,
-        )
+        return ModelConfig(**{**obj, "attn_pattern": pattern})
 
 
 def toy_config(**overrides) -> ModelConfig:
     """Default desk-scale model: 8 layers alternating Window(4)/Global, 16 experts."""
-    fields = dict(
+    values = dict(
         vocab_size=256,
         d_model=64,
         n_layers=8,
@@ -216,13 +169,13 @@ def toy_config(**overrides) -> ModelConfig:
         rope_base=10000.0,
         rope_scale_factor=1.0,
     )
-    fields.update(overrides)
-    if "attn_pattern" not in fields:
-        n = fields["n_layers"]
-        fields["attn_pattern"] = tuple(
+    values.update(overrides)
+    if "attn_pattern" not in values:
+        n = values["n_layers"]
+        values["attn_pattern"] = tuple(
             window_attention(4) if i % 2 == 0 else global_attention() for i in range(n)
         )
-    return ModelConfig(**fields)
+    return ModelConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +210,22 @@ class ModelParams:
     lm_head: np.ndarray  # [d_model, vocab_size]
 
 
+# The tensor fields of a layer and of an expert, in declaration order: the
+# order param_items gives them in, and so their order on disk.
+LAYER_TENSORS = tuple(f.name for f in fields(LayerParams) if f.type == "np.ndarray")
+EXPERT_TENSORS = tuple(f.name for f in fields(ExpertParams))
+
+
 def param_items(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
     """All weight tensors in a fixed canonical order."""
     yield "embedding", params.embedding
     for i, layer in enumerate(params.layers):
         p = f"layers.{i}"
-        yield f"{p}.attn_norm", layer.attn_norm
-        yield f"{p}.wq", layer.wq
-        yield f"{p}.wk", layer.wk
-        yield f"{p}.wv", layer.wv
-        yield f"{p}.wo", layer.wo
-        yield f"{p}.ffn_norm", layer.ffn_norm
-        yield f"{p}.router", layer.router
+        for name in LAYER_TENSORS:
+            yield f"{p}.{name}", getattr(layer, name)
         for j, expert in enumerate(layer.experts):
-            yield f"{p}.experts.{j}.w_in", expert.w_in
-            yield f"{p}.experts.{j}.w_out", expert.w_out
+            for name in EXPERT_TENSORS:
+                yield f"{p}.experts.{j}.{name}", getattr(expert, name)
     yield "final_norm", params.final_norm
     yield "lm_head", params.lm_head
 
@@ -400,18 +354,12 @@ def load_params(bin_path: Path | str) -> ModelParams:
         p = f"layers.{i}"
         ids = tuple(int(e) for e in expert_ids[i])
         experts = [
-            ExpertParams(w_in=arrays[f"{p}.experts.{j}.w_in"], w_out=arrays[f"{p}.experts.{j}.w_out"])
+            ExpertParams(**{name: arrays[f"{p}.experts.{j}.{name}"] for name in EXPERT_TENSORS})
             for j in range(len(ids))
         ]
         layers.append(
             LayerParams(
-                attn_norm=arrays[f"{p}.attn_norm"],
-                wq=arrays[f"{p}.wq"],
-                wk=arrays[f"{p}.wk"],
-                wv=arrays[f"{p}.wv"],
-                wo=arrays[f"{p}.wo"],
-                ffn_norm=arrays[f"{p}.ffn_norm"],
-                router=arrays[f"{p}.router"],
+                **{name: arrays[f"{p}.{name}"] for name in LAYER_TENSORS},
                 experts=experts,
                 expert_ids=ids,
             )
@@ -439,6 +387,10 @@ class KvWriteStats:
     sq_error: float = 0.0  # sum of (decoded - x)**2 in float64
     n_saturated: int = 0
     n_nan: int = 0
+
+    @property
+    def mse(self) -> float:
+        return self.sq_error / self.n_values
 
     def add(self, x: np.ndarray, seen: np.ndarray, stats=None) -> None:
         self.n_values += int(x.size)
@@ -634,12 +586,6 @@ def _attention_mask(
     return np.where(allowed, F32(0.0), F32(-np.inf))
 
 
-@lru_cache(maxsize=64)
-def _additive_mask(kind: str, window_size: int | None, length: int) -> np.ndarray:
-    pos = np.arange(length)
-    return _attention_mask(AttentionVariant(kind, window_size), pos, pos)
-
-
 def route_tokens(
     router_logits: np.ndarray, allowed: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -711,26 +657,20 @@ def _moe_layer(
 @dataclass
 class _Pass:
     """What the layers of one forward share: the positions it runs, their
-    rotary tables, the cache it writes (if any), and attention work buffers
-    reused across layers (one scores buffer per key count: a cached window
-    layer reads fewer keys)."""
+    rotary tables and the cache it writes (if any)."""
 
     start: int
     cos: np.ndarray
     sin: np.ndarray
     query_pos: np.ndarray
     cache: KvCache | None
-    ctx_buf: np.ndarray
-    scores_bufs: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def new(
-        cls, c: ModelConfig, batch: int, length: int, start: int = 0, cache: KvCache | None = None
+        cls, c: ModelConfig, length: int, start: int = 0, cache: KvCache | None = None
     ) -> "_Pass":
         cos, sin = _rope_tables(c, start, length)
-        group = c.n_heads // c.n_kv_heads
-        ctx_buf = np.empty((batch, c.n_kv_heads, group * length, c.head_dim), dtype=F32)
-        return cls(start, cos, sin, np.arange(start, start + length), cache, ctx_buf)
+        return cls(start, cos, sin, np.arange(start, start + length), cache)
 
 
 def _layer_step(
@@ -750,31 +690,24 @@ def _layer_step(
     v = (att_in @ layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
     q = _apply_rope(q, run.cos, run.sin)
     k = _apply_rope(k, run.cos, run.sin)
-    if run.cache is None:
-        mask = _additive_mask(spec.attention.kind, spec.attention.window_size, length)
-    else:
+    key_pos = run.query_pos
+    if run.cache is not None:
         k, v, key_pos = run.cache.update(i, k, v, run.start)
-        mask = _attention_mask(spec.attention, run.query_pos, key_pos)
+    mask = _attention_mask(spec.attention, run.query_pos, key_pos)
     n_keys = k.shape[2]
-    scores_buf = run.scores_bufs.get(n_keys)
-    if scores_buf is None:
-        scores_buf = run.scores_bufs[n_keys] = np.empty(
-            (batch, c.n_kv_heads, group * length, n_keys), dtype=F32
-        )
     # Query heads grouped by their kv head: head h reads kv head h // group,
     # so stacking each group's queries keeps GQA exact while batching GEMMs.
     qg = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim)
-    np.matmul(qg, k.transpose(0, 1, 3, 2), out=scores_buf)
-    scores = scores_buf.reshape(batch, c.n_heads, length, n_keys)
+    grouped = qg @ k.transpose(0, 1, 3, 2)
+    scores = grouped.reshape(batch, c.n_heads, length, n_keys)
     scores *= np.float32(1.0 / np.sqrt(c.head_dim))
     scores += mask
     # softmax over keys, in place; masked slots exp to exactly 0
     scores -= np.max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.sum(scores, axis=-1, keepdims=True)
-    np.matmul(scores_buf, v, out=run.ctx_buf)
     ctx = (
-        run.ctx_buf.reshape(batch, c.n_heads, length, c.head_dim)
+        (grouped @ v).reshape(batch, c.n_heads, length, c.head_dim)
         .transpose(0, 2, 1, 3)
         .reshape(batch, length, c.n_heads * c.head_dim)
     )
@@ -845,7 +778,7 @@ def forward_batch(
         if start + length > cache.length:
             raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
-    run = _Pass.new(c, batch, length, start, cache)
+    run = _Pass.new(c, length, start, cache)
     hidden = params.embedding[tokens]
     for i, spec in enumerate(layer_specs):
         hidden = _layer_step(params, i, spec, hidden, run)[0]
@@ -862,14 +795,15 @@ def _layer_walk(
     to what forward_batch computes.
 
     A layer runs only when its item is asked for. The walk holds that layer's
-    item and the residual leaving it, no earlier layer's; work buffers live
-    for one step.
+    item and the residual leaving it, no earlier layer's; every layer shares
+    one set of rotary tables.
     """
     c = params.config
     tokens = _check_tokens(c, tokens)
+    run = _Pass.new(c, tokens.shape[1])
     hidden = params.embedding[tokens]
     for i, spec in enumerate(_layer_specs(params, arch)):
-        leaving, ffn_in = _layer_step(params, i, spec, hidden, _Pass.new(c, *hidden.shape[:2]))
+        leaving, ffn_in = _layer_step(params, i, spec, hidden, run)
         yield hidden, ffn_in
         hidden = leaving
 
@@ -897,7 +831,7 @@ def resume_forward(
         )
     if hidden.shape[1] > c.max_seq_len:
         raise MismatchError(f"sequence length {hidden.shape[1]} exceeds max_seq_len {c.max_seq_len}")
-    run = _Pass.new(c, hidden.shape[0], hidden.shape[1])
+    run = _Pass.new(c, hidden.shape[1])
     for i in range(layer, len(layer_specs)):
         hidden = _layer_step(params, i, layer_specs[i], hidden, run)[0]
     return _finish(params, hidden)

@@ -269,9 +269,9 @@ def test_calibration_eliminates_saturation(toy_cfg, toy_params, toy_arch):
         assert raw <= scale < 2 * raw  # rounded up to the next power of two
     _, report = forward_with_quantized_kv(toy_params, toy_arch, tokens, scales)
     assert report.total_saturated == 0
-    for stats in report.per_layer.values():
-        assert stats.k_mse > 0.0  # quantization is lossy...
-        assert stats.k_mse < 1e-3  # ...but small once scales are calibrated
+    for k, _ in report.written.values():
+        assert k.mse > 0.0  # quantization is lossy...
+        assert k.mse < 1e-3  # ...but small once scales are calibrated
 
 
 def test_all_zero_calibration_warns_and_uses_fallback(caplog, induction_model):
@@ -309,14 +309,14 @@ def test_fp8_prefill_records_per_layer_stats(toy_cfg, toy_params, toy_arch):
     tokens = make_lm_probes(toy_cfg, count=2, length=16, seed=24).tokens
     scales = calibrate_scales(toy_params, toy_arch, tokens)
     _, report = forward_with_quantized_kv(toy_params, toy_arch, tokens, scales)
-    assert sorted(report.per_layer) == list(range(toy_cfg.n_layers))
+    assert sorted(report.written) == list(range(toy_cfg.n_layers))
     j = report.to_json()
     assert set(j) == {str(i) for i in range(toy_cfg.n_layers)}
     assert {"k_mse", "v_mse", "k_saturated", "v_saturated", "k_nan", "v_nan"} \
         <= set(j["0"])
     # every position is counted, window layers included
     per_position = toy_cfg.n_kv_heads * toy_cfg.head_dim
-    assert all(s.k_stats.n_values == tokens.size * per_position for s in report.per_layer.values())
+    assert all(k.n_values == tokens.size * per_position for k, _ in report.written.values())
 
 
 # ---------------------------------------------------------------------------
