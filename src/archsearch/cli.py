@@ -19,7 +19,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ from .library import (
 from .manifest import LockError, RunLock, RunManifest
 from .metrics import bundled_run_records, build_frontier, emit_frontier, load_run_records
 from .model import (
-    AttentionVariant,
     ConfigError,
     KvCache,
     MismatchError,
@@ -103,12 +102,31 @@ def _section(obj: dict, name: str, default):
     return value
 
 
-def _parse(where: str, value, build):
-    """build(value) for one config object, naming `where` in any error."""
+def _check_type(where: str, declared: str, value) -> None:
+    """Raise unless a JSON value fits a field declared `declared`: an int field
+    takes an integer (a bool is not one), a float field an integer or a float,
+    a tuple[T, ...] field a list of T."""
+    if declared.startswith("tuple[") and declared.endswith(", ...]"):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(f"{where}[{i}]", declared[len("tuple["):-len(", ...]")], item)
+    elif declared == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    elif declared == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _parse(where: str, value, cls):
+    """cls.from_json(value) for one config object, after checking each field's
+    JSON type against cls's declaration; names `where` in any error."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    for f in fields(cls):
+        if f.name in value:
+            _check_type(f"{where}.{f.name}", f.type, value[f.name])
     try:
-        return build(value)
+        return cls.from_json(value)
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]} is missing") from None
     except (TypeError, ValueError) as exc:
@@ -121,7 +139,7 @@ def _scenarios(obj: dict) -> list[Scenario]:
         return []
     if not isinstance(value, list):
         raise ConfigError("scenarios must be a JSON list")
-    return [_parse(f"scenarios[{i}]", s, Scenario.from_json) for i, s in enumerate(value)]
+    return [_parse(f"scenarios[{i}]", s, Scenario) for i, s in enumerate(value)]
 
 
 def _targets(obj: dict) -> dict[str, float]:
@@ -140,11 +158,13 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: the run config must be a JSON object")
-    model_obj = dict(_section(obj, "model", {}))
-    if "attn_pattern" in model_obj:
-        model_obj["attn_pattern"] = tuple(
-            AttentionVariant.from_json(a) for a in model_obj["attn_pattern"]
-        )
+    seed = obj.get("seed", 0) if seed_override is None else seed_override
+    _check_type("seed", "int", seed)
+    model_obj = _section(obj, "model", {})
+    try:
+        config = toy_config(**model_obj)
+    except ConfigError as exc:
+        raise ConfigError(f"model.{exc}") from None
     probes = dict(_section(obj, "probes", {}))
     probes.setdefault("lm_count", 24)
     probes.setdefault("lm_length", 96)
@@ -157,7 +177,8 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     eval_cfg.setdefault("prompt_len", 16)
     eval_cfg.setdefault("end_token", 0)
     for section, values, names in (
-        ("probes", probes, ("lm_count", "lm_length", "retrieval_count", "retrieval_length")),
+        ("probes", probes,
+         ("lm_count", "lm_length", "retrieval_count", "retrieval_length", "retrieval_pairs")),
         ("eval", eval_cfg, ("n_prompts", "prompt_len")),
         ("efforts", efforts, tuple(efforts)),
     ):
@@ -165,16 +186,17 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
             v = values[name]
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{section}.{name} must be a positive integer, got {v!r}")
+    _check_type("eval.end_token", "int", eval_cfg["end_token"])
     hardware = _section(obj, "hardware", None)
     if hardware is not None:
-        hardware = _parse("hardware", hardware, HardwareProfile.from_json)
+        hardware = _parse("hardware", hardware, HardwareProfile)
     kv_budget = _section(obj, "kv_budget", None)
-    kv_budget = _parse("kv_budget", kv_budget, KvBudget.from_json) if kv_budget else None
+    kv_budget = _parse("kv_budget", kv_budget, KvBudget) if kv_budget else None
     return RunConfig(
-        seed=int(seed_override if seed_override is not None else obj.get("seed", 0)),
-        config=toy_config(**model_obj),
+        seed=seed,
+        config=config,
         probes=probes,
-        menu=LibraryMenu.from_json(_section(obj, "library", {})),
+        menu=_parse("library", _section(obj, "library", {}), LibraryMenu),
         scenarios=_scenarios(obj),
         hw=hardware,
         targets=_targets(obj),

@@ -294,8 +294,8 @@ def prune_layer(layer: LayerParams, keep_set: tuple[int, ...]) -> LayerParams:
     return LayerParams(
         **tensors,
         experts=[
-            ExpertParams(**{name: getattr(layer.experts[p], name).copy() for name in EXPERT_TENSORS})
-            for p in positions
+            ExpertParams(**{name: getattr(expert, name).copy() for name in EXPERT_TENSORS})
+            for expert in (layer.experts[p] for p in positions)
         ],
         expert_ids=keep,
     )

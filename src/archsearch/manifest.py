@@ -7,13 +7,15 @@ Timestamps live only here — the data files themselves are byte-deterministic,
 so two runs from the same inputs produce identical output hashes and the
 manifests differ only in their clock fields.
 
-A run directory is guarded by a lock file created with O_EXCL; a second
-process refusing to share the directory fails fast instead of interleaving
-writes.
+A run directory is guarded by an exclusive flock on its `.lock` file; a
+second process refusing to share the directory fails fast instead of
+interleaving writes. The kernel drops the lock when its holder dies, so a
+killed stage leaves no stale lock behind.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -93,21 +95,31 @@ class RunLock:
         self._fd: int | None = None
 
     def __enter__(self) -> "RunLock":
-        try:
-            self._fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockError(
-                f"run directory is locked ({self.lock_path} exists); "
-                "another command may be running — remove the file if it is stale"
-            ) from None
-        os.write(self._fd, f"{os.getpid()}\n".encode())
+        while True:
+            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LockError(
+                    f"run directory is locked ({self.lock_path} is held by another command)"
+                ) from None
+            # The holder we waited on may have unlinked the file before we
+            # locked it; a lock on a file no longer at lock_path guards nothing.
+            try:
+                if os.stat(self.lock_path).st_ino == os.fstat(fd).st_ino:
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        self._fd = fd
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            self.lock_path.unlink()
-        except FileNotFoundError:
-            pass
+        # Unlink while still holding the lock, so no process can lock the old
+        # file after we release it and believe it holds the directory.
+        self.lock_path.unlink(missing_ok=True)
+        os.close(self._fd)
+        self._fd = None

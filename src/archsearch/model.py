@@ -96,6 +96,10 @@ def window_attention(window_size: int) -> AttentionVariant:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Every field declared int holds a positive int (not a bool), every field
+    declared float a positive number. attn_pattern takes AttentionVariants or
+    their JSON objects."""
+
     vocab_size: int
     d_model: int
     n_layers: int
@@ -127,11 +131,21 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
         if self.top_k > self.n_experts:
             raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
-        if len(self.attn_pattern) != self.n_layers:
+        if not isinstance(self.attn_pattern, (list, tuple)):
+            raise ConfigError(f"attn_pattern must be a list, got {self.attn_pattern!r}")
+        pattern = []
+        for i, v in enumerate(self.attn_pattern):
+            try:
+                if not isinstance(v, AttentionVariant):
+                    v = AttentionVariant.from_json(v)
+                pattern.append(v)
+            except ConfigError as exc:
+                raise ConfigError(f"attn_pattern[{i}]: {exc}") from None
+        if len(pattern) != self.n_layers:
             raise ConfigError(
-                f"attn_pattern has {len(self.attn_pattern)} entries for n_layers={self.n_layers}"
+                f"attn_pattern has {len(pattern)} entries for n_layers={self.n_layers}"
             )
-        object.__setattr__(self, "attn_pattern", tuple(self.attn_pattern))
+        object.__setattr__(self, "attn_pattern", tuple(pattern))
 
     def to_json(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -142,15 +156,19 @@ class ModelConfig:
     def from_json(obj: dict) -> "ModelConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"model config must be an object, got {type(obj).__name__}")
-        names = {f.name for f in fields(ModelConfig)}
-        unknown = sorted(set(obj) - names)
-        if unknown:
-            raise ConfigError(f"model config has unknown fields: {', '.join(unknown)}")
-        missing = sorted(f.name for f in fields(ModelConfig) if f.default is MISSING and f.name not in obj)
+        _reject_unknown_fields(obj)
+        missing = sorted(
+            f.name for f in fields(ModelConfig) if f.default is MISSING and f.name not in obj
+        )
         if missing:
             raise ConfigError(f"model config missing fields: {', '.join(missing)}")
-        pattern = tuple(AttentionVariant.from_json(v) for v in obj["attn_pattern"])
-        return ModelConfig(**{**obj, "attn_pattern": pattern})
+        return ModelConfig(**obj)
+
+
+def _reject_unknown_fields(obj: dict) -> None:
+    unknown = sorted(set(obj) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"{unknown[0]} is not a model config field")
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -169,11 +187,14 @@ def toy_config(**overrides) -> ModelConfig:
         rope_base=10000.0,
         rope_scale_factor=1.0,
     )
+    _reject_unknown_fields(overrides)
     values.update(overrides)
     if "attn_pattern" not in values:
         n = values["n_layers"]
+        # a bad n_layers gets an empty pattern, and ModelConfig names the field
         values["attn_pattern"] = tuple(
-            window_attention(4) if i % 2 == 0 else global_attention() for i in range(n)
+            window_attention(4) if i % 2 == 0 else global_attention()
+            for i in range(n if isinstance(n, int) else 0)
         )
     return ModelConfig(**values)
 

@@ -1,5 +1,7 @@
+import fcntl
 import hashlib
 import json
+import os
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -45,6 +47,20 @@ def test_every_stage_leaves_its_artifacts(pipeline):
     ):
         assert (pipeline / name).exists(), name
     assert not (pipeline / ".lock").exists()  # every stage released the lock
+
+
+def test_toy_run_reproduces_the_recorded_hashes(pipeline):
+    """The bundled toy run at seed 11 gives the artifact hashes bench/README.md
+    records. They are tied to the NumPy/OpenBLAS build they were recorded on
+    (NumPy 2.4.6, OpenBLAS 0.3.31): another BLAS may sum a matmul in another
+    order and move the last bits."""
+    expected = {
+        "scores.jsonl": "12549bd31644c3955de606befad090c78a8d6babe8d6739363975168eb838798",
+        "arch.json": "6bf4ae649e8df288e8d0927aede83861a9e54905efd8b12572e7a64d2e12b58d",
+        "child.bin": "d430683f81405d179b99d1bf4b80d487f25600bc225c327328a2fe54af55b722",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((pipeline / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_manifest_records_hashed_stages(pipeline):
@@ -181,9 +197,23 @@ def test_measured_costs_flow_through(pipeline, tmp_path):
 def test_lock_contention_exits_1(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text("1234\n")
-    assert run("--out", out, "frontier") == 1
-    assert "locked" in capsys.readouterr().err
+    fd = os.open(out / ".lock", os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # another holder of the directory
+        assert run("--out", out, "frontier") == 1
+        assert "locked" in capsys.readouterr().err
+        assert not (out / "frontier.csv").exists()
+    finally:
+        os.close(fd)
+
+
+def test_leftover_unheld_lock_file_does_not_block(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text("1234\n")  # left by a killed stage; nobody holds it
+    assert run("--out", out, "frontier") == 0
+    assert (out / "frontier.csv").exists()
+    assert not (out / ".lock").exists()
 
 
 def test_stage_needs_config(tmp_path, capsys):
@@ -315,5 +345,42 @@ def test_malformed_scenarios_and_targets_are_config_errors(tmp_path, capsys, edi
     bad.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert run("--config", bad, "--out", out, "search") == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("path, value, stage, message", [
+    (("seed",), "x", "score", "seed must be an integer, got 'x'"),
+    (("seed",), 2.5, "score", "seed must be an integer, got 2.5"),
+    (("model", "bogus"), 1, "score", "model.bogus is not a model config field"),
+    (("model", "attn_pattern"), 5, "score", "model.attn_pattern must be a list, got 5"),
+    (("library", "keep_fractions"), "x", "score", "library.keep_fractions must be a list, got 'x'"),
+    (("library", "alt_windows"), ["a"], "score",
+     "library.alt_windows[0] must be an integer, got 'a'"),
+    (("library", "alt_windows"), [1.5], "score",
+     "library.alt_windows[0] must be an integer, got 1.5"),
+    (("probes", "retrieval_pairs"), "x", "score",
+     "probes.retrieval_pairs must be a positive integer, got 'x'"),
+    (("scenarios", 0, "isl"), 2.5, "search", "scenarios[0].isl must be an integer, got 2.5"),
+    (("hardware", "n_devices"), 1.5, "search", "hardware.n_devices must be an integer, got 1.5"),
+    (("eval", "end_token"), "x", "eval", "eval.end_token must be an integer, got 'x'"),
+    (("eval", "end_token"), True, "eval", "eval.end_token must be an integer, got True"),
+    (("eval", "end_token"), [1], "eval", "eval.end_token must be an integer, got [1]"),
+], ids=[
+    "seed-string", "seed-float", "model-unknown-key", "attn-pattern-int",
+    "keep-fractions-string", "alt-windows-string", "alt-windows-float",
+    "retrieval-pairs-string", "isl-float", "n-devices-float",
+    "end-token-string", "end-token-bool", "end-token-list",
+])
+def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage, message):
+    cfg = json.loads(bundled_config().read_text())
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run("--config", bad, "--out", out, stage) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / ".lock").exists()

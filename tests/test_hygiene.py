@@ -1,0 +1,67 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+every imported name is used, and the package imports only the standard
+library, NumPy and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import archsearch
+
+PACKAGE = Path(archsearch.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "archsearch"}
+
+
+def _imports(tree: ast.Module):
+    """(bound name, top-level module or None for a relative import) of each import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            root = node.module.split(".")[0] if node.level == 0 else None
+            for alias in node.names:
+                yield alias.asname or alias.name, root
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere, including inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _parse(path: Path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
+                         ids=lambda m: m.name)
+def test_every_imported_name_is_used(path):
+    tree = _parse(path)
+    used = _used_names(tree)
+    unused = [name for name, root in _imports(tree)
+              if root != "__future__" and name not in used]
+    assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_imports_only_stdlib_numpy_and_the_package(path):
+    roots = {root for _, root in _imports(_parse(path)) if root is not None}
+    assert roots <= ALLOWED_ROOTS, f"{path.name} imports {sorted(roots - ALLOWED_ROOTS)}"

@@ -69,6 +69,12 @@ def test_config_validation_names_fields():
         toy_config(top_k=17)  # more than n_experts
     with pytest.raises(ConfigError, match="attn_pattern"):
         toy_config(attn_pattern=(global_attention(),))  # wrong length
+    with pytest.raises(ConfigError, match="d_model"):
+        toy_config(d_model=True)  # a bool is not an int
+    with pytest.raises(ConfigError, match="rope_base"):
+        toy_config(rope_base="1e4")
+    with pytest.raises(ConfigError, match="bogus"):
+        toy_config(bogus=1)
 
 
 def test_toy_config_pattern_alternates():
@@ -82,6 +88,18 @@ def test_toy_config_pattern_alternates():
 
 def test_config_json_roundtrip(toy_cfg):
     assert ModelConfig.from_json(toy_cfg.to_json()) == toy_cfg
+
+
+def test_config_from_json_rejects_unknown_and_missing_fields(toy_cfg):
+    with pytest.raises(ConfigError, match="bogus is not a model config field"):
+        ModelConfig.from_json({**toy_cfg.to_json(), "bogus": 1})
+    obj = toy_cfg.to_json()
+    del obj["top_k"], obj["attn_pattern"]
+    with pytest.raises(ConfigError, match="missing fields: attn_pattern, top_k"):
+        ModelConfig.from_json(obj)
+    del obj["rope_base"]  # a field with a default may be left out
+    obj.update(top_k=2, attn_pattern=toy_cfg.to_json()["attn_pattern"])
+    assert ModelConfig.from_json(obj) == toy_cfg
 
 
 # ---------------------------------------------------------------------------
