@@ -19,7 +19,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,8 @@ from .model import (
     KvCache,
     MismatchError,
     ModelConfig,
+    PositiveInt,
+    check_json_value,
     count_params,
     forward_batch,
     generate_batch,
@@ -57,6 +59,8 @@ from .model import (
     load_params,
     manifest_path_for,
     params_checksum,
+    parse_json,
+    read_json,
     save_params,
     toy_config,
 )
@@ -82,14 +86,36 @@ _SEED_LM, _SEED_RETRIEVAL, _SEED_CALIB, _SEED_EVAL, _SEED_PROMPTS = 1, 2, 3, 4, 
 class RunConfig:
     seed: int
     config: ModelConfig
-    probes: dict
+    probes: dict  # ProbeConfig's fields
     menu: LibraryMenu
     scenarios: list[Scenario]
     hw: HardwareProfile
     targets: dict[str, float]
     kv_budget: KvBudget | None
     efforts: dict[str, int]
-    eval_cfg: dict
+    eval_cfg: dict  # EvalConfig's fields
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """The run config's "probes" section: how many probe sequences score the
+    library, and how long."""
+
+    lm_count: PositiveInt = 24
+    lm_length: PositiveInt = 96
+    retrieval_count: PositiveInt = 48
+    retrieval_length: PositiveInt = 96
+    retrieval_pairs: PositiveInt = 4
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The run config's "eval" section. end_token may be any integer: one
+    greedy decoding never emits, such as -1, runs every request to its cap."""
+
+    n_prompts: PositiveInt = 16
+    prompt_len: PositiveInt = 16
+    end_token: int = 0
 
 
 def _section(obj: dict, name: str, default):
@@ -102,108 +128,45 @@ def _section(obj: dict, name: str, default):
     return value
 
 
-def _check_type(where: str, declared: str, value) -> None:
-    """Raise unless a JSON value fits a field declared `declared`: an int field
-    takes an integer (a bool is not one), a float field an integer or a float,
-    a tuple[T, ...] field a list of T."""
-    if declared.startswith("tuple[") and declared.endswith(", ...]"):
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        for i, item in enumerate(value):
-            _check_type(f"{where}[{i}]", declared[len("tuple["):-len(", ...]")], item)
-    elif declared == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    elif declared == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-
-
-def _parse(where: str, value, cls):
-    """cls.from_json(value) for one config object, after checking each field's
-    JSON type against cls's declaration; names `where` in any error."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for f in fields(cls):
-        if f.name in value:
-            _check_type(f"{where}.{f.name}", f.type, value[f.name])
-    try:
-        return cls.from_json(value)
-    except KeyError as exc:
-        raise ConfigError(f"{where}.{exc.args[0]} is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def _scenarios(obj: dict) -> list[Scenario]:
     value = obj.get("scenarios")
     if value is None:
         return []
     if not isinstance(value, list):
         raise ConfigError("scenarios must be a JSON list")
-    return [_parse(f"scenarios[{i}]", s, Scenario) for i, s in enumerate(value)]
+    return [Scenario.from_json(s, f"scenarios[{i}]") for i, s in enumerate(value)]
 
 
-def _targets(obj: dict) -> dict[str, float]:
-    targets = {}
-    for name, v in _section(obj, "targets", {}).items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"targets.{name} must be a number, got {v!r}")
-        targets[str(name)] = float(v)
-    return targets
+def _run_config(obj, seed_override: int | None) -> RunConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError("the run config must be a JSON object")
+    seed = obj.get("seed", 0) if seed_override is None else seed_override
+    hardware = _section(obj, "hardware", None)
+    kv_budget = _section(obj, "kv_budget", None)
+    return RunConfig(
+        seed=check_json_value("seed", "int", seed),
+        config=toy_config(**_section(obj, "model", {})),
+        probes=asdict(parse_json(ProbeConfig, _section(obj, "probes", {}), "probes")),
+        menu=LibraryMenu.from_json(_section(obj, "library", {}), "library"),
+        scenarios=_scenarios(obj),
+        hw=None if hardware is None else HardwareProfile.from_json(hardware, "hardware"),
+        targets={
+            name: check_json_value(f"targets.{name}", "float", v)
+            for name, v in _section(obj, "targets", {}).items()
+        },
+        kv_budget=KvBudget.from_json(kv_budget, "kv_budget") if kv_budget else None,
+        efforts={
+            name: check_json_value(f"efforts.{name}", "PositiveInt", v)
+            for name, v in _section(obj, "efforts", {"high": 48, "medium": 24, "low": 12}).items()
+        },
+        eval_cfg=asdict(parse_json(EvalConfig, _section(obj, "eval", {}), "eval")),
+    )
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: the run config must be a JSON object")
-    seed = obj.get("seed", 0) if seed_override is None else seed_override
-    _check_type("seed", "int", seed)
-    model_obj = _section(obj, "model", {})
-    try:
-        config = toy_config(**model_obj)
-    except ConfigError as exc:
-        raise ConfigError(f"model.{exc}") from None
-    probes = dict(_section(obj, "probes", {}))
-    probes.setdefault("lm_count", 24)
-    probes.setdefault("lm_length", 96)
-    probes.setdefault("retrieval_count", 48)
-    probes.setdefault("retrieval_length", 96)
-    probes.setdefault("retrieval_pairs", 4)
-    efforts = dict(_section(obj, "efforts", {"high": 48, "medium": 24, "low": 12}))
-    eval_cfg = dict(_section(obj, "eval", {}))
-    eval_cfg.setdefault("n_prompts", 16)
-    eval_cfg.setdefault("prompt_len", 16)
-    eval_cfg.setdefault("end_token", 0)
-    for section, values, names in (
-        ("probes", probes,
-         ("lm_count", "lm_length", "retrieval_count", "retrieval_length", "retrieval_pairs")),
-        ("eval", eval_cfg, ("n_prompts", "prompt_len")),
-        ("efforts", efforts, tuple(efforts)),
-    ):
-        for name in names:
-            v = values[name]
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{section}.{name} must be a positive integer, got {v!r}")
-    _check_type("eval.end_token", "int", eval_cfg["end_token"])
-    hardware = _section(obj, "hardware", None)
-    if hardware is not None:
-        hardware = _parse("hardware", hardware, HardwareProfile)
-    kv_budget = _section(obj, "kv_budget", None)
-    kv_budget = _parse("kv_budget", kv_budget, KvBudget) if kv_budget else None
-    return RunConfig(
-        seed=seed,
-        config=config,
-        probes=probes,
-        menu=_parse("library", _section(obj, "library", {}), LibraryMenu),
-        scenarios=_scenarios(obj),
-        hw=hardware,
-        targets=_targets(obj),
-        kv_budget=kv_budget,
-        efforts=efforts,
-        eval_cfg=eval_cfg,
-    )
+    """The run config at `path`. Every section takes only the keys it
+    declares; any error names the section, the key and the file."""
+    return read_json(path, lambda obj: _run_config(obj, seed_override))
 
 
 def _require(rc: RunConfig, what: str) -> None:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .library import ArchitectureSpec, BlockLibrary, BlockVariant
-from .model import AttentionVariant, ConfigError, ModelConfig
+from .model import AttentionVariant, ConfigError, ModelConfig, parse_json
 
 WEIGHT_BYTES = 4  # weights stay float32 in this substrate
 
@@ -49,26 +49,17 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("scenario name must be non-empty")
+            raise ConfigError("name must be non-empty")
         for f in ("isl", "osl", "batch"):
             v = getattr(self, f)
             if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"scenario {self.name}: {f} must be a positive int, got {v!r}")
+                raise ConfigError(f"{f} must be a positive int, got {v!r}")
         if self.kv_precision not in KV_BYTES:
             raise ConfigError(
-                f"scenario {self.name}: kv_precision must be one of {sorted(KV_BYTES)}, "
-                f"got {self.kv_precision!r}"
+                f"kv_precision must be one of {sorted(KV_BYTES)}, got {self.kv_precision!r}"
             )
 
-    @staticmethod
-    def from_json(obj: dict) -> "Scenario":
-        return Scenario(
-            name=str(obj["name"]),
-            isl=int(obj["isl"]),
-            osl=int(obj["osl"]),
-            batch=int(obj["batch"]),
-            kv_precision=str(obj.get("kv_precision", "bf16")),
-        )
+    from_json = classmethod(parse_json)
 
 
 @dataclass(frozen=True)
@@ -87,17 +78,9 @@ class HardwareProfile:
         if not (isinstance(self.n_devices, int) and self.n_devices >= 1):
             raise ConfigError(f"n_devices must be a positive int, got {self.n_devices!r}")
         if self.per_layer_overhead_s < 0 or self.constant_overhead_s < 0:
-            raise ConfigError("overhead terms must be non-negative")
+            raise ConfigError("per_layer_overhead_s and constant_overhead_s must be non-negative")
 
-    @staticmethod
-    def from_json(obj: dict) -> "HardwareProfile":
-        return HardwareProfile(
-            mem_bandwidth_bytes_per_s=float(obj["mem_bandwidth_bytes_per_s"]),
-            compute_flops_per_s=float(obj["compute_flops_per_s"]),
-            n_devices=int(obj.get("n_devices", 1)),
-            per_layer_overhead_s=float(obj.get("per_layer_overhead_s", 0.0)),
-            constant_overhead_s=float(obj.get("constant_overhead_s", 0.0)),
-        )
+    from_json = classmethod(parse_json)
 
 
 # ---------------------------------------------------------------------------

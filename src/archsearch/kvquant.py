@@ -43,6 +43,8 @@ from .model import (
     MismatchError,
     ModelParams,
     forward_batch,
+    parse_json,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -195,22 +197,14 @@ class QuantScales:
             "v_raw": list(self.v_raw),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "QuantScales":
-        return QuantScales(
-            mode=str(obj["mode"]),
-            k_scales=tuple(float(v) for v in obj["k_scales"]),
-            v_scales=tuple(float(v) for v in obj["v_scales"]),
-            k_raw=tuple(float(v) for v in obj["k_raw"]),
-            v_raw=tuple(float(v) for v in obj["v_raw"]),
-        )
+    from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def load(path: Path | str) -> "QuantScales":
-        return QuantScales.from_json(json.loads(Path(path).read_text()))
+        return read_json(path, QuantScales.from_json)
 
 
 def _scale_from_max(max_abs: float, what: str) -> tuple[float, float]:

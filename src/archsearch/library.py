@@ -23,6 +23,8 @@ from .model import (
     MismatchError,
     ModelConfig,
     ModelParams,
+    parse_json,
+    read_json,
     window_attention,
 )
 
@@ -110,7 +112,7 @@ class ArchitectureSpec:
 
     @staticmethod
     def load(path: Path | str) -> "ArchitectureSpec":
-        return ArchitectureSpec.from_json(json.loads(Path(path).read_text()))
+        return read_json(path, ArchitectureSpec.from_json)
 
 
 def parent_spec(config: ModelConfig) -> ArchitectureSpec:
@@ -177,7 +179,7 @@ class ExpertRanking:
 
     @staticmethod
     def load(path: Path | str) -> "ExpertRanking":
-        return ExpertRanking.from_json(json.loads(Path(path).read_text()))
+        return read_json(path, ExpertRanking.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +197,14 @@ class LibraryMenu:
         fr = tuple(float(f) for f in self.keep_fractions)
         for f in fr:
             if not (0.0 < f <= 1.0):
-                raise ConfigError(f"keep fraction must be in (0, 1], got {f}")
+                raise ConfigError(f"keep_fractions must be in (0, 1], got {f}")
         for w in self.alt_windows:
             if not isinstance(w, int) or w < 1:
-                raise ConfigError(f"alternative window size must be a positive int, got {w!r}")
+                raise ConfigError(f"alt_windows must be positive ints, got {w!r}")
         object.__setattr__(self, "keep_fractions", fr)
         object.__setattr__(self, "alt_windows", tuple(self.alt_windows))
 
-    @staticmethod
-    def from_json(obj: dict) -> "LibraryMenu":
-        return LibraryMenu(
-            keep_fractions=tuple(obj.get("keep_fractions", [1.0])),
-            alt_windows=tuple(int(w) for w in obj.get("alt_windows", [])),
-        )
+    from_json = classmethod(parse_json)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .costs import KV_BYTES
-from .model import ConfigError
+from .model import ConfigError, parse_json, read_jsonl
 
 EFFORTS = ("high", "medium", "low")
 _EFFORT_RANK = {e: i for i, e in enumerate(EFFORTS)}
@@ -75,18 +75,7 @@ class RunRecord:
             "suite": self.suite,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "RunRecord":
-        acc = obj.get("accuracy")
-        return RunRecord(
-            model=str(obj["model"]),
-            kv_precision=str(obj["kv_precision"]),
-            effort=str(obj["effort"]),
-            throughput_tokens_per_s=float(obj["throughput_tokens_per_s"]),
-            avg_tokens_per_request=float(obj["avg_tokens_per_request"]),
-            accuracy=None if acc is None else float(acc),
-            suite=str(obj.get("suite", "")),
-        )
+    from_json = classmethod(parse_json)
 
 
 def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
@@ -96,17 +85,7 @@ def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
 
 
 def load_run_records(path: Path | str) -> list[RunRecord]:
-    records = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(RunRecord.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad run record at line {ln}: {exc}") from exc
-    return records
+    return read_jsonl(path, RunRecord.from_json)
 
 
 def bundled_run_records() -> list[RunRecord]:

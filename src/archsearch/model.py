@@ -24,7 +24,107 @@ RMS_EPS = np.float32(1e-6)
 
 
 class ConfigError(ValueError):
-    """A configuration field is missing or out of range."""
+    """A configuration or input-file field is missing, unknown, mistyped or
+    out of range, or an input file is not JSON."""
+
+
+# An int field that parse_json holds to at least 1. Annotations are read as
+# strings, so a dataclass declares the rule by naming this alias.
+PositiveInt = int
+
+
+def _path(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _label(cls) -> str:
+    """The class name in words: KvBudget -> "kv budget"."""
+    return "".join(f" {c.lower()}" if c.isupper() else c for c in cls.__name__).lstrip()
+
+
+def check_json_value(where: str, declared: str, value):
+    """`value` as a field declared `declared` holds it; ConfigError naming
+    `where` unless the JSON value fits. int takes an integer (a bool is not
+    one), PositiveInt one of at least 1, float a number (stored as a float),
+    str a string, `X | None` also null, tuple[X, ...] a list of X (or, from a
+    Python caller, a tuple; stored as a tuple). Any other declared type takes
+    the value as it is."""
+    if declared.endswith(" | None"):
+        inner = declared.removesuffix(" | None")
+        return None if value is None else check_json_value(where, inner, value)
+    if declared.startswith("tuple[") and declared.endswith(", ...]"):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = declared.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(check_json_value(f"{where}[{i}]", item, v) for i, v in enumerate(value))
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if declared == "int" and not is_int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if declared == "PositiveInt" and not (is_int and value >= 1):
+        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+    if declared == "float":
+        if not (is_int or isinstance(value, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        return float(value)
+    if declared == "str" and not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def parse_json(cls, obj, where: str = ""):
+    """An instance of dataclass `cls` from the JSON object `obj`, by cls's
+    declared fields alone: every key must name a field and its value fit the
+    field's type (check_json_value), and a field left out takes its default.
+    Every error names `where`, a ConfigError from __post_init__ included."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or _label(cls)} must be a JSON object")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(declared))
+    if unknown:
+        label = _label(cls)
+        article = "an" if label[0] in "aeiou" else "a"
+        raise ConfigError(f"{_path(where, unknown[0])} is not {article} {label} field")
+    missing = sorted(
+        name for name, f in declared.items()
+        if name not in obj and f.default is MISSING and f.default_factory is MISSING
+    )
+    if len(missing) == 1:
+        raise ConfigError(f"{_path(where, missing[0])} is missing")
+    if missing:
+        raise ConfigError(f"{where or _label(cls)} missing fields: {', '.join(missing)}")
+    values = {
+        name: check_json_value(_path(where, name), f.type, obj[name])
+        for name, f in declared.items() if name in obj
+    }
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(_path(where, str(exc))) from None
+
+
+def _parsed(text: str, parse, where: str):
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not valid JSON: {exc} (in {where})") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{exc} (in {where})") from None
+
+
+def read_json(path: Path | str, parse):
+    """parse(obj) of the JSON document in the file at `path`. A document that
+    is not JSON, or one `parse` rejects, is a ConfigError naming the file."""
+    return _parsed(Path(path).read_text(), parse, str(path))
+
+
+def read_jsonl(path: Path | str, parse) -> list:
+    """parse(obj) of each non-blank line of the JSONL file at `path`, in
+    order; errors name the file and the line."""
+    return [
+        _parsed(line, parse, f"{path} line {ln}")
+        for ln, line in enumerate(Path(path).read_text().split("\n"), start=1)
+        if line.strip()
+    ]
 
 
 class MismatchError(ValueError):
@@ -96,33 +196,28 @@ def window_attention(window_size: int) -> AttentionVariant:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every field declared int holds a positive int (not a bool), every field
-    declared float a positive number. attn_pattern takes AttentionVariants or
-    their JSON objects."""
+    """rope_base and rope_scale_factor are positive. attn_pattern takes
+    AttentionVariants or their JSON objects."""
 
-    vocab_size: int
-    d_model: int
-    n_layers: int
-    n_heads: int
-    n_kv_heads: int
-    head_dim: int
-    n_experts: int
-    top_k: int
-    expert_hidden: int
-    max_seq_len: int
+    vocab_size: PositiveInt
+    d_model: PositiveInt
+    n_layers: PositiveInt
+    n_heads: PositiveInt
+    n_kv_heads: PositiveInt
+    head_dim: PositiveInt
+    n_experts: PositiveInt
+    top_k: PositiveInt
+    expert_hidden: PositiveInt
+    max_seq_len: PositiveInt
     attn_pattern: tuple[AttentionVariant, ...]
     rope_base: float = 10000.0
     rope_scale_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int) or v < 1):
-                raise ConfigError(f"{f.name} must be a positive int, got {v!r}")
-            if f.type == "float":
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                    raise ConfigError(f"{f.name} must be a positive number, got {v!r}")
-                object.__setattr__(self, f.name, float(v))
+        for name in ("rope_base", "rope_scale_factor"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_kv_heads must divide n_heads, got n_heads={self.n_heads} n_kv_heads={self.n_kv_heads}"
@@ -131,8 +226,6 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
         if self.top_k > self.n_experts:
             raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
-        if not isinstance(self.attn_pattern, (list, tuple)):
-            raise ConfigError(f"attn_pattern must be a list, got {self.attn_pattern!r}")
         pattern = []
         for i, v in enumerate(self.attn_pattern):
             try:
@@ -152,27 +245,12 @@ class ModelConfig:
         obj["attn_pattern"] = [v.to_json() for v in self.attn_pattern]
         return obj
 
-    @staticmethod
-    def from_json(obj: dict) -> "ModelConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"model config must be an object, got {type(obj).__name__}")
-        _reject_unknown_fields(obj)
-        missing = sorted(
-            f.name for f in fields(ModelConfig) if f.default is MISSING and f.name not in obj
-        )
-        if missing:
-            raise ConfigError(f"model config missing fields: {', '.join(missing)}")
-        return ModelConfig(**obj)
-
-
-def _reject_unknown_fields(obj: dict) -> None:
-    unknown = sorted(set(obj) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise ConfigError(f"{unknown[0]} is not a model config field")
+    from_json = classmethod(parse_json)
 
 
 def toy_config(**overrides) -> ModelConfig:
-    """Default desk-scale model: 8 layers alternating Window(4)/Global, 16 experts."""
+    """Default desk-scale model: 8 layers alternating Window(4)/Global, 16 experts.
+    `overrides` are checked as the run config's "model" section."""
     values = dict(
         vocab_size=256,
         d_model=64,
@@ -187,7 +265,6 @@ def toy_config(**overrides) -> ModelConfig:
         rope_base=10000.0,
         rope_scale_factor=1.0,
     )
-    _reject_unknown_fields(overrides)
     values.update(overrides)
     if "attn_pattern" not in values:
         n = values["n_layers"]
@@ -196,7 +273,7 @@ def toy_config(**overrides) -> ModelConfig:
             window_attention(4) if i % 2 == 0 else global_attention()
             for i in range(n if isinstance(n, int) else 0)
         )
-    return ModelConfig(**values)
+    return parse_json(ModelConfig, values, "model")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .model import (
     _layer_walk,
     _silu,  # internal on purpose: identical math to the forward pass
     forward_batch,
+    parse_json,
+    read_jsonl,
     resume_forward,
     route_tokens,
 )
@@ -367,18 +369,6 @@ class ScoreRow:
             "per_sample": list(self.per_sample),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "ScoreRow":
-        return ScoreRow(
-            layer=int(obj["layer"]),
-            variant_id=str(obj["variant"]),
-            signal=str(obj["signal"]),
-            value=float(obj["value"]),
-            raw=float(obj["raw"]),
-            n_samples=int(obj["n_samples"]),
-            per_sample=tuple(float(v) for v in obj.get("per_sample", [])),
-        )
-
 
 @dataclass
 class ScoreTable:
@@ -410,17 +400,12 @@ class ScoreTable:
 
     @staticmethod
     def load(path: Path | str) -> "ScoreTable":
-        rows = []
-        with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(ScoreRow.from_json(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"bad score row at line {ln}: {exc}") from exc
-        return ScoreTable(rows=rows)
+        def row(obj) -> ScoreRow:
+            if isinstance(obj, dict):  # to_json writes variant_id as "variant"
+                obj = {("variant_id" if k == "variant" else k): v for k, v in obj.items()}
+            return parse_json(ScoreRow, obj)
+
+        return ScoreTable(rows=read_jsonl(path, row))
 
 
 def _activation_pass(

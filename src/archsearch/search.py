@@ -92,9 +92,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .costs import Budget, CostTable, HardwareProfile, Scenario, build_cost_table
-from .costs import kv_bytes_layer, scenario_time_budget
+from .costs import KV_BYTES, kv_bytes_layer, scenario_time_budget
 from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, LayerBlockSpec
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, parse_json
 from .scoring import SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP, ScoreTable
 
 BRUTE_FORCE_CAP = 10_000_000
@@ -456,22 +456,22 @@ class KvBudget:
     """Optional cache-footprint budget: bytes one sequence may pin at `length`."""
 
     length: int
-    precision: str
     max_bytes_per_seq: int
+    precision: str = "bf16"
 
     def __post_init__(self) -> None:
         if self.length < 1:
-            raise ConfigError("kv budget length must be positive")
+            raise ConfigError(f"length must be positive, got {self.length}")
+        if self.precision not in KV_BYTES:
+            raise ConfigError(
+                f"precision must be one of {sorted(KV_BYTES)}, got {self.precision!r}"
+            )
         if self.max_bytes_per_seq < 0:
-            raise ConfigError("kv budget max_bytes_per_seq must be non-negative")
+            raise ConfigError(
+                f"max_bytes_per_seq must be non-negative, got {self.max_bytes_per_seq}"
+            )
 
-    @staticmethod
-    def from_json(obj: dict) -> "KvBudget":
-        return KvBudget(
-            length=int(obj["length"]),
-            precision=str(obj.get("precision", "bf16")),
-            max_bytes_per_seq=int(obj["max_bytes_per_seq"]),
-        )
+    from_json = classmethod(parse_json)
 
 
 def minmax_normalizer(values: Sequence[float]):

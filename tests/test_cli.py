@@ -366,11 +366,23 @@ def test_malformed_scenarios_and_targets_are_config_errors(tmp_path, capsys, edi
     (("eval", "end_token"), "x", "eval", "eval.end_token must be an integer, got 'x'"),
     (("eval", "end_token"), True, "eval", "eval.end_token must be an integer, got True"),
     (("eval", "end_token"), [1], "eval", "eval.end_token must be an integer, got [1]"),
+    (("probes", "lm_cnt"), 3, "score", "probes.lm_cnt is not a probe config field"),
+    (("eval", "n_promts"), 3, "eval", "eval.n_promts is not an eval config field"),
+    (("scenarios", 0, "bogus"), 1, "search", "scenarios[0].bogus is not a scenario field"),
+    (("hardware", "bogus"), 1, "search", "hardware.bogus is not a hardware profile field"),
+    (("kv_budget",), {"length": 128, "max_bytes_per_seq": 4096, "bogus": 1}, "search",
+     "kv_budget.bogus is not a kv budget field"),
+    (("library", "bogus"), 1, "score", "library.bogus is not a library menu field"),
+    (("kv_budget",), {"length": 128, "max_bytes_per_seq": 4096, "precision": "fp4"}, "search",
+     "kv_budget.precision must be one of ['bf16', 'fp8'], got 'fp4'"),
 ], ids=[
     "seed-string", "seed-float", "model-unknown-key", "attn-pattern-int",
     "keep-fractions-string", "alt-windows-string", "alt-windows-float",
     "retrieval-pairs-string", "isl-float", "n-devices-float",
     "end-token-string", "end-token-bool", "end-token-list",
+    "probes-unknown-key", "eval-unknown-key", "scenario-unknown-key",
+    "hardware-unknown-key", "kv-budget-unknown-key", "library-unknown-key",
+    "kv-precision-unknown",
 ])
 def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage, message):
     cfg = json.loads(bundled_config().read_text())
@@ -384,3 +396,21 @@ def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage,
     assert run("--config", bad, "--out", out, stage) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("name, keep", [("scores.jsonl", 20000), ("ranking.json", 500)])
+def test_torn_artifacts_are_config_errors(pipeline, tmp_path, capsys, name, keep):
+    out = tmp_path / "run"
+    out.mkdir()
+    for artifact in ("scores.jsonl", "ranking.json"):
+        shutil.copy(pipeline / artifact, out / artifact)
+    torn = (pipeline / name).read_bytes()[:keep]  # a write cut off mid-line
+    (out / name).write_bytes(torn)
+    assert run("--config", bundled_config(), "--out", out, "search") == 1
+    where = str(out / name)
+    if name.endswith(".jsonl"):
+        where += f" line {len(torn.splitlines())}"
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON") and f"(in {where})" in err
+    assert not (out / ".lock").exists()
+    assert not (out / "arch.json").exists()

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from archsearch import model as model_mod
-from archsearch.costs import kv_bytes_per_sequence
-from archsearch.kvquant import calibrate_scales, forward_with_quantized_kv
+from archsearch.costs import HardwareProfile, Scenario, kv_bytes_per_sequence
+from archsearch.kvquant import QuantScales, calibrate_scales, forward_with_quantized_kv
 from archsearch.library import parent_spec
+from archsearch.metrics import RunRecord
 from archsearch.model import (
     AttentionVariant,
     ConfigError,
@@ -19,12 +20,15 @@ from archsearch.model import (
     load_params,
     param_items,
     params_checksum,
+    parse_json,
     resume_forward,
     route_tokens,
     save_params,
     toy_config,
     window_attention,
 )
+from archsearch.scoring import ScoreRow
+from archsearch.search import KvBudget
 
 # frozen from the first verified build; init uses a counter-based generator
 # keyed by (seed, parameter name), so this is platform independent
@@ -100,6 +104,62 @@ def test_config_from_json_rejects_unknown_and_missing_fields(toy_cfg):
     del obj["rope_base"]  # a field with a default may be left out
     obj.update(top_k=2, attn_pattern=toy_cfg.to_json()["attn_pattern"])
     assert ModelConfig.from_json(obj) == toy_cfg
+
+
+SCENARIO = {"name": "s", "isl": 4, "osl": 4, "batch": 2}
+HARDWARE = {"mem_bandwidth_bytes_per_s": 1e9, "compute_flops_per_s": 1e12}
+RECORD = {"model": "m", "kv_precision": "bf16", "effort": "high",
+          "throughput_tokens_per_s": 4000.0, "avg_tokens_per_request": 100.0}
+SCALES = {"mode": "unit", "k_scales": [1.0], "v_scales": [1.0], "k_raw": [1.0], "v_raw": [1.0]}
+SCORE = {"layer": 1, "variant_id": "attn:global", "signal": "activation_mse",
+         "value": 0.5, "raw": 0.5, "n_samples": 1}
+
+
+@pytest.mark.parametrize("cls, obj, message", [
+    (Scenario, {**SCENARIO, "isl": 2.5}, "isl must be an integer, got 2.5"),
+    (Scenario, {**SCENARIO, "osl": "3"}, "osl must be an integer, got '3'"),
+    (Scenario, {**SCENARIO, "batch": True}, "batch must be an integer, got True"),
+    (HardwareProfile, {**HARDWARE, "mem_bandwidth_bytes_per_s": "1e9"},
+     "mem_bandwidth_bytes_per_s must be a number, got '1e9'"),
+    (HardwareProfile, {**HARDWARE, "n_devices": 1.5}, "n_devices must be an integer, got 1.5"),
+    (KvBudget, {"length": 2.5, "max_bytes_per_seq": 7}, "length must be an integer, got 2.5"),
+    (KvBudget, {"length": 2, "max_bytes_per_seq": 7.9},
+     "max_bytes_per_seq must be an integer, got 7.9"),
+    (KvBudget, {"length": 2, "max_bytes_per_seq": 7, "precision": "fp4"},
+     "precision must be one of ['bf16', 'fp8'], got 'fp4'"),
+    (RunRecord, {**RECORD, "avg_tokens_per_request": True},
+     "avg_tokens_per_request must be a number, got True"),
+    (RunRecord, {**RECORD, "throughput_tokens_per_s": "4000"},
+     "throughput_tokens_per_s must be a number, got '4000'"),
+    (RunRecord, {**RECORD, "bogus": 1}, "bogus is not a run record field"),
+    (ScoreRow, {**SCORE, "layer": 1.9}, "layer must be an integer, got 1.9"),
+    (QuantScales, {**SCALES, "k_scales": ["1"]}, "k_scales[0] must be a number, got '1'"),
+    (Scenario, [SCENARIO], "scenario must be a JSON object"),
+    (Scenario, {"name": "s", "isl": 4}, "scenario missing fields: batch, osl"),
+], ids=[
+    "isl-float", "osl-string", "batch-bool", "bandwidth-string", "n-devices-float",
+    "kv-length-float", "kv-bytes-float", "kv-precision-unknown", "avg-tokens-bool",
+    "throughput-string", "record-unknown-key", "score-layer-float", "scale-string",
+    "not-an-object", "missing-fields",
+])
+def test_json_records_take_only_their_declared_fields_and_types(cls, obj, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_json(cls, obj)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError) as exc:
+        parse_json(cls, obj, "where")
+    assert str(exc.value).startswith("where")
+
+
+def test_json_records_store_declared_types_and_take_defaults():
+    record = parse_json(RunRecord, {**RECORD, "throughput_tokens_per_s": 4000, "accuracy": None})
+    assert record.throughput_tokens_per_s == 4000.0
+    assert isinstance(record.throughput_tokens_per_s, float)
+    assert record.accuracy is None and record.suite == ""
+    assert parse_json(QuantScales, SCALES) == QuantScales.unit(1)  # lists become tuples
+    assert parse_json(KvBudget, {"length": 8, "max_bytes_per_seq": 0}).precision == "bf16"
+    with pytest.raises(ConfigError, match="^kv_budget.length must be positive, got 0$"):
+        parse_json(KvBudget, {"length": 0, "max_bytes_per_seq": 0}, "kv_budget")
 
 
 # ---------------------------------------------------------------------------
