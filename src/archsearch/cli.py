@@ -19,14 +19,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .costs import (
-    CostFileError,
     HardwareProfile,
     Scenario,
     build_cost_table,
@@ -51,7 +50,6 @@ from .model import (
     MismatchError,
     ModelConfig,
     PositiveInt,
-    check_json_value,
     count_params,
     forward_batch,
     generate_batch,
@@ -82,22 +80,15 @@ logger = logging.getLogger("archsearch.cli")
 _SEED_LM, _SEED_RETRIEVAL, _SEED_CALIB, _SEED_EVAL, _SEED_PROMPTS = 1, 2, 3, 4, 5
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    config: ModelConfig
-    probes: dict  # ProbeConfig's fields
-    menu: LibraryMenu
-    scenarios: list[Scenario]
-    hw: HardwareProfile
-    targets: dict[str, float]
-    kv_budget: KvBudget | None
-    efforts: dict[str, int]
-    eval_cfg: dict  # EvalConfig's fields
+class _Section:
+    """A run config section whose fields also read by key: rc.probes["lm_count"]."""
+
+    def __getitem__(self, name: str):
+        return asdict(self)[name]
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Section):
     """The run config's "probes" section: how many probe sequences score the
     library, and how long."""
 
@@ -109,7 +100,7 @@ class ProbeConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(_Section):
     """The run config's "eval" section. end_token may be any integer: one
     greedy decoding never emits, such as -1, runs every request to its cap."""
 
@@ -118,59 +109,55 @@ class EvalConfig:
     end_token: int = 0
 
 
-def _section(obj: dict, name: str, default):
-    """A config section that must be a JSON object; `default` when absent or null."""
-    value = obj.get(name)
-    if value is None:
-        return default
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    return value
+@dataclass(frozen=True)
+class RunConfig:
+    """The run config file, one field per top-level key. "model" overrides
+    toy_config's fields, "targets" gives a speedup per scenario name and
+    "efforts" a generation cap per effort name."""
 
+    seed: int = 0
+    model: dict[str, object] = field(default_factory=dict)
+    probes: ProbeConfig = ProbeConfig()
+    library: LibraryMenu = LibraryMenu()
+    scenarios: tuple[Scenario, ...] = ()
+    hardware: HardwareProfile | None = None
+    targets: dict[str, float] = field(default_factory=dict)
+    kv_budget: KvBudget | None = None
+    efforts: dict[str, PositiveInt] = field(
+        default_factory=lambda: {"high": 48, "medium": 24, "low": 12}
+    )
+    eval: EvalConfig = EvalConfig()
+    config: ModelConfig = field(init=False)  # toy_config(**model)
 
-def _scenarios(obj: dict) -> list[Scenario]:
-    value = obj.get("scenarios")
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ConfigError("scenarios must be a JSON list")
-    return [Scenario.from_json(s, f"scenarios[{i}]") for i, s in enumerate(value)]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", toy_config(**self.model))
+        names = {s.name for s in self.scenarios}
+        for name in self.targets:
+            if name not in names:
+                raise ConfigError(f"targets.{name} names no scenario")
+
+    @property
+    def eval_cfg(self) -> EvalConfig:
+        """The "eval" section, under the name bench/ reads it by."""
+        return self.eval
+
+    from_json = classmethod(parse_json)
 
 
 def _run_config(obj, seed_override: int | None) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("the run config must be a JSON object")
-    seed = obj.get("seed", 0) if seed_override is None else seed_override
-    hardware = _section(obj, "hardware", None)
-    kv_budget = _section(obj, "kv_budget", None)
-    return RunConfig(
-        seed=check_json_value("seed", "int", seed),
-        config=toy_config(**_section(obj, "model", {})),
-        probes=asdict(parse_json(ProbeConfig, _section(obj, "probes", {}), "probes")),
-        menu=LibraryMenu.from_json(_section(obj, "library", {}), "library"),
-        scenarios=_scenarios(obj),
-        hw=None if hardware is None else HardwareProfile.from_json(hardware, "hardware"),
-        targets={
-            name: check_json_value(f"targets.{name}", "float", v)
-            for name, v in _section(obj, "targets", {}).items()
-        },
-        kv_budget=KvBudget.from_json(kv_budget, "kv_budget") if kv_budget else None,
-        efforts={
-            name: check_json_value(f"efforts.{name}", "PositiveInt", v)
-            for name, v in _section(obj, "efforts", {"high": 48, "medium": 24, "low": 12}).items()
-        },
-        eval_cfg=asdict(parse_json(EvalConfig, _section(obj, "eval", {}), "eval")),
-    )
+    return RunConfig.from_json(obj if seed_override is None else {**obj, "seed": seed_override})
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
-    """The run config at `path`. Every section takes only the keys it
-    declares; any error names the section, the key and the file."""
+    """The run config at `path`. Every level takes only the keys it declares;
+    any error names the key and the file."""
     return read_json(path, lambda obj: _run_config(obj, seed_override))
 
 
 def _require(rc: RunConfig, what: str) -> None:
-    if what == "hardware" and rc.hw is None:
+    if what == "hardware" and rc.hardware is None:
         raise ConfigError("this command needs a 'hardware' section in the run config")
     if what == "scenarios" and not rc.scenarios:
         raise ConfigError("this command needs a 'scenarios' list in the run config")
@@ -184,16 +171,16 @@ def _out_dir(args) -> Path:
 
 def _lm_probes(rc: RunConfig):
     return make_lm_probes(
-        rc.config, rc.probes["lm_count"], rc.probes["lm_length"], rc.seed + _SEED_LM
+        rc.config, rc.probes.lm_count, rc.probes.lm_length, rc.seed + _SEED_LM
     )
 
 
 def _retrieval_probes(rc: RunConfig, seed: int):
     return make_retrieval_probes(
         rc.config,
-        rc.probes["retrieval_count"],
-        rc.probes["retrieval_length"],
-        rc.probes["retrieval_pairs"],
+        rc.probes.retrieval_count,
+        rc.probes.retrieval_length,
+        rc.probes.retrieval_pairs,
         seed,
     )
 
@@ -218,7 +205,7 @@ def cmd_score(args) -> int:
     with RunLock(out):
         params = init_model(rc.config, rc.seed)
         arch = parent_spec(rc.config)
-        library = build_library(rc.config, rc.menu)
+        library = build_library(rc.config, rc.library)
         lm = _lm_probes(rc)
         retrieval = _retrieval_probes(rc, rc.seed + _SEED_RETRIEVAL)
         validate_retrieval_probes(retrieval)
@@ -262,9 +249,9 @@ def cmd_search(args) -> int:
     with RunLock(out):
         table = ScoreTable.load(out / "scores.jsonl")
         ranking = ExpertRanking.load(out / "ranking.json")
-        library = build_library(rc.config, rc.menu)
+        library = build_library(rc.config, rc.library)
         measured = load_measured_costs(args.measured_costs) if args.measured_costs else None
-        cost_table = build_cost_table(rc.config, library, rc.scenarios, rc.hw, measured)
+        cost_table = build_cost_table(rc.config, library, rc.scenarios, rc.hardware, measured)
         cost_table.save(out / "costs.jsonl")
         signal = SIGNAL_TASK_DROP if args.signal == "task-drop" else SIGNAL_ACTIVATION_MSE
         result = search_pipeline(
@@ -274,7 +261,7 @@ def cmd_search(args) -> int:
             ranking,
             rc.scenarios,
             rc.targets,
-            rc.hw,
+            rc.hardware,
             cost_table=cost_table,
             attention_signal=signal,
             kv_budget=rc.kv_budget,
@@ -359,7 +346,7 @@ def cmd_quantize(args) -> int:
     with RunLock(out):
         params, arch, source = _eval_params(out)
         calib = make_lm_probes(
-            rc.config, rc.probes["lm_count"], rc.probes["lm_length"], rc.seed + _SEED_CALIB
+            rc.config, rc.probes.lm_count, rc.probes.lm_length, rc.seed + _SEED_CALIB
         )
         if args.kv_scales == "calibrated":
             scales = calibrate_scales(params, arch, calib.tokens)
@@ -409,7 +396,7 @@ def cmd_eval(args) -> int:
         predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
         accuracy = float(np.mean(predicted == probes.answers))
 
-        n_prompts, prompt_len = rc.eval_cfg["n_prompts"], rc.eval_cfg["prompt_len"]
+        n_prompts, prompt_len = rc.eval.n_prompts, rc.eval.prompt_len
         rng = np.random.default_rng(rc.seed + _SEED_PROMPTS)
         prompts = rng.integers(2, rc.config.vocab_size, size=(n_prompts, prompt_len), dtype=np.int64)
         # Greedy decoding is prefix-consistent: decoding once at the highest cap
@@ -418,7 +405,7 @@ def cmd_eval(args) -> int:
         cache = KvCache.for_generation(rc.config, arch, n_prompts, prompt_len, top_cap, scales)
         _, top_lengths = generate_batch(
             params, arch, prompts, max_new_tokens=top_cap,
-            end_token=rc.eval_cfg["end_token"], cache=cache,
+            end_token=rc.eval.end_token, cache=cache,
         )
         effort_stats = {}
         for effort, cap in sorted(rc.efforts.items(), key=lambda kv: -kv[1]):
@@ -555,7 +542,6 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         MismatchError,
         ProbeError,
-        CostFileError,
         LockError,
         KeyError,
         OSError,

@@ -21,20 +21,16 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .library import ArchitectureSpec, BlockLibrary, BlockVariant
-from .model import AttentionVariant, ConfigError, ModelConfig, parse_json
+from .model import AttentionVariant, ConfigError, ModelConfig, parse_json, read_jsonl
 
 WEIGHT_BYTES = 4  # weights stay float32 in this substrate
 
 KV_BYTES = {"bf16": 2, "fp8": 1}
-
-
-class CostFileError(ValueError):
-    """A measured-cost file violates the schema; message names the line."""
 
 
 @dataclass(frozen=True)
@@ -217,11 +213,10 @@ class CostEntry:
     weight_bytes: int
 
     def to_json(self) -> dict:
-        return {
-            "time_ns": self.time_ns,
-            "kv_bytes_per_seq": self.kv_bytes_per_seq,
-            "weight_bytes": self.weight_bytes,
-        }
+        return asdict(self)
+
+
+COST_FIELDS = tuple(f.name for f in fields(CostEntry))
 
 
 @dataclass
@@ -246,60 +241,48 @@ class CostTable:
 
     @staticmethod
     def load(path: Path | str) -> "CostTable":
-        table = CostTable()
-        for (layer, variant, scenario), fields in _read_cost_lines(path, require_all=True):
-            table.entries[(layer, variant, scenario)] = CostEntry(
-                time_ns=fields["time_ns"],
-                kv_bytes_per_seq=fields["kv_bytes_per_seq"],
-                weight_bytes=fields["weight_bytes"],
-            )
-        return table
+        def entry(obj):
+            line = CostLine.from_json(obj)
+            return line.key, parse_json(CostEntry, line.costs())
+
+        return CostTable(entries=dict(read_jsonl(path, entry)))
 
 
-def _read_cost_lines(path: Path | str, require_all: bool):
-    """Parse a JSON-lines cost file; raises CostFileError naming the bad line."""
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CostFileError(f"{path}: line {ln}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CostFileError(f"{path}: line {ln}: expected an object")
-            for key in ("layer", "variant", "scenario"):
-                if key not in obj:
-                    raise CostFileError(f"{path}: line {ln}: missing field {key!r}")
-            if not isinstance(obj["layer"], int) or obj["layer"] < 0:
-                raise CostFileError(f"{path}: line {ln}: layer must be a non-negative int")
-            int_fields = ("time_ns", "kv_bytes_per_seq", "weight_bytes")
-            present = [f for f in int_fields if f in obj]
-            if require_all:
-                missing = sorted(set(int_fields) - set(present))
-                if missing:
-                    raise CostFileError(f"{path}: line {ln}: missing fields {missing}")
-            elif "time_ns" not in present:
-                raise CostFileError(f"{path}: line {ln}: measured entry needs time_ns")
-            fields = {}
-            for f in present:
-                v = obj[f]
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise CostFileError(
-                        f"{path}: line {ln}: {f} must be a non-negative integer, got {v!r}"
-                    )
-                fields[f] = v
-            out.append(((obj["layer"], str(obj["variant"]), str(obj["scenario"])), fields))
-    return out
+@dataclass(frozen=True)
+class CostLine:
+    """One line of a cost file. costs.jsonl gives every cost of its key; a
+    measured-cost file gives time_ns and may give the others."""
+
+    layer: int
+    variant: str
+    scenario: str
+    time_ns: int
+    kv_bytes_per_seq: int | None = None
+    weight_bytes: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("layer", *COST_FIELDS):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+
+    from_json = classmethod(parse_json)
+
+    @property
+    def key(self) -> tuple[int, str, str]:
+        return (self.layer, self.variant, self.scenario)
+
+    def costs(self) -> dict[str, int]:
+        """The costs this line gives, by CostEntry field name."""
+        given = {name: getattr(self, name) for name in COST_FIELDS}
+        return {name: v for name, v in given.items() if v is not None}
 
 
 def load_measured_costs(path: Path | str) -> dict[tuple[int, str, str], dict[str, int]]:
     """Measured overrides keyed by (layer, variant, scenario); later lines win."""
     overrides: dict[tuple[int, str, str], dict[str, int]] = {}
-    for key, fields in _read_cost_lines(path, require_all=False):
-        overrides.setdefault(key, {}).update(fields)
+    for line in read_jsonl(path, CostLine.from_json):
+        overrides.setdefault(line.key, {}).update(line.costs())
     return overrides
 
 
@@ -326,16 +309,11 @@ def build_cost_table(
                     weight_bytes=layer_weight_bytes(config, variant),
                 )
                 if key in measured:
-                    got = measured.pop(key)
-                    entry = CostEntry(
-                        time_ns=got.get("time_ns", entry.time_ns),
-                        kv_bytes_per_seq=got.get("kv_bytes_per_seq", entry.kv_bytes_per_seq),
-                        weight_bytes=got.get("weight_bytes", entry.weight_bytes),
-                    )
+                    entry = replace(entry, **measured.pop(key))
                 table.entries[key] = entry
     if measured:
         extras = sorted(measured)[:5]
-        raise CostFileError(
+        raise ConfigError(
             f"measured-cost entries do not match any (layer, variant, scenario): {extras}"
         )
     return table

@@ -8,7 +8,7 @@ expert ranking, so smaller keep-counts are contained in larger ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +39,16 @@ F32 = np.float32
 class LayerBlockSpec:
     attention: AttentionVariant
     expert_keep_set: tuple[int, ...]  # ascending original expert ids
+    experts_kept: int = field(init=False)  # len(expert_keep_set)
 
     def __post_init__(self) -> None:
-        keep = tuple(sorted(set(int(e) for e in self.expert_keep_set)))
+        keep = tuple(sorted(set(self.expert_keep_set)))
         if len(keep) != len(self.expert_keep_set):
             raise ConfigError("expert_keep_set has duplicate ids")
         if keep and keep[0] < 0:
-            raise ConfigError("expert ids must be non-negative")
+            raise ConfigError("expert_keep_set ids must be non-negative")
         object.__setattr__(self, "expert_keep_set", keep)
-
-    @property
-    def experts_kept(self) -> int:
-        return len(self.expert_keep_set)
+        object.__setattr__(self, "experts_kept", len(keep))
 
     def to_json(self) -> dict:
         return {
@@ -59,25 +57,12 @@ class LayerBlockSpec:
             "expert_keep_set": list(self.expert_keep_set),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "LayerBlockSpec":
-        spec = LayerBlockSpec(
-            attention=AttentionVariant.from_json(obj["attention"]),
-            expert_keep_set=tuple(obj["expert_keep_set"]),
-        )
-        if "experts_kept" in obj and int(obj["experts_kept"]) != spec.experts_kept:
-            raise ConfigError(
-                f"experts_kept={obj['experts_kept']} disagrees with keep set of size {spec.experts_kept}"
-            )
-        return spec
+    from_json = classmethod(parse_json)
 
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
     layers: tuple[LayerBlockSpec, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
     def n_layers(self) -> int:
@@ -101,11 +86,7 @@ class ArchitectureSpec:
     def to_json(self) -> dict:
         return {"layers": [s.to_json() for s in self.layers]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ArchitectureSpec":
-        if not isinstance(obj, dict) or "layers" not in obj:
-            raise ConfigError("architecture spec must be an object with a 'layers' list")
-        return ArchitectureSpec(tuple(LayerBlockSpec.from_json(s) for s in obj["layers"]))
+    from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
@@ -135,44 +116,33 @@ def top_experts(order: tuple[int, ...], count: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ExpertRanking:
-    """Per layer, expert ids ordered most-important-first plus their scores."""
+class LayerRanking:
+    """One layer's expert ids, most important first, and their scores."""
 
-    orders: tuple[tuple[int, ...], ...]
-    scores: tuple[tuple[float, ...], ...]
+    order: tuple[int, ...]
+    scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.orders) != len(self.scores):
-            raise ConfigError("ranking orders and scores must align per layer")
-        for order, sc in zip(self.orders, self.scores):
-            if len(order) != len(sc):
-                raise ConfigError("ranking order and score lengths differ")
-            if len(set(order)) != len(order):
-                raise ConfigError("ranking order has duplicate expert ids")
+        if len(self.order) != len(self.scores):
+            raise ConfigError("scores must have one entry per expert in order")
+        if len(set(self.order)) != len(self.order):
+            raise ConfigError("order has duplicate expert ids")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.orders)
+
+@dataclass(frozen=True)
+class ExpertRanking:
+    """Per layer, the experts' importance order and scores (ranking.json)."""
+
+    layers: tuple[LayerRanking, ...]
 
     def keep_set(self, layer: int, count: int) -> tuple[int, ...]:
         """The top-`count` experts of `layer`, as an ascending id tuple."""
-        return top_experts(self.orders[layer], count)
+        return top_experts(self.layers[layer].order, count)
 
     def to_json(self) -> dict:
-        return {
-            "layers": [
-                {"order": list(order), "scores": [float(s) for s in sc]}
-                for order, sc in zip(self.orders, self.scores)
-            ]
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_json(obj: dict) -> "ExpertRanking":
-        layers = obj["layers"]
-        return ExpertRanking(
-            orders=tuple(tuple(int(e) for e in l["order"]) for l in layers),
-            scores=tuple(tuple(float(s) for s in l["scores"]) for l in layers),
-        )
+    from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")

@@ -19,11 +19,13 @@ import fcntl
 import hashlib
 import json
 import os
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
 from . import __version__
+from .model import parse_json, read_json
 
 
 class LockError(RuntimeError):
@@ -50,6 +52,17 @@ def file_stamp(path: Path | str, base: Path | str | None = None) -> dict:
     return {"path": str(shown), "sha256": sha256_file(p)}
 
 
+@dataclass(frozen=True)
+class ManifestFile:
+    """manifest.json: the tool that wrote it and one entry per stage run."""
+
+    tool: str
+    version: str
+    stages: dict[str, dict[str, object]]
+
+    from_json = classmethod(parse_json)
+
+
 class RunManifest:
     """The per-run-directory ledger of stage inputs and outputs."""
 
@@ -57,7 +70,7 @@ class RunManifest:
         self.out_dir = Path(out_dir)
         self.path = self.out_dir / "manifest.json"
         if self.path.exists():
-            self.data = json.loads(self.path.read_text())
+            self.data = asdict(read_json(self.path, ManifestFile.from_json))
         else:
             self.data = {"tool": "archsearch", "version": __version__, "stages": {}}
 

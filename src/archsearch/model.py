@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,21 +43,34 @@ def _label(cls) -> str:
     return "".join(f" {c.lower()}" if c.isupper() else c for c in cls.__name__).lstrip()
 
 
-def check_json_value(where: str, declared: str, value):
+def check_json_value(where: str, declared: str, value, scope: Mapping = {}):
     """`value` as a field declared `declared` holds it; ConfigError naming
     `where` unless the JSON value fits. int takes an integer (a bool is not
     one), PositiveInt one of at least 1, float a number (stored as a float),
     str a string, `X | None` also null, tuple[X, ...] a list of X (or, from a
-    Python caller, a tuple; stored as a tuple). Any other declared type takes
-    the value as it is."""
+    Python caller, a tuple; stored as a tuple), dict[str, X] a JSON object
+    whose values are X. A name that `scope` (the namespace of the module
+    declaring the field) binds to a dataclass takes a JSON object, parsed by
+    parse_json, or an instance of that class as it is. Any other declared
+    type takes the value as it is."""
     if declared.endswith(" | None"):
         inner = declared.removesuffix(" | None")
-        return None if value is None else check_json_value(where, inner, value)
+        return None if value is None else check_json_value(where, inner, value, scope)
     if declared.startswith("tuple[") and declared.endswith(", ...]"):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         item = declared.removeprefix("tuple[").removesuffix(", ...]")
-        return tuple(check_json_value(f"{where}[{i}]", item, v) for i, v in enumerate(value))
+        return tuple(
+            check_json_value(f"{where}[{i}]", item, v, scope) for i, v in enumerate(value)
+        )
+    if declared.startswith("dict[str, ") and declared.endswith("]"):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        item = declared.removeprefix("dict[str, ").removesuffix("]")
+        return {k: check_json_value(_path(where, k), item, v, scope) for k, v in value.items()}
+    kind = scope.get(declared)
+    if isinstance(kind, type) and is_dataclass(kind):
+        return value if isinstance(value, kind) else parse_json(kind, value, where)
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if declared == "int" and not is_int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -75,7 +89,9 @@ def parse_json(cls, obj, where: str = ""):
     """An instance of dataclass `cls` from the JSON object `obj`, by cls's
     declared fields alone: every key must name a field and its value fit the
     field's type (check_json_value), and a field left out takes its default.
-    Every error names `where`, a ConfigError from __post_init__ included."""
+    A field declared init=False is derived by the instance; its key may be
+    given, and must then hold the derived value. Every error names `where`,
+    a ConfigError from __post_init__ included."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or _label(cls)} must be a JSON object")
     declared = {f.name: f for f in fields(cls)}
@@ -86,20 +102,28 @@ def parse_json(cls, obj, where: str = ""):
         raise ConfigError(f"{_path(where, unknown[0])} is not {article} {label} field")
     missing = sorted(
         name for name, f in declared.items()
-        if name not in obj and f.default is MISSING and f.default_factory is MISSING
+        if f.init and name not in obj and f.default is MISSING and f.default_factory is MISSING
     )
     if len(missing) == 1:
         raise ConfigError(f"{_path(where, missing[0])} is missing")
     if missing:
         raise ConfigError(f"{where or _label(cls)} missing fields: {', '.join(missing)}")
+    scope = vars(sys.modules[cls.__module__])
     values = {
-        name: check_json_value(_path(where, name), f.type, obj[name])
+        name: check_json_value(_path(where, name), f.type, obj[name], scope)
         for name, f in declared.items() if name in obj
     }
     try:
-        return cls(**values)
+        made = cls(**{name: v for name, v in values.items() if declared[name].init})
     except ConfigError as exc:
         raise ConfigError(_path(where, str(exc))) from None
+    for name, v in values.items():
+        if not declared[name].init and v != getattr(made, name):
+            raise ConfigError(
+                f"{_path(where, name)} must be {getattr(made, name)!r} "
+                f"to agree with the other fields, got {v!r}"
+            )
+    return made
 
 
 def _parsed(text: str, parse, where: str):
@@ -148,12 +172,14 @@ class AttentionVariant:
 
     def __post_init__(self) -> None:
         if self.kind not in ("global", "window"):
-            raise ConfigError(f"attention kind must be 'global' or 'window', got {self.kind!r}")
+            raise ConfigError(f"kind must be 'global' or 'window', got {self.kind!r}")
         if self.kind == "window":
             if not isinstance(self.window_size, int) or self.window_size < 1:
                 raise ConfigError(f"window_size must be a positive int, got {self.window_size!r}")
         elif self.window_size is not None:
-            raise ConfigError("global attention takes no window_size")
+            raise ConfigError(
+                f"window_size must be null for global attention, got {self.window_size!r}"
+            )
 
     @property
     def variant_id(self) -> str:
@@ -170,16 +196,7 @@ class AttentionVariant:
             return {"kind": "global"}
         return {"kind": "window", "window_size": self.window_size}
 
-    @staticmethod
-    def from_json(obj: dict) -> "AttentionVariant":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError(f"attention variant must be an object with 'kind', got {obj!r}")
-        kind = obj["kind"]
-        if kind == "global":
-            return AttentionVariant("global")
-        if kind == "window":
-            return AttentionVariant("window", obj.get("window_size"))
-        raise ConfigError(f"unknown attention kind {kind!r}")
+    from_json = classmethod(parse_json)
 
 
 def global_attention() -> AttentionVariant:
@@ -196,8 +213,8 @@ def window_attention(window_size: int) -> AttentionVariant:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """rope_base and rope_scale_factor are positive. attn_pattern takes
-    AttentionVariants or their JSON objects."""
+    """rope_base and rope_scale_factor are positive; attn_pattern has one
+    entry per layer."""
 
     vocab_size: PositiveInt
     d_model: PositiveInt
@@ -226,19 +243,10 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
         if self.top_k > self.n_experts:
             raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
-        pattern = []
-        for i, v in enumerate(self.attn_pattern):
-            try:
-                if not isinstance(v, AttentionVariant):
-                    v = AttentionVariant.from_json(v)
-                pattern.append(v)
-            except ConfigError as exc:
-                raise ConfigError(f"attn_pattern[{i}]: {exc}") from None
-        if len(pattern) != self.n_layers:
+        if len(self.attn_pattern) != self.n_layers:
             raise ConfigError(
-                f"attn_pattern has {len(pattern)} entries for n_layers={self.n_layers}"
+                f"attn_pattern has {len(self.attn_pattern)} entries for n_layers={self.n_layers}"
             )
-        object.__setattr__(self, "attn_pattern", tuple(pattern))
 
     def to_json(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -424,33 +432,56 @@ def save_params(params: ModelParams, bin_path: Path | str) -> Path:
     return bin_path
 
 
+@dataclass(frozen=True)
+class TensorEntry:
+    """Where one tensor lies in a params blob."""
+
+    name: str
+    shape: tuple[int, ...]
+    offset_bytes: int
+
+
+@dataclass(frozen=True)
+class ParamsManifest:
+    """The JSON file save_params writes beside a params blob."""
+
+    format: str
+    dtype: str
+    byte_order: str
+    total_bytes: int
+    checksum_sha256: str
+    config: ModelConfig
+    expert_ids: tuple[tuple[int, ...], ...]
+    entries: tuple[TensorEntry, ...]
+
+    from_json = classmethod(parse_json)
+
+
 def load_params(bin_path: Path | str) -> ModelParams:
     bin_path = Path(bin_path)
-    manifest = json.loads(manifest_path_for(bin_path).read_text())
-    if manifest.get("format") != _PARAMS_FORMAT:
-        raise MismatchError(f"unsupported params format {manifest.get('format')!r}")
+    manifest = read_json(manifest_path_for(bin_path), ParamsManifest.from_json)
+    if manifest.format != _PARAMS_FORMAT:
+        raise MismatchError(f"unsupported params format {manifest.format!r}")
     blob = bin_path.read_bytes()
-    if len(blob) != manifest["total_bytes"]:
+    if len(blob) != manifest.total_bytes:
         raise MismatchError(
-            f"params blob is {len(blob)} bytes, manifest says {manifest['total_bytes']}"
+            f"params blob is {len(blob)} bytes, manifest says {manifest.total_bytes}"
         )
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest["checksum_sha256"]:
+    if digest != manifest.checksum_sha256:
         raise MismatchError("params blob checksum does not match manifest")
-    config = ModelConfig.from_json(manifest["config"])
+    config = manifest.config
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset_bytes"]
-        a = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape)
-        arrays[entry["name"]] = np.array(a, dtype=F32)  # own writable copy
+    for entry in manifest.entries:
+        n = int(np.prod(entry.shape)) if entry.shape else 1
+        a = np.frombuffer(blob, dtype="<f4", count=n, offset=entry.offset_bytes)
+        a = a.reshape(entry.shape)
+        arrays[entry.name] = np.array(a, dtype=F32)  # own writable copy
 
-    expert_ids = manifest["expert_ids"]
     layers = []
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        ids = tuple(int(e) for e in expert_ids[i])
+        ids = manifest.expert_ids[i]
         experts = [
             ExpertParams(**{name: arrays[f"{p}.experts.{j}.{name}"] for name in EXPERT_TENSORS})
             for j in range(len(ids))

@@ -20,11 +20,10 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, top_experts
+from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, LayerRanking, top_experts
 from .model import (
     AttentionVariant,
     ConfigError,
@@ -154,17 +153,6 @@ def make_retrieval_probes(
     )
 
 
-def probes_from_manifest(config: ModelConfig, manifest: Mapping) -> ProbeSet:
-    kind = manifest.get("kind")
-    if kind == "lm":
-        return make_lm_probes(config, manifest["count"], manifest["length"], manifest["seed"])
-    if kind == "retrieval":
-        return make_retrieval_probes(
-            config, manifest["count"], manifest["length"], manifest["n_pairs"], manifest["seed"]
-        )
-    raise ConfigError(f"unknown probe kind {kind!r}")
-
-
 def validate_retrieval_probes(probes: ProbeSet) -> None:
     if probes.kind != "retrieval":
         raise ProbeError(f"expected retrieval probes, got kind {probes.kind!r}")
@@ -290,24 +278,21 @@ def _layer_ranking(
     layer: int,
     probes: ProbeSet,
     ffn_input: np.ndarray,
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
+) -> LayerRanking:
     """One layer's expert ids, most important first, and their scores."""
     es = expert_contribution_scores(params, arch, layer, probes, ffn_input=ffn_input)
     order = es.ranking_order()
     by_id = dict(zip(es.expert_ids, es.scores.tolist()))
-    return order, tuple(by_id[eid] for eid in order)
+    return LayerRanking(order, tuple(by_id[eid] for eid in order))
 
 
 def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> ExpertRanking:
     """Per-layer expert importance ranking from contribution scores, from one
     walk of the parent over `probes` (score_library ranks the same way)."""
-    ranked = [
+    return ExpertRanking(tuple(
         _layer_ranking(params, arch, i, probes, ffn_input)
         for i, (_, ffn_input) in enumerate(_layer_walk(params, arch, probes.tokens))
-    ]
-    return ExpertRanking(
-        orders=tuple(order for order, _ in ranked), scores=tuple(sc for _, sc in ranked)
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +403,11 @@ def _activation_pass(
     so that baseline is one plain forward ahead of the walk.
     """
     baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
-    orders, order_scores, rows = [], [], []
+    ranked, rows = [], []
     walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
     for i, (layer_lib, (layer_input, ffn_input)) in enumerate(walk):
-        order, scores = _layer_ranking(params, arch, i, probes, ffn_input)
-        orders.append(order)
-        order_scores.append(scores)
+        ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
+        order = ranked[-1].order
         parent = arch.layers[i]
         variants = [
             (attn.variant_id, {"attention": attn}, attn == parent.attention)
@@ -452,7 +436,7 @@ def _activation_pass(
                     per_sample=tuple(per_seq.tolist()),
                 )
             )
-    return ExpertRanking(orders=tuple(orders), scores=tuple(order_scores)), rows
+    return ExpertRanking(tuple(ranked)), rows
 
 
 def _task_drop_pass(

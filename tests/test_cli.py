@@ -375,6 +375,10 @@ def test_malformed_scenarios_and_targets_are_config_errors(tmp_path, capsys, edi
     (("library", "bogus"), 1, "score", "library.bogus is not a library menu field"),
     (("kv_budget",), {"length": 128, "max_bytes_per_seq": 4096, "precision": "fp4"}, "search",
      "kv_budget.precision must be one of ['bf16', 'fp8'], got 'fp4'"),
+    (("kv_budgt",), {"length": 128, "max_bytes_per_seq": 4096}, "search",
+     "kv_budgt is not a run config field"),
+    (("kv_budget",), {}, "search", "kv_budget missing fields: length, max_bytes_per_seq"),
+    (("targets", "lnog"), 9, "search", "targets.lnog names no scenario"),
 ], ids=[
     "seed-string", "seed-float", "model-unknown-key", "attn-pattern-int",
     "keep-fractions-string", "alt-windows-string", "alt-windows-float",
@@ -382,7 +386,7 @@ def test_malformed_scenarios_and_targets_are_config_errors(tmp_path, capsys, edi
     "end-token-string", "end-token-bool", "end-token-list",
     "probes-unknown-key", "eval-unknown-key", "scenario-unknown-key",
     "hardware-unknown-key", "kv-budget-unknown-key", "library-unknown-key",
-    "kv-precision-unknown",
+    "kv-precision-unknown", "top-level-unknown-key", "kv-budget-empty", "target-without-scenario",
 ])
 def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage, message):
     cfg = json.loads(bundled_config().read_text())
@@ -414,3 +418,28 @@ def test_torn_artifacts_are_config_errors(pipeline, tmp_path, capsys, name, keep
     assert err.startswith("error: not valid JSON") and f"(in {where})" in err
     assert not (out / ".lock").exists()
     assert not (out / "arch.json").exists()
+
+
+def _cut(text):
+    return text[:300]  # a write cut off mid-file
+
+
+@pytest.mark.parametrize("name, stage, edit, message", [
+    ("params.bin.json", "eval", _cut, "not valid JSON"),
+    ("params.bin.json", "eval", lambda t: t.replace('"dtype"', '"dtyp"'),
+     "dtyp is not a params manifest field"),
+    ("manifest.json", "frontier", _cut, "not valid JSON"),
+    ("manifest.json", "frontier", lambda t: json.dumps({**json.loads(t), "stages": []}),
+     "stages must be a JSON object"),
+], ids=["params-torn", "params-unknown-key", "manifest-torn", "manifest-stages-list"])
+def test_broken_params_and_manifest_files_are_config_errors(
+        pipeline, tmp_path, capsys, name, stage, edit, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    for artifact in ("params.bin", "params.bin.json", "manifest.json"):
+        shutil.copy(pipeline / artifact, out / artifact)
+    (out / name).write_text(edit((pipeline / name).read_text()))
+    assert run("--config", bundled_config(), "--out", out, stage) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and f"(in {out / name})" in err
+    assert not (out / ".lock").exists()

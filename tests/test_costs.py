@@ -5,7 +5,6 @@ import pytest
 from archsearch.costs import (
     KV_BYTES,
     CostEntry,
-    CostFileError,
     CostTable,
     HardwareProfile,
     Scenario,
@@ -178,8 +177,36 @@ def test_measured_costs_schema_errors_name_the_line(tmp_path):
     for text, needle in cases:
         path = tmp_path / "m.jsonl"
         path.write_text(text)
-        with pytest.raises(CostFileError, match=needle):
+        with pytest.raises(ConfigError, match=needle):
             load_measured_costs(path)
+
+
+FOUND_LINE = {"layer": True, "variant": 5, "scenario": "long", "time_ns": 3, "bogus": 1}
+
+
+@pytest.mark.parametrize("line, message", [
+    (FOUND_LINE, "bogus is not a cost line field"),
+    ({k: v for k, v in FOUND_LINE.items() if k != "bogus"}, "layer must be an integer, got True"),
+    ({"layer": 1, "variant": 5, "scenario": "long", "time_ns": 3},
+     "variant must be a string, got 5"),
+    ({"layer": 1, "variant": "v", "scenario": "long", "time_ns": 3, "weight_bytes": -2},
+     "weight_bytes must be non-negative, got -2"),
+], ids=["unknown-key", "layer-bool", "variant-number", "negative-cost"])
+def test_measured_cost_lines_name_the_bad_field(tmp_path, line, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({"layer": 0, "variant": "v", "scenario": "s", "time_ns": 1})
+                    + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_measured_costs(path)
+    assert str(exc.value) == f"{message} (in {path} line 2)"
+
+
+def test_cost_table_lines_need_every_cost(tmp_path):
+    path = tmp_path / "costs.jsonl"
+    path.write_text(json.dumps({"layer": 0, "variant": "v", "scenario": "s", "time_ns": 1,
+                                "weight_bytes": 4}) + "\n")
+    with pytest.raises(ConfigError, match=r"^kv_bytes_per_seq is missing \(in .* line 1\)$"):
+        CostTable.load(path)
 
 
 def test_unmatched_measured_key_is_an_error(tmp_path, toy_cfg):
@@ -187,7 +214,7 @@ def test_unmatched_measured_key_is_an_error(tmp_path, toy_cfg):
     path = tmp_path / "m.jsonl"
     path.write_text(json.dumps({"layer": 1, "variant": "attn:window:999+ffn:keep:16",
                                 "scenario": "long", "time_ns": 7}) + "\n")
-    with pytest.raises(CostFileError, match="attn:window:999"):
+    with pytest.raises(ConfigError, match="attn:window:999"):
         build_cost_table(toy_cfg, lib, [LONG], HW, measured=load_measured_costs(path))
 
 

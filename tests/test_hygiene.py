@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast:
-every imported name is used, and the package imports only the standard
-library, NumPy and itself."""
+every imported name is used, the package imports only the standard library,
+NumPy and itself, and every class reads JSON by the one rule, parse_json."""
 
 import ast
 import sys
@@ -65,3 +65,18 @@ def test_every_imported_name_is_used(path):
 def test_imports_only_stdlib_numpy_and_the_package(path):
     roots = {root for _, root in _imports(_parse(path)) if root is not None}
     assert roots <= ALLOWED_ROOTS, f"{path.name} imports {sorted(roots - ALLOWED_ROOTS)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_every_from_json_is_parse_json(path):
+    """No class parses JSON by hand: each from_json is classmethod(parse_json)."""
+    for cls in (n for n in ast.walk(_parse(path)) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "from_json", f"{path.name}: {cls.name} defines from_json"
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "from_json" for t in node.targets
+            ):
+                assert ast.unparse(node.value) == "classmethod(parse_json)", (
+                    f"{path.name}: {cls.name}.from_json is {ast.unparse(node.value)}"
+                )

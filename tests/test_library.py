@@ -6,6 +6,7 @@ from archsearch.library import (
     BlockVariant,
     ExpertRanking,
     LayerBlockSpec,
+    LayerRanking,
     LibraryMenu,
     assemble,
     assembled_spec,
@@ -61,6 +62,9 @@ def test_architecture_json_roundtrip(tmp_path, toy_arch):
     path = tmp_path / "arch.json"
     modified.save(path)
     assert ArchitectureSpec.load(path) == modified
+    obj = modified.to_json()
+    del obj["layers"][2]["experts_kept"]  # a derived key may be left out
+    assert ArchitectureSpec.from_json(obj) == modified
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +122,44 @@ def test_block_variants_attention_major_order(toy_cfg):
 
 
 def test_expert_ranking_prefix_keep_sets(tmp_path):
-    ranking = ExpertRanking(
-        orders=((3, 0, 2, 1),), scores=((0.9, 0.5, 0.2, 0.1),)
-    )
+    ranking = ExpertRanking((LayerRanking(order=(3, 0, 2, 1), scores=(0.9, 0.5, 0.2, 0.1)),))
     assert ranking.keep_set(0, 2) == (0, 3)  # prefix {3, 0}, sorted by id
     assert ranking.keep_set(0, 4) == (0, 1, 2, 3)
     with pytest.raises(ConfigError):
         ranking.keep_set(0, 5)
     path = tmp_path / "ranking.json"
     ranking.save(path)
-    assert ExpertRanking.load(path).orders == ranking.orders
+    assert ExpertRanking.load(path) == ranking
+
+
+ARCH_LAYER = {"attention": {"kind": "global"}, "experts_kept": 2, "expert_keep_set": [0, 3]}
+RANKING_LAYER = {"order": [3, 0], "scores": [0.9, 0.5]}
+
+
+@pytest.mark.parametrize("cls, obj, message", [
+    (ExpertRanking, [], "expert ranking must be a JSON object"),
+    (ExpertRanking, {"layers": [{**RANKING_LAYER, "order": [3, 1.9]}]},
+     "layers[0].order[1] must be an integer, got 1.9"),
+    (ExpertRanking, {"layers": [{**RANKING_LAYER, "order": [3, "0"]}]},
+     "layers[0].order[1] must be an integer, got '0'"),
+    (ExpertRanking, {"layers": [{**RANKING_LAYER, "scores": [0.9]}]},
+     "layers[0].scores must have one entry per expert in order"),
+    (ArchitectureSpec, {"layers": [{**ARCH_LAYER, "expert_keep_set": [0, 1.7]}]},
+     "layers[0].expert_keep_set[1] must be an integer, got 1.7"),
+    (ArchitectureSpec, {"layers": [{**ARCH_LAYER, "expert_keep_set": [0, "2"]}]},
+     "layers[0].expert_keep_set[1] must be an integer, got '2'"),
+    (ArchitectureSpec, {"layers": [ARCH_LAYER, {**ARCH_LAYER, "experts_kept": 3}]},
+     "layers[1].experts_kept must be 2 to agree with the other fields, got 3"),
+    (ArchitectureSpec, {"layers": [{**ARCH_LAYER, "attention": {"kind": "window"}}]},
+     "layers[0].attention.window_size must be a positive int, got None"),
+], ids=[
+    "ranking-list", "order-float", "order-string", "scores-short",
+    "keep-set-float", "keep-set-string", "experts-kept-disagrees", "window-without-size",
+])
+def test_ranking_and_arch_files_name_the_bad_field(cls, obj, message):
+    with pytest.raises(ConfigError) as exc:
+        cls.from_json(obj)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

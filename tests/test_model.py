@@ -113,6 +113,8 @@ RECORD = {"model": "m", "kv_precision": "bf16", "effort": "high",
 SCALES = {"mode": "unit", "k_scales": [1.0], "v_scales": [1.0], "k_raw": [1.0], "v_raw": [1.0]}
 SCORE = {"layer": 1, "variant_id": "attn:global", "signal": "activation_mse",
          "value": 0.5, "raw": 0.5, "n_samples": 1}
+WINDOW = {"kind": "window", "window_size": 4}
+TOY = toy_config().to_json()
 
 
 @pytest.mark.parametrize("cls, obj, message", [
@@ -136,11 +138,21 @@ SCORE = {"layer": 1, "variant_id": "attn:global", "signal": "activation_mse",
     (QuantScales, {**SCALES, "k_scales": ["1"]}, "k_scales[0] must be a number, got '1'"),
     (Scenario, [SCENARIO], "scenario must be a JSON object"),
     (Scenario, {"name": "s", "isl": 4}, "scenario missing fields: batch, osl"),
+    (AttentionVariant, {**WINDOW, "bogus": 1}, "bogus is not an attention variant field"),
+    (AttentionVariant, {**WINDOW, "window_size": 4.0}, "window_size must be an integer, got 4.0"),
+    (AttentionVariant, {"kind": "local"}, "kind must be 'global' or 'window', got 'local'"),
+    (AttentionVariant, {"kind": "global", "window_size": 4},
+     "window_size must be null for global attention, got 4"),
+    (ModelConfig, {**TOY, "attn_pattern": [WINDOW] * 7 + [{**WINDOW, "bogus": 1}]},
+     "attn_pattern[7].bogus is not an attention variant field"),
+    (ModelConfig, {**TOY, "attn_pattern": [WINDOW] * 7 + [5]},
+     "attn_pattern[7] must be a JSON object"),
 ], ids=[
     "isl-float", "osl-string", "batch-bool", "bandwidth-string", "n-devices-float",
     "kv-length-float", "kv-bytes-float", "kv-precision-unknown", "avg-tokens-bool",
     "throughput-string", "record-unknown-key", "score-layer-float", "scale-string",
-    "not-an-object", "missing-fields",
+    "not-an-object", "missing-fields", "attention-unknown-key", "window-float", "kind-unknown",
+    "global-with-window", "pattern-entry-unknown-key", "pattern-entry-not-object",
 ])
 def test_json_records_take_only_their_declared_fields_and_types(cls, obj, message):
     with pytest.raises(ConfigError) as exc:

@@ -16,7 +16,6 @@ from archsearch.scoring import (
     expert_contribution_scores,
     make_lm_probes,
     make_retrieval_probes,
-    probes_from_manifest,
     rank_experts,
     replace_one_block_score,
     score_library,
@@ -52,8 +51,8 @@ def test_retrieval_probe_layout(toy_cfg):
         q = t[row, -1]
         j = int(np.nonzero(keys == q)[0][0])
         assert probes.answers[row] == values[j]  # answer is the paired value
-    # probes regenerate exactly from their manifest
-    again = probes_from_manifest(toy_cfg, probes.manifest)
+    # probes regenerate exactly from the same arguments
+    again = make_retrieval_probes(toy_cfg, count=20, length=48, n_pairs=3, seed=5)
     np.testing.assert_array_equal(again.tokens, probes.tokens)
     np.testing.assert_array_equal(again.answers, probes.answers)
 
@@ -99,9 +98,9 @@ def test_expert_scores_rank_by_damage(toy_params, toy_arch, lm_probes_small):
 
 def test_rank_experts_covers_all_layers(toy_params, toy_arch, lm_probes_small):
     ranking = rank_experts(toy_params, toy_arch, lm_probes_small)
-    assert len(ranking.orders) == 8
-    for order in ranking.orders:
-        assert sorted(order) == list(range(16))
+    assert len(ranking.layers) == 8
+    for layer in ranking.layers:
+        assert sorted(layer.order) == list(range(16))
 
 
 # ---------------------------------------------------------------------------
