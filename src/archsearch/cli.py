@@ -16,7 +16,6 @@ architecture, 1 for any other failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, field
@@ -61,6 +60,7 @@ from .model import (
     read_json,
     save_params,
     toy_config,
+    write_json,
 )
 from .scoring import (
     SIGNAL_ACTIVATION_MSE,
@@ -211,10 +211,7 @@ def cmd_score(args) -> int:
         validate_retrieval_probes(retrieval)
 
         params_path = save_params(params, out / "params.bin")
-        (out / "probes.json").write_text(
-            json.dumps({"lm": lm.manifest, "retrieval": retrieval.manifest},
-                       indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "probes.json", {"lm": lm.manifest, "retrieval": retrieval.manifest})
         ranking, table = score_library(params, arch, library, lm, retrieval)
         ranking.save(out / "ranking.json")
         table.save(out / "scores.jsonl")
@@ -267,9 +264,7 @@ def cmd_search(args) -> int:
             kv_budget=rc.kv_budget,
         )
         result.arch.save(out / "arch.json")
-        (out / "search_report.json").write_text(
-            json.dumps(result.report, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "search_report.json", result.report)
         inputs = {
             "scores": out / "scores.jsonl",
             "ranking": out / "ranking.json",
@@ -318,9 +313,7 @@ def cmd_assemble(args) -> int:
                 for i, spec in enumerate(arch.layers)
             ],
         }
-        (out / "assemble_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "assemble_report.json", report)
         RunManifest(out).record_stage(
             "assemble",
             seed=rc.seed,
@@ -354,10 +347,8 @@ def cmd_quantize(args) -> int:
             scales = QuantScales.unit(params.config.n_layers)
         scales.save(out / "kv_scales.json")
 
-        _, report = forward_with_quantized_kv(params, arch, calib.tokens, scales)
-        (out / "kv_quant_report.json").write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        _, report = forward_with_quantized_kv(params, arch, calib.tokens, scales, last_only=True)
+        write_json(out / "kv_quant_report.json", report.to_json())
         RunManifest(out).record_stage(
             "quantize",
             seed=rc.seed,
@@ -389,10 +380,12 @@ def cmd_eval(args) -> int:
             if not scales_path.exists():
                 raise ConfigError("eval --kv-precision fp8 needs the quantize stage first")
             scales = QuantScales.load(scales_path)
-            trace, report = forward_with_quantized_kv(params, arch, probes.tokens, scales)
+            trace, report = forward_with_quantized_kv(
+                params, arch, probes.tokens, scales, last_only=True
+            )
             kv_section = report.to_json()
         else:
-            trace = forward_batch(params, arch, probes.tokens)
+            trace = forward_batch(params, arch, probes.tokens, last_only=True)
         predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
         accuracy = float(np.mean(predicted == probes.answers))
 
@@ -437,9 +430,7 @@ def cmd_eval(args) -> int:
             "kv_quant": kv_section,
             "kv_cache": kv_cache,
         }
-        (out / "eval_report.json").write_text(
-            json.dumps(eval_report, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "eval_report.json", eval_report)
         RunManifest(out).record_stage(
             "eval",
             seed=rc.seed,

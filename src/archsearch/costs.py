@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .library import ArchitectureSpec, BlockLibrary, BlockVariant
-from .model import AttentionVariant, ConfigError, ModelConfig, parse_json, read_jsonl
+from .model import (
+    AttentionVariant, ConfigError, ModelConfig, parse_json, read_jsonl, write_atomic,
+)
 
 WEIGHT_BYTES = 4  # weights stay float32 in this substrate
 
@@ -232,12 +234,13 @@ class CostTable:
             ) from None
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w") as fh:
+        def lines():
             for (layer, variant, scenario) in sorted(self.entries):
-                entry = self.entries[(layer, variant, scenario)]
                 row = {"layer": layer, "variant": variant, "scenario": scenario}
-                row.update(entry.to_json())
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                row.update(self.entries[(layer, variant, scenario)].to_json())
+                yield json.dumps(row, sort_keys=True) + "\n"
+
+        write_atomic(path, lines())
 
     @staticmethod
     def load(path: Path | str) -> "CostTable":

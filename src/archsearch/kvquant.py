@@ -26,7 +26,6 @@ quantize/dequantize round trip bit for bit.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from .model import (
     forward_batch,
     parse_json,
     read_json,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -200,7 +200,7 @@ class QuantScales:
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: Path | str) -> "QuantScales":
@@ -226,7 +226,7 @@ def calibrate_scales(
     max|V| over every position written / 448, round up to a power of two."""
     tokens = np.asarray(tokens)
     cache = KvCache(params.config, arch, len(tokens), tokens.shape[-1], report=True)
-    forward_batch(params, arch, tokens, cache=cache)
+    forward_batch(params, arch, tokens, cache=cache, last_only=True)
     k_raw, k_scales, v_raw, v_scales = [], [], [], []
     for layer in range(params.config.n_layers):
         k, v = cache.written[layer]
@@ -279,12 +279,14 @@ def forward_with_quantized_kv(
     arch: ArchitectureSpec,
     tokens: np.ndarray,
     scales: QuantScales,
+    last_only: bool = False,
 ) -> tuple[ForwardTrace, KvQuantReport]:
     """Forward pass that prefills an fp8 cache: every key and value is encoded
-    once through the 8-bit codec and attention reads the decoded codes."""
+    once through the 8-bit codec and attention reads the decoded codes.
+    last_only as forward_batch takes it; the report covers every position."""
     tokens = np.asarray(tokens)
     cache = KvCache(
         params.config, arch, len(tokens), tokens.shape[-1], scales=scales, report=True
     )
-    trace = forward_batch(params, arch, tokens, cache=cache)
+    trace = forward_batch(params, arch, tokens, cache=cache, last_only=last_only)
     return trace, KvQuantReport(cache.written)

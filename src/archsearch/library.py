@@ -7,7 +7,6 @@ expert ranking, so smaller keep-counts are contained in larger ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .model import (
     parse_json,
     read_json,
     window_attention,
+    write_json,
 )
 
 F32 = np.float32
@@ -89,7 +89,7 @@ class ArchitectureSpec:
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: Path | str) -> "ArchitectureSpec":
@@ -145,7 +145,7 @@ class ExpertRanking:
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: Path | str) -> "ExpertRanking":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import __version__
-from .model import parse_json, read_json
+from .model import parse_json, read_json, write_json
 
 
 class LockError(RuntimeError):
@@ -97,7 +96,7 @@ class RunManifest:
         self.save()
 
     def save(self) -> None:
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        write_json(self.path, self.data)
 
 
 class RunLock:

@@ -19,6 +19,7 @@ emissions is meaningful.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .costs import KV_BYTES
-from .model import ConfigError, parse_json, read_jsonl
+from .model import ConfigError, parse_json, read_jsonl, write_atomic, write_json
 
 EFFORTS = ("high", "medium", "low")
 _EFFORT_RANK = {e: i for i, e in enumerate(EFFORTS)}
@@ -79,9 +80,7 @@ class RunRecord:
 
 
 def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records))
 
 
 def load_run_records(path: Path | str) -> list[RunRecord]:
@@ -211,11 +210,10 @@ def build_frontier(
 def emit_frontier(
     points: Sequence[FrontierPoint], csv_path: Path | str, json_path: Path | str
 ) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_FRONTIER_COLUMNS)
-        writer.writeheader()
-        for p in points:
-            writer.writerow(p.to_json())
-    Path(json_path).write_text(
-        json.dumps([p.to_json() for p in points], indent=2, sort_keys=True) + "\n"
-    )
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=_FRONTIER_COLUMNS)
+    writer.writeheader()
+    for p in points:
+        writer.writerow(p.to_json())
+    write_atomic(csv_path, text.getvalue())
+    write_json(json_path, [p.to_json() for p in points])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -133,6 +134,31 @@ def _parsed(text: str, parse, where: str):
         raise ConfigError(f"not valid JSON: {exc} (in {where})") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{exc} (in {where})") from None
+
+
+def write_atomic(path: Path | str, data: str | bytes | Iterable[str | bytes]) -> None:
+    """Write `data` (text is UTF-8 encoded; an iterable is written part by
+    part) to `path` so that a reader finds the old file or the whole new one,
+    never a torn one: the bytes go to a temporary file in the same directory,
+    which then replaces `path`. If writing raises, `path` is left as it was
+    and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    parts = [data] if isinstance(data, (str, bytes)) else data
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode() if isinstance(part, str) else part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path | str, obj) -> None:
+    """Write `obj` to `path` as indented JSON with sorted keys and a final
+    newline, atomically (write_atomic)."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path | str, parse):
@@ -427,8 +453,8 @@ def save_params(params: ModelParams, bin_path: Path | str) -> Path:
         "expert_ids": [list(layer.expert_ids) for layer in params.layers],
         "entries": entries,
     }
-    bin_path.write_bytes(blob)
-    manifest_path_for(bin_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(bin_path, blob)
+    write_json(manifest_path_for(bin_path), manifest)
     return bin_path
 
 
@@ -532,9 +558,11 @@ class KvWriteStats:
 
 @dataclass
 class _LayerSlots:
-    k: np.ndarray  # [batch, n_kv_heads, slots, head_dim], float32 or uint8 codes
+    k: np.ndarray  # [batch, n_kv_heads, slots, head_dim] float32, as attention reads them
     v: np.ndarray
     pos: np.ndarray  # [slots] absolute position each slot holds
+    k_codes: np.ndarray | None  # uint8 E4M3 codes of k in an fp8 cache, else None
+    v_codes: np.ndarray | None
 
 
 class KvCache:
@@ -544,7 +572,8 @@ class KvCache:
     buffer of min(length, W) slots, position p in slot p % W. Without `scales`
     the slots store float32. With `scales` (per-layer `k_scales` and `v_scales`,
     as kvquant.QuantScales has) they store uint8 E4M3 codes: each position is
-    encoded once, when written, and decoded whenever attention reads it.
+    encoded once, when written, and decoded once, into float32 slots kept
+    beside the codes, which attention reads.
 
     A cache made with report=True tallies, per layer, the keys and values
     written to it in `written[layer] = (k_stats, v_stats)`.
@@ -577,13 +606,14 @@ class KvCache:
         self.scales = scales
         self.positions = 0  # positions written so far, the same in every layer
         self.written: dict[int, tuple[KvWriteStats, KvWriteStats]] | None = {} if report else None
-        dtype = F32 if scales is None else np.uint8
         self._layers = []
         for variant in self.variants:
             shape = (batch, config.n_kv_heads, variant.effective_window(length), config.head_dim)
+            codes = (None, None) if scales is None else (
+                np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))
             self._layers.append(
-                _LayerSlots(np.zeros(shape, dtype), np.zeros(shape, dtype),
-                            np.full(shape[2], -1, dtype=np.int64))
+                _LayerSlots(np.zeros(shape, F32), np.zeros(shape, F32),
+                            np.full(shape[2], -1, dtype=np.int64), *codes)
             )
 
     @classmethod
@@ -610,14 +640,13 @@ class KvCache:
         return min(self.positions, self._layers[layer].pos.size)
 
     def held_bytes(self) -> int:
-        """Bytes of the filled K and V slots of one sequence, over all layers."""
-        return sum(
-            s.k[0, :, : self.held(i)].nbytes + s.v[0, :, : self.held(i)].nbytes
-            for i, s in enumerate(self._layers)
-        )
-
-    def _read(self, codes: np.ndarray, scale: float) -> np.ndarray:
-        return codes if self.scales is None else self._codec.decode(codes, scale)
+        """Bytes of the filled K and V slots of one sequence as stored (codes in
+        an fp8 cache), over all layers."""
+        total = 0
+        for i, s in enumerate(self._layers):
+            for stored in ((s.k, s.v) if s.k_codes is None else (s.k_codes, s.v_codes)):
+                total += stored[0, :, : self.held(i)].nbytes
+        return total
 
     def update(
         self, layer: int, k: np.ndarray, v: np.ndarray, start: int
@@ -632,15 +661,15 @@ class KvCache:
         held = self.held(layer)
         n_new = k.shape[2]
         new_pos = np.arange(start, start + n_new)
-        k_scale = v_scale = None
         if self.scales is None:
-            k_store, v_store = k, v
+            k_seen, v_seen = k, v
             k_stats = v_stats = None
         else:
             k_scale, v_scale = self.scales.k_scales[layer], self.scales.v_scales[layer]
-            k_store, k_stats = self._codec.encode(k, k_scale)
-            v_store, v_stats = self._codec.encode(v, v_scale)
-        k_seen, v_seen = self._read(k_store, k_scale), self._read(v_store, v_scale)
+            k_codes, k_stats = self._codec.encode(k, k_scale)
+            v_codes, v_stats = self._codec.encode(v, v_scale)
+            k_seen = self._codec.decode(k_codes, k_scale)
+            v_seen = self._codec.decode(v_codes, v_scale)
         if self.written is not None:
             k_tally, v_tally = self.written.setdefault(layer, (KvWriteStats(), KvWriteStats()))
             k_tally.add(k, k_seen, k_stats)
@@ -648,15 +677,18 @@ class KvCache:
 
         keys, values, key_pos = k_seen, v_seen, new_pos
         if held:
-            keys = np.concatenate([self._read(s.k[:, :, :held], k_scale), k_seen], axis=2)
-            values = np.concatenate([self._read(s.v[:, :, :held], v_scale), v_seen], axis=2)
+            keys = np.concatenate([s.k[:, :, :held], k_seen], axis=2)
+            values = np.concatenate([s.v[:, :, :held], v_seen], axis=2)
             key_pos = np.concatenate([s.pos[:held], new_pos])
 
         n_slots = s.pos.size
         keep = slice(max(0, n_new - n_slots), n_new)
         slots = new_pos[keep] % n_slots
-        s.k[:, :, slots] = k_store[:, :, keep]
-        s.v[:, :, slots] = v_store[:, :, keep]
+        s.k[:, :, slots] = k_seen[:, :, keep]
+        s.v[:, :, slots] = v_seen[:, :, keep]
+        if s.k_codes is not None:
+            s.k_codes[:, :, slots] = k_codes[:, :, keep]
+            s.v_codes[:, :, slots] = v_codes[:, :, keep]
         s.pos[slots] = new_pos[keep]
         return keys, values, key_pos
 
@@ -669,6 +701,28 @@ class KvCache:
 class ForwardTrace:
     logits: np.ndarray  # [..., T, vocab]
     final_hidden: np.ndarray  # [..., T, d_model]; post final norm, pre LM head
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with a lone row of `a` summed as a GEMM sums it: NumPy hands a
+    one-row product to GEMV, which sums in another order, so the row is
+    computed beside a copy of itself."""
+    if a.shape[-2] == 1:
+        return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+    return a @ b
+
+
+def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x [batch, positions, n] @ w [n, m], w in C order. Several positions run
+    as one GEMM per sequence, as NumPy batches them; a single position (a
+    decode step, or a layer's last position alone) as one GEMM over the batch,
+    where NumPy would run one GEMV per sequence. A row then comes out as it
+    does among all its sequence's positions, as tests/test_model.py checks on
+    the BLAS in use. One GEMM over every position of the batch would not keep
+    that for narrow outputs such as the router's."""
+    if x.shape[1] == 1:
+        return _matmul(x[:, 0], w)[:, None]
+    return x @ w
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -759,7 +813,9 @@ def _expert_allowed_mask(layer: LayerParams, keep_set: Iterable[int], top_k: int
 def _moe_layer(
     x: np.ndarray, layer: LayerParams, allowed: np.ndarray, top_k: int
 ) -> np.ndarray:
-    logits = x @ layer.router.T
+    # a C-order copy: rows of a product with the F-order view depend on how
+    # many rows share it
+    logits = _dense(x, np.ascontiguousarray(layer.router.T))
     idx, weights = route_tokens(logits, allowed, top_k)
     out = np.zeros_like(x)
     flat_x = x.reshape(-1, x.shape[-1])
@@ -778,7 +834,7 @@ def _moe_layer(
         lo, hi = bounds[e], bounds[e + 1]
         rows = rows_by_expert[lo:hi]
         expert = layer.experts[e]
-        y = _silu(flat_x[rows] @ expert.w_in) @ expert.w_out
+        y = _matmul(_silu(_matmul(flat_x[rows], expert.w_in)), expert.w_out)
         flat_out[rows] += weights_by_expert[lo:hi, None] * y
     return out
 
@@ -802,45 +858,101 @@ class _Pass:
         return cls(start, cos, sin, np.arange(start, start + length), cache)
 
 
+# Queries per attention block of a forward whose queries are the positions its
+# keys hold; a multiple of 8, as _query_blocks needs.
+QUERY_BLOCK = 32
+
+
+def _query_blocks(
+    variant: AttentionVariant, length: int, n_keys: int
+) -> list[tuple[int, int, int, int]]:
+    """The attention blocks of one layer: (a, b, lo, hi), query rows [a, b)
+    against key slots [lo, hi).
+
+    When the `length` queries are the positions the keys hold (no cache, or a
+    prefill into an empty one), key slot s holds position s. Each block of
+    QUERY_BLOCK queries then reads only keys up to its last query, from lo:
+    0 for a global layer; for a window of W, the block's first query - W + 1,
+    rounded down to a multiple of 8 and clipped at 0. The keys a block skips
+    are masked for all its queries. Otherwise (queries after held slots, as in
+    a decode step) one block reads every slot.
+
+    Block bounds and lo are multiples of 8, so for rows of up to 128 keys
+    NumPy's 8-lane pairwise sum and the BLAS K-loop meet a row's unmasked
+    terms in the same order as over the whole masked T x T matrix, and the
+    result is bit-identical to it.
+    """
+    if n_keys != length:
+        return [(0, length, 0, n_keys)]
+    blocks = []
+    for a in range(0, length, QUERY_BLOCK):
+        b = min(a + QUERY_BLOCK, length)
+        lo = 0
+        if variant.kind == "window":
+            lo = max(0, (a - variant.window_size + 1) // 8 * 8)
+        blocks.append((a, b, lo, b))
+    return blocks
+
+
 def _layer_step(
-    params: ModelParams, i: int, spec: "LayerBlockSpec", hidden: np.ndarray, run: _Pass
+    params: ModelParams,
+    i: int,
+    spec: "LayerBlockSpec",
+    hidden: np.ndarray,
+    run: _Pass,
+    last_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer on the residual stream `hidden` [batch, length, d_model].
 
-    Returns (residual leaving the layer, FFN input).
+    Returns (residual leaving the layer, FFN input). With last_only, keys and
+    values are computed (and cached) for every position, and the rest of the
+    layer for the last position alone: both come back [batch, 1, d_model],
+    equal bit for bit to the last position of the full layer.
     """
     c = params.config
     layer = params.layers[i]
     batch, length = hidden.shape[:2]
     group = c.n_heads // c.n_kv_heads
+    first = length - 1 if last_only else 0  # the first position whose query runs
+
+    def heads(x: np.ndarray, n: int) -> np.ndarray:  # -> [batch, n, positions, head_dim]
+        return x.reshape(batch, -1, n, c.head_dim).transpose(0, 2, 1, 3)
+
     att_in = _rms_norm(hidden, layer.attn_norm)
-    q = (att_in @ layer.wq).reshape(batch, length, c.n_heads, c.head_dim).transpose(0, 2, 1, 3)
-    k = (att_in @ layer.wk).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
-    v = (att_in @ layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim).transpose(0, 2, 1, 3)
-    q = _apply_rope(q, run.cos, run.sin)
+    q = heads(_dense(att_in[:, first:], layer.wq), c.n_heads)
+    k = heads(_dense(att_in, layer.wk), c.n_kv_heads)
+    v = heads(_dense(att_in, layer.wv), c.n_kv_heads)
+    q = _apply_rope(q, run.cos[first:], run.sin[first:])
     k = _apply_rope(k, run.cos, run.sin)
     key_pos = run.query_pos
     if run.cache is not None:
         k, v, key_pos = run.cache.update(i, k, v, run.start)
-    mask = _attention_mask(spec.attention, run.query_pos, key_pos)
-    n_keys = k.shape[2]
     # Query heads grouped by their kv head: head h reads kv head h // group,
     # so stacking each group's queries keeps GQA exact while batching GEMMs.
-    qg = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim)
-    grouped = qg @ k.transpose(0, 1, 3, 2)
-    scores = grouped.reshape(batch, c.n_heads, length, n_keys)
-    scores *= np.float32(1.0 / np.sqrt(c.head_dim))
-    scores += mask
-    # softmax over keys, in place; masked slots exp to exactly 0
-    scores -= np.max(scores, axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= np.sum(scores, axis=-1, keepdims=True)
+    q = q.reshape(batch, c.n_kv_heads, group, length - first, c.head_dim)
+    ctx = np.empty_like(q)
+    for a, b, lo, hi in _query_blocks(spec.attention, length, k.shape[2]):
+        a = max(a, first)
+        if a >= b:
+            continue
+        rows = slice(a - first, b - first)
+        qb = q[:, :, :, rows].reshape(batch, c.n_kv_heads, group * (b - a), c.head_dim)
+        scores = _matmul(qb, k[:, :, lo:hi].transpose(0, 1, 3, 2))
+        scores = scores.reshape(batch, c.n_kv_heads, group, b - a, hi - lo)
+        scores *= np.float32(1.0 / np.sqrt(c.head_dim))
+        scores += _attention_mask(spec.attention, run.query_pos[a:b], key_pos[lo:hi])
+        # softmax over keys, in place; masked slots exp to exactly 0
+        scores -= np.max(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.sum(scores, axis=-1, keepdims=True)
+        out = _matmul(scores.reshape(qb.shape[:3] + (hi - lo,)), v[:, :, lo:hi])
+        ctx[:, :, :, rows] = out.reshape(batch, c.n_kv_heads, group, b - a, c.head_dim)
     ctx = (
-        (grouped @ v).reshape(batch, c.n_heads, length, c.head_dim)
+        ctx.reshape(batch, c.n_heads, length - first, c.head_dim)
         .transpose(0, 2, 1, 3)
-        .reshape(batch, length, c.n_heads * c.head_dim)
+        .reshape(batch, length - first, c.n_heads * c.head_dim)
     )
-    hidden = hidden + ctx @ layer.wo
+    hidden = hidden[:, first:] + _dense(ctx, layer.wo)
 
     ffn_in = _rms_norm(hidden, layer.ffn_norm)
     allowed_experts = _expert_allowed_mask(layer, spec.expert_keep_set, c.top_k)
@@ -872,9 +984,14 @@ def _check_tokens(c: ModelConfig, tokens: np.ndarray, start: int = 0) -> np.ndar
     return tokens
 
 
+def final_hidden(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
+    """The final norm of the residual stream leaving the last layer."""
+    return _rms_norm(hidden, params.final_norm)
+
+
 def _finish(params: ModelParams, hidden: np.ndarray) -> ForwardTrace:
-    final_hidden = _rms_norm(hidden, params.final_norm)
-    return ForwardTrace(logits=final_hidden @ params.lm_head, final_hidden=final_hidden)
+    final = final_hidden(params, hidden)
+    return ForwardTrace(logits=_dense(final, params.lm_head), final_hidden=final)
 
 
 def forward_batch(
@@ -883,12 +1000,18 @@ def forward_batch(
     tokens: np.ndarray,
     cache: KvCache | None = None,
     start: int = 0,
+    last_only: bool = False,
 ) -> ForwardTrace:
     """Run the model on a [batch, length] token array at positions start.. .
 
     Without a cache, attention reads the fresh keys/values of these tokens and
     start must be 0. With a cache holding exactly `start` positions, each layer
     writes the new keys/values into it and attends over every slot it holds.
+
+    With last_only, the trace holds the last position alone ([batch, 1, ...]),
+    bit for bit as the full trace has it: the last layer runs from its queries
+    on for that position only, though it still caches every position's keys
+    and values.
     """
     c = params.config
     tokens = _check_tokens(c, tokens, start)
@@ -909,8 +1032,9 @@ def forward_batch(
 
     run = _Pass.new(c, length, start, cache)
     hidden = params.embedding[tokens]
+    last = len(layer_specs) - 1
     for i, spec in enumerate(layer_specs):
-        hidden = _layer_step(params, i, spec, hidden, run)[0]
+        hidden = _layer_step(params, i, spec, hidden, run, last_only=last_only and i == last)[0]
     if cache is not None:
         cache.positions = start + length
     return _finish(params, hidden)
@@ -920,20 +1044,19 @@ def _layer_walk(
     params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield, for each layer of a cache-free forward in turn, (the residual
-    stream [batch, length, d_model] entering it, its FFN input), bit-identical
-    to what forward_batch computes.
+    stream [batch, length, d_model] entering it, its FFN input, the residual
+    leaving it), bit-identical to what forward_batch computes.
 
     A layer runs only when its item is asked for. The walk holds that layer's
-    item and the residual leaving it, no earlier layer's; every layer shares
-    one set of rotary tables.
+    item, no earlier layer's; every layer shares one set of rotary tables.
     """
     c = params.config
     tokens = _check_tokens(c, tokens)
     run = _Pass.new(c, tokens.shape[1])
     hidden = params.embedding[tokens]
     for i, spec in enumerate(_layer_specs(params, arch)):
-        leaving, ffn_in = _layer_step(params, i, spec, hidden, run)
-        yield hidden, ffn_in
+        leaving, ffn_in = _layer_step(params, i, spec, hidden, run, last_only=False)
+        yield hidden, ffn_in, leaving
         hidden = leaving
 
 
@@ -942,9 +1065,11 @@ def resume_forward(
     arch: "ArchitectureSpec",
     layer: int,
     hidden: np.ndarray,
+    last_only: bool = False,
 ) -> ForwardTrace:
     """Finish a cache-free forward from `hidden`, the residual stream entering
-    `layer` (as _layer_walk gives it), running only layers layer.. of `arch`.
+    `layer` (as _layer_walk gives it), running only layers layer.. of `arch`;
+    last_only as forward_batch takes it.
 
     When the layers before `layer` match those `hidden` came from, the trace
     equals forward_batch's on the same tokens bit for bit.
@@ -961,8 +1086,11 @@ def resume_forward(
     if hidden.shape[1] > c.max_seq_len:
         raise MismatchError(f"sequence length {hidden.shape[1]} exceeds max_seq_len {c.max_seq_len}")
     run = _Pass.new(c, hidden.shape[1])
+    last = len(layer_specs) - 1
     for i in range(layer, len(layer_specs)):
-        hidden = _layer_step(params, i, layer_specs[i], hidden, run)[0]
+        hidden = _layer_step(
+            params, i, layer_specs[i], hidden, run, last_only=last_only and i == last
+        )[0]
     return _finish(params, hidden)
 
 
@@ -996,7 +1124,9 @@ def generate_batch(
     for _ in range(max_new_tokens):
         if done.all() or seqs.shape[1] >= c.max_seq_len:
             break
-        trace = forward_batch(params, arch, step, cache=cache, start=seqs.shape[1] - step.shape[1])
+        trace = forward_batch(
+            params, arch, step, cache=cache, start=seqs.shape[1] - step.shape[1], last_only=True
+        )
         nxt = np.argmax(trace.logits[:, -1, :], axis=-1)
         nxt = np.where(done, end_token, nxt)  # finished rows just pad
         lengths += (~done).astype(np.int64)

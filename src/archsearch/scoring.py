@@ -32,11 +32,13 @@ from .model import (
     ModelParams,
     _layer_walk,
     _silu,  # internal on purpose: identical math to the forward pass
+    final_hidden,
     forward_batch,
     parse_json,
     read_jsonl,
     resume_forward,
     route_tokens,
+    write_atomic,
 )
 
 F32 = np.float32
@@ -191,7 +193,7 @@ def _retrieval_correct(
     validate_retrieval_probes(probes)
     if layer_input is None:
         layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
-    trace = resume_forward(params, arch, layer, layer_input)
+    trace = resume_forward(params, arch, layer, layer_input, last_only=True)
     predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
@@ -291,7 +293,7 @@ def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) 
     walk of the parent over `probes` (score_library ranks the same way)."""
     return ExpertRanking(tuple(
         _layer_ranking(params, arch, i, probes, ffn_input)
-        for i, (_, ffn_input) in enumerate(_layer_walk(params, arch, probes.tokens))
+        for i, (_, ffn_input, _) in enumerate(_layer_walk(params, arch, probes.tokens))
     ))
 
 
@@ -379,9 +381,8 @@ class ScoreTable:
         return tuple(sorted({r.signal for r in self.rows}))
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w") as fh:
-            for r in self.sorted_rows():
-                fh.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+        rows = self.sorted_rows()
+        write_atomic(path, (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in rows))
 
     @staticmethod
     def load(path: Path | str) -> "ScoreTable":
@@ -399,15 +400,20 @@ def _activation_pass(
     """The expert ranking and every activation-MSE row, from one walk of the
     parent over the LM probes.
 
-    Every row needs the parent's final hidden before layer 0's variants run,
-    so that baseline is one plain forward ahead of the walk.
+    Every row needs the parent's final hidden, which only the end of the walk
+    gives, so the walk ranks each layer's experts as it goes and keeps the
+    residual entering each layer for the variants scored after it.
     """
-    baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
-    ranked, rows = [], []
-    walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
-    for i, (layer_lib, (layer_input, ffn_input)) in enumerate(walk):
+    ranked, layer_inputs = [], []
+    for i, (layer_input, ffn_input, leaving) in enumerate(
+        _layer_walk(params, arch, probes.tokens)
+    ):
         ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
-        order = ranked[-1].order
+        layer_inputs.append(layer_input)
+    baseline_final = final_hidden(params, leaving)
+    rows = []
+    for i, (layer_lib, layer_input) in enumerate(zip(library.layers, layer_inputs)):
+        order = ranked[i].order
         parent = arch.layers[i]
         variants = [
             (attn.variant_id, {"attention": attn}, attn == parent.attention)
@@ -450,7 +456,7 @@ def _task_drop_pass(
     """
     outcomes = []  # (layer, variant id, per-probe outcome; None for the parent's block)
     walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
-    for i, (layer_lib, (layer_input, _)) in enumerate(walk):
+    for i, (layer_lib, (layer_input, _, _)) in enumerate(walk):
         for attn in layer_lib.attention_options:
             correct = None
             if attn != arch.layers[i].attention:

@@ -58,6 +58,13 @@ def test_toy_run_reproduces_the_recorded_hashes(pipeline):
         "scores.jsonl": "12549bd31644c3955de606befad090c78a8d6babe8d6739363975168eb838798",
         "arch.json": "6bf4ae649e8df288e8d0927aede83861a9e54905efd8b12572e7a64d2e12b58d",
         "child.bin": "d430683f81405d179b99d1bf4b80d487f25600bc225c327328a2fe54af55b722",
+        "ranking.json": "8e555691fc8aa1ea9d11c7ae7a124df7232155a46e4093ce2e0d0671f72d5c20",
+        "kv_scales.json": "2d48aef2b042224f9d5b38d991fe7bd78e8e254a5d490628fa10027ecc162009",
+        "kv_quant_report.json": "bbd839a95ad0a1806ed282fa5e65af797c81cc13d4141f29d0ce7ad1d3d0f9bf",
+        # the fp8 eval runs last, so its report is the one left
+        "eval_report.json": "ad1a75b1005fdecf71c7f108e05f26980036a119ba1b08c354747ce8d00f4610",
+        "costs.jsonl": "9042e4f8d16eadc9530ef2b8996c7a31e8c079ef585e528b445d551107291c21",
+        "frontier.json": "e53a29b828b21f4d1d9b67e1e40c7bba1c932457bc49a0ce22a4b2e7c3bab655",
     }
     for name, digest in expected.items():
         assert hashlib.sha256((pipeline / name).read_bytes()).hexdigest() == digest, name

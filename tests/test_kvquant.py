@@ -355,3 +355,21 @@ def test_fp8_decoding_encodes_each_position_once(monkeypatch, toy_cfg, toy_param
     # K and V of every layer, for the 6 prompt positions and the 9 fed-back tokens
     assert sum(encoded_positions) == 2 * toy_cfg.n_layers * (6 + 9)
     assert cache.written is None  # generation tallies no codec statistics
+
+
+def test_fp8_cache_decodes_each_written_value_once(monkeypatch, toy_cfg, toy_params, toy_arch):
+    arch, tokens, scales = _fp8_setup(toy_cfg, toy_params, toy_arch)
+    counted = {"encode": 0, "decode": 0}
+    for name in counted:
+        real = getattr(kvquant, name)
+
+        def counting(values, scale, real=real, name=name):
+            counted[name] += values.size
+            return real(values, scale)
+
+        monkeypatch.setattr(kvquant, name, counting)
+    cache = KvCache.for_generation(toy_cfg, arch, 2, 6, 10, scales=scales)
+    generate_batch(toy_params, arch, tokens[:, :6], 10, end_token=-1, cache=cache)
+    # K and V of every layer, for the 6 prompt positions and the 9 fed-back tokens
+    written = 2 * toy_cfg.n_layers * 2 * (6 + 9) * toy_cfg.n_kv_heads * toy_cfg.head_dim
+    assert counted == {"encode": written, "decode": written}

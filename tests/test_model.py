@@ -26,8 +26,9 @@ from archsearch.model import (
     save_params,
     toy_config,
     window_attention,
+    write_atomic,
 )
-from archsearch.scoring import ScoreRow
+from archsearch.scoring import ScoreRow, ScoreTable
 from archsearch.search import KvBudget
 
 # frozen from the first verified build; init uses a counter-based generator
@@ -359,6 +360,104 @@ def test_forward_rejects_empty_tokens(toy_params, toy_arch):
 
 
 # ---------------------------------------------------------------------------
+# attention in query blocks against the masked full matrix
+
+
+def _masked_layer_step(params, i, spec, hidden, run, last_only=False):
+    """A decoder layer whose attention scores every query against every key
+    and masks the keys a query may not see to -inf: the reference for the
+    query blocks of model._layer_step. Every other step is the model's own."""
+    assert not last_only
+    c = params.config
+    layer = params.layers[i]
+    batch, length = hidden.shape[:2]
+    group = c.n_heads // c.n_kv_heads
+
+    def heads(x, n):
+        return x.reshape(batch, length, n, c.head_dim).transpose(0, 2, 1, 3)
+
+    att_in = model_mod._rms_norm(hidden, layer.attn_norm)
+    q = heads(model_mod._dense(att_in, layer.wq), c.n_heads)
+    k = heads(model_mod._dense(att_in, layer.wk), c.n_kv_heads)
+    q, k = model_mod._apply_rope(q, run.cos, run.sin), model_mod._apply_rope(k, run.cos, run.sin)
+    v = heads(model_mod._dense(att_in, layer.wv), c.n_kv_heads)
+    key_pos = run.query_pos
+    if run.cache is not None:
+        k, v, key_pos = run.cache.update(i, k, v, run.start)
+    grouped = q.reshape(batch, c.n_kv_heads, group * length, c.head_dim) @ k.transpose(0, 1, 3, 2)
+    scores = grouped.reshape(batch, c.n_heads, length, k.shape[2])
+    scores *= np.float32(1.0 / np.sqrt(c.head_dim))
+    scores += model_mod._attention_mask(spec.attention, run.query_pos, key_pos)
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.sum(scores, axis=-1, keepdims=True)
+    ctx = (grouped @ v).reshape(batch, c.n_heads, length, c.head_dim).transpose(0, 2, 1, 3)
+    hidden = hidden + model_mod._dense(ctx.reshape(batch, length, -1), layer.wo)
+    ffn_in = model_mod._rms_norm(hidden, layer.ffn_norm)
+    allowed = model_mod._expert_allowed_mask(layer, spec.expert_keep_set, c.top_k)
+    return hidden + model_mod._moe_layer(ffn_in, layer, allowed, c.top_k), ffn_in
+
+
+@pytest.mark.parametrize("window", [None, 4, 16, 64])
+def test_query_blocks_match_the_masked_full_matrix(window, monkeypatch):
+    attn = global_attention() if window is None else window_attention(window)
+    cfg = toy_config(n_layers=2, attn_pattern=(attn, attn))
+    params = init_model(cfg, seed=5)
+    arch = parent_spec(cfg)
+    tokens = np.random.default_rng(13).integers(0, 256, size=(2, 256), dtype=np.int64)
+    # below, at and past each window and each 32-query block; up to 128 keys
+    # a row sums its terms in the same order either way
+    exact = (3, 4, 5, 15, 16, 17, 31, 32, 33, 40, 63, 64, 65, 100, 128)
+    blocked = {n: forward_batch(params, arch, tokens[:, :n]).logits for n in exact + (256,)}
+    cache = KvCache(cfg, arch, batch=2, length=100)
+    prefill = forward_batch(params, arch, tokens[:, :100], cache=cache).logits
+    monkeypatch.setattr(model_mod, "_layer_step", _masked_layer_step)
+    for n in exact:
+        np.testing.assert_array_equal(blocked[n], forward_batch(params, arch, tokens[:, :n]).logits)
+    np.testing.assert_array_equal(prefill, blocked[100])
+    # past 128 keys NumPy splits a row's pairwise sum by the row's length
+    np.testing.assert_allclose(blocked[256], forward_batch(params, arch, tokens).logits,
+                               rtol=1e-5, atol=1e-5)
+
+
+def test_query_blocks_read_only_the_keys_a_block_can_see():
+    blocks = model_mod._query_blocks(window_attention(16), 100, 100)
+    assert blocks == [(0, 32, 0, 32), (32, 64, 16, 64), (64, 96, 48, 96), (96, 100, 80, 100)]
+    assert model_mod._query_blocks(global_attention(), 40, 40) == [(0, 32, 0, 32), (32, 40, 0, 40)]
+    # queries after held slots: one block over every slot
+    assert model_mod._query_blocks(window_attention(4), 1, 5) == [(0, 1, 0, 5)]
+
+
+# ---------------------------------------------------------------------------
+# the last position alone
+
+
+@pytest.mark.parametrize("precision", [None, "bf16", "fp8"])
+@pytest.mark.parametrize("batch, length", [(1, 20), (3, 40), (2, 96)])
+def test_last_position_forward_equals_the_full_forwards_last(toy_params, toy_arch, precision,
+                                                            batch, length):
+    arch = _pruned_window_arch(toy_arch)
+    cfg = toy_params.config
+    tokens = np.random.default_rng(length).integers(0, 256, size=(batch, length), dtype=np.int64)
+    scales = calibrate_scales(toy_params, arch, tokens) if precision == "fp8" else None
+
+    def run(last_only):
+        cache = None if precision is None else KvCache(cfg, arch, batch, length, scales=scales)
+        return forward_batch(toy_params, arch, tokens, cache=cache, last_only=last_only), cache
+
+    (full, full_cache), (last, last_cache) = run(False), run(True)
+    assert last.logits.shape == (batch, 1, cfg.vocab_size)
+    np.testing.assert_array_equal(last.logits, full.logits[:, -1:])
+    np.testing.assert_array_equal(last.final_hidden, full.final_hidden[:, -1:])
+    if precision is not None:
+        assert last_cache.positions == full_cache.positions == length
+        for a, b in zip(full_cache._layers, last_cache._layers):
+            for name, x in vars(a).items():
+                y = getattr(b, name)
+                assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+# ---------------------------------------------------------------------------
 # resuming a forward from the residual entering one layer
 
 
@@ -366,22 +465,24 @@ def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens)
-    for i, (hidden, _) in enumerate(model_mod._layer_walk(toy_params, arch, tokens)):
+    for i, (hidden, _, _) in enumerate(model_mod._layer_walk(toy_params, arch, tokens)):
         resumed = resume_forward(toy_params, arch, i, hidden)
         np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
         np.testing.assert_array_equal(resumed.logits, full.logits)
+        last = resume_forward(toy_params, arch, i, hidden, last_only=True)
+        np.testing.assert_array_equal(last.logits, full.logits[:, -1:])
 
 
 def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(11).integers(0, 256, size=(2, 24), dtype=np.int64)
-    entering, ffn_inputs = {}, {}
+    entering, ffn_inputs, leaving_layer = {}, {}, {}
     step = model_mod._layer_step
 
-    def recording_step(params, i, spec, hidden, run):
+    def recording_step(params, i, spec, hidden, run, last_only=False):
         entering[i] = hidden.copy()
-        leaving, ffn_in = step(params, i, spec, hidden, run)
-        ffn_inputs[i] = ffn_in.copy()
+        leaving, ffn_in = step(params, i, spec, hidden, run, last_only=last_only)
+        ffn_inputs[i], leaving_layer[i] = ffn_in.copy(), leaving.copy()
         return leaving, ffn_in
 
     monkeypatch.setattr(model_mod, "_layer_step", recording_step)
@@ -389,9 +490,10 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
     monkeypatch.undo()
     walked = list(model_mod._layer_walk(toy_params, arch, tokens))
     assert sorted(entering) == list(range(len(walked)))
-    for i, (hidden, ffn_in) in enumerate(walked):
+    for i, (hidden, ffn_in, leaving) in enumerate(walked):
         np.testing.assert_array_equal(hidden, entering[i])
         np.testing.assert_array_equal(ffn_in, ffn_inputs[i])
+        np.testing.assert_array_equal(leaving, leaving_layer[i])
 
 
 def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch, monkeypatch):
@@ -399,9 +501,9 @@ def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch,
     ran = []
     step = model_mod._layer_step
 
-    def counting_step(params, i, spec, hidden, run):
+    def counting_step(params, i, spec, hidden, run, last_only=False):
         ran.append(i)
-        return step(params, i, spec, hidden, run)
+        return step(params, i, spec, hidden, run, last_only=last_only)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     walk = model_mod._layer_walk(toy_params, toy_arch, tokens)
@@ -427,8 +529,10 @@ def test_resume_validation(toy_params, toy_arch):
 
 
 def _moe_reference(x, layer, allowed, top_k):
-    """Scan every token for every present expert, in ascending expert order."""
-    logits = x @ layer.router.T
+    """Scan every token for every present expert, in ascending expert order.
+    Its products follow the model's rule for one-row and one-position products
+    (model._dense, model._matmul), so only the dispatch is compared."""
+    logits = model_mod._dense(x, np.ascontiguousarray(layer.router.T))
     idx, weights = route_tokens(logits, allowed, top_k)
     out = np.zeros_like(x)
     flat_x = x.reshape(-1, x.shape[-1])
@@ -441,7 +545,8 @@ def _moe_reference(x, layer, allowed, top_k):
         if rows.size == 0:
             continue
         w = (flat_w[rows] * sel[rows]).sum(axis=-1, dtype=np.float32)
-        y = model_mod._silu(flat_x[rows] @ expert.w_in) @ expert.w_out
+        y = model_mod._matmul(model_mod._silu(model_mod._matmul(flat_x[rows], expert.w_in)),
+                              expert.w_out)
         flat_out[rows] += w[:, None] * y
     return out
 
@@ -647,6 +752,31 @@ def test_save_load_roundtrip(tmp_path, toy_params, toy_arch):
         forward_batch(loaded, toy_arch, tokens).logits,
         forward_batch(toy_params, toy_arch, tokens).logits,
     )
+
+
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path):
+    path = tmp_path / "report.json"
+    write_atomic(path, "old\n")
+
+    def parts():
+        yield "new, part one\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, parts())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    # an artifact writer: the second row cannot be serialized
+    table = tmp_path / "scores.jsonl"
+    ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.5, 0.5, 1)]).save(table)
+    kept = table.read_bytes()
+    broken = ScoreRow(1, "ffn:keep:8", "activation_mse", object(), 0.5, 1)
+    with pytest.raises(TypeError):
+        ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.25, 0.25, 1),
+                         broken]).save(table)
+    assert table.read_bytes() == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "scores.jsonl"]
 
 
 def test_load_detects_corruption(tmp_path, toy_params):

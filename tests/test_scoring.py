@@ -74,7 +74,7 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
     scores = expert_contribution_scores(toy_params, toy_arch, layer=0, probes=probes)
     # recompute which experts the router actually used on these probes
     from archsearch.model import route_tokens
-    _, ffn_in = next(model_mod._layer_walk(toy_params, toy_arch, probes.tokens))
+    _, ffn_in, _ = next(model_mod._layer_walk(toy_params, toy_arch, probes.tokens))
     logits = ffn_in @ toy_params.layers[0].router.T
     idx, _ = route_tokens(logits, np.ones(16, dtype=bool), toy_params.config.top_k)
     used = set(np.unique(idx).tolist())
@@ -261,9 +261,11 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     # The toy run's menu: two keep-count variants at every layer, and two
     # window variants at each global layer scored on both probe sets. Each
     # variant resumes at its layer and runs to the end: 136 layer passes.
-    # Parent passes: the LM baseline forward, one LM walk and one retrieval
-    # walk of 8 layers each, and the parent's retrieval outcome resumed at the
-    # last layer, so 25 at most.
+    # Parent passes: one LM walk and one retrieval walk of 8 layers each, and
+    # the parent's retrieval outcome resumed at the last layer, so 17. A
+    # retrieval outcome reads only the last position's logits, so the last
+    # layer of each of the 9 retrieval passes (8 variants and the parent's)
+    # runs for that position alone; no other pass does.
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25),
                                              alt_windows=(64, 16)))
     lm = make_lm_probes(toy_cfg, count=2, length=16, seed=5)
@@ -278,13 +280,15 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     calls = []
     step = model_mod._layer_step
 
-    def counting_step(params, i, spec, hidden, run):
-        calls.append(i)
-        return step(params, i, spec, hidden, run)
+    def counting_step(params, i, spec, hidden, run, last_only=False):
+        calls.append((i, last_only))
+        return step(params, i, spec, hidden, run, last_only=last_only)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     score_library(toy_params, toy_arch, lib, lm, retrieval)
-    assert variant_passes <= len(calls) <= variant_passes + 25
+    assert len(calls) == variant_passes + 17
+    last = toy_cfg.n_layers - 1
+    assert [c for c in calls if c[1]] == [(last, True)] * 9
 
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
