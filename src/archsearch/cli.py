@@ -347,7 +347,7 @@ def cmd_quantize(args) -> int:
             scales = QuantScales.unit(params.config.n_layers)
         scales.save(out / "kv_scales.json")
 
-        _, report = forward_with_quantized_kv(params, arch, calib.tokens, scales, last_only=True)
+        _, report = forward_with_quantized_kv(params, arch, calib.tokens, scales)
         write_json(out / "kv_quant_report.json", report.to_json())
         RunManifest(out).record_stage(
             "quantize",
@@ -380,9 +380,7 @@ def cmd_eval(args) -> int:
             if not scales_path.exists():
                 raise ConfigError("eval --kv-precision fp8 needs the quantize stage first")
             scales = QuantScales.load(scales_path)
-            trace, report = forward_with_quantized_kv(
-                params, arch, probes.tokens, scales, last_only=True
-            )
+            trace, report = forward_with_quantized_kv(params, arch, probes.tokens, scales)
             kv_section = report.to_json()
         else:
             trace = forward_batch(params, arch, probes.tokens, last_only=True)

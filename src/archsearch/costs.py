@@ -234,13 +234,12 @@ class CostTable:
             ) from None
 
     def save(self, path: Path | str) -> None:
-        def lines():
-            for (layer, variant, scenario) in sorted(self.entries):
-                row = {"layer": layer, "variant": variant, "scenario": scenario}
-                row.update(self.entries[(layer, variant, scenario)].to_json())
-                yield json.dumps(row, sort_keys=True) + "\n"
-
-        write_atomic(path, lines())
+        lines = []
+        for (layer, variant, scenario) in sorted(self.entries):
+            row = {"layer": layer, "variant": variant, "scenario": scenario}
+            row.update(self.entries[(layer, variant, scenario)].to_json())
+            lines.append(json.dumps(row, sort_keys=True) + "\n")
+        write_atomic(path, "".join(lines))
 
     @staticmethod
     def load(path: Path | str) -> "CostTable":

@@ -279,14 +279,14 @@ def forward_with_quantized_kv(
     arch: ArchitectureSpec,
     tokens: np.ndarray,
     scales: QuantScales,
-    last_only: bool = False,
 ) -> tuple[ForwardTrace, KvQuantReport]:
     """Forward pass that prefills an fp8 cache: every key and value is encoded
-    once through the 8-bit codec and attention reads the decoded codes.
-    last_only as forward_batch takes it; the report covers every position."""
+    once through the 8-bit codec and attention reads the decoded codes. The
+    trace holds the last position alone (forward_batch's last_only); the
+    report covers every position."""
     tokens = np.asarray(tokens)
     cache = KvCache(
         params.config, arch, len(tokens), tokens.shape[-1], scales=scales, report=True
     )
-    trace = forward_batch(params, arch, tokens, cache=cache, last_only=last_only)
+    trace = forward_batch(params, arch, tokens, cache=cache, last_only=True)
     return trace, KvQuantReport(cache.written)

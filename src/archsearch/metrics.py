@@ -80,7 +80,7 @@ class RunRecord:
 
 
 def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
-    write_atomic(path, (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records))
+    write_atomic(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records))
 
 
 def load_run_records(path: Path | str) -> list[RunRecord]:

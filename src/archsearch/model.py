@@ -136,19 +136,17 @@ def _parsed(text: str, parse, where: str):
         raise ConfigError(f"{exc} (in {where})") from None
 
 
-def write_atomic(path: Path | str, data: str | bytes | Iterable[str | bytes]) -> None:
-    """Write `data` (text is UTF-8 encoded; an iterable is written part by
-    part) to `path` so that a reader finds the old file or the whole new one,
-    never a torn one: the bytes go to a temporary file in the same directory,
-    which then replaces `path`. If writing raises, `path` is left as it was
-    and the temporary file is removed."""
+def write_atomic(path: Path | str, data: str | bytes) -> None:
+    """Write `data` (text is UTF-8 encoded) to `path` so that a reader finds
+    the old file or the whole new one, never a torn one: the bytes go to a
+    temporary file in the same directory, which then replaces `path`. If
+    writing raises, `path` is left as it was and the temporary file is
+    removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    parts = [data] if isinstance(data, (str, bytes)) else data
     try:
         with open(tmp, "wb") as fh:
-            for part in parts:
-                fh.write(part.encode() if isinstance(part, str) else part)
+            fh.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -561,8 +559,6 @@ class _LayerSlots:
     k: np.ndarray  # [batch, n_kv_heads, slots, head_dim] float32, as attention reads them
     v: np.ndarray
     pos: np.ndarray  # [slots] absolute position each slot holds
-    k_codes: np.ndarray | None  # uint8 E4M3 codes of k in an fp8 cache, else None
-    v_codes: np.ndarray | None
 
 
 class KvCache:
@@ -571,9 +567,9 @@ class KvCache:
     A global layer holds `length` slots. A window layer of size W holds a ring
     buffer of min(length, W) slots, position p in slot p % W. Without `scales`
     the slots store float32. With `scales` (per-layer `k_scales` and `v_scales`,
-    as kvquant.QuantScales has) they store uint8 E4M3 codes: each position is
-    encoded once, when written, and decoded once, into float32 slots kept
-    beside the codes, which attention reads.
+    as kvquant.QuantScales has) each position is encoded to uint8 E4M3 codes
+    once, when written, and the slots store the codes decoded to float32, which
+    attention reads; held_bytes counts the one byte of each code.
 
     A cache made with report=True tallies, per layer, the keys and values
     written to it in `written[layer] = (k_stats, v_stats)`.
@@ -609,11 +605,9 @@ class KvCache:
         self._layers = []
         for variant in self.variants:
             shape = (batch, config.n_kv_heads, variant.effective_window(length), config.head_dim)
-            codes = (None, None) if scales is None else (
-                np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))
             self._layers.append(
                 _LayerSlots(np.zeros(shape, F32), np.zeros(shape, F32),
-                            np.full(shape[2], -1, dtype=np.int64), *codes)
+                            np.full(shape[2], -1, dtype=np.int64))
             )
 
     @classmethod
@@ -640,13 +634,11 @@ class KvCache:
         return min(self.positions, self._layers[layer].pos.size)
 
     def held_bytes(self) -> int:
-        """Bytes of the filled K and V slots of one sequence as stored (codes in
-        an fp8 cache), over all layers."""
-        total = 0
-        for i, s in enumerate(self._layers):
-            for stored in ((s.k, s.v) if s.k_codes is None else (s.k_codes, s.v_codes)):
-                total += stored[0, :, : self.held(i)].nbytes
-        return total
+        """Bytes of the filled K and V slots of one sequence, over all layers:
+        4 per float32 value, or 1 per code in an fp8 cache."""
+        per_value = 4 if self.scales is None else 1
+        return sum(2 * s.k[0, :, : self.held(i)].size * per_value
+                   for i, s in enumerate(self._layers))
 
     def update(
         self, layer: int, k: np.ndarray, v: np.ndarray, start: int
@@ -686,9 +678,6 @@ class KvCache:
         slots = new_pos[keep] % n_slots
         s.k[:, :, slots] = k_seen[:, :, keep]
         s.v[:, :, slots] = v_seen[:, :, keep]
-        if s.k_codes is not None:
-            s.k_codes[:, :, slots] = k_codes[:, :, keep]
-            s.v_codes[:, :, slots] = v_codes[:, :, keep]
         s.pos[slots] = new_pos[keep]
         return keys, values, key_pos
 
@@ -1055,7 +1044,7 @@ def _layer_walk(
     run = _Pass.new(c, tokens.shape[1])
     hidden = params.embedding[tokens]
     for i, spec in enumerate(_layer_specs(params, arch)):
-        leaving, ffn_in = _layer_step(params, i, spec, hidden, run, last_only=False)
+        leaving, ffn_in = _layer_step(params, i, spec, hidden, run)
         yield hidden, ffn_in, leaving
         hidden = leaving
 

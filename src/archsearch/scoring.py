@@ -382,7 +382,7 @@ class ScoreTable:
 
     def save(self, path: Path | str) -> None:
         rows = self.sorted_rows()
-        write_atomic(path, (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in rows))
+        write_atomic(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in rows))
 
     @staticmethod
     def load(path: Path | str) -> "ScoreTable":

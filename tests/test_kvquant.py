@@ -290,10 +290,10 @@ def test_quantized_forward_differs_but_slightly(toy_cfg, toy_params, toy_arch):
     scales = calibrate_scales(toy_params, toy_arch, tokens)
     plain = forward_batch(toy_params, toy_arch, tokens)
     traced, _ = forward_with_quantized_kv(toy_params, toy_arch, tokens, scales)
-    assert not np.array_equal(plain.logits, traced.logits)
+    assert not np.array_equal(plain.logits[:, -1:], traced.logits)
     # an untrained model amplifies cache noise, but the result must stay a
     # perturbation of the original logits, not a rewrite of them
-    a = plain.logits.astype(np.float64)
+    a = plain.logits[:, -1:].astype(np.float64)
     b = traced.logits.astype(np.float64)
     rel = np.mean((a - b) ** 2) / np.mean(a**2)
     assert rel < 0.1

@@ -754,16 +754,17 @@ def test_save_load_roundtrip(tmp_path, toy_params, toy_arch):
     )
 
 
-def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path):
+def test_a_write_that_fails_part_way_leaves_the_old_file(monkeypatch, tmp_path):
     path = tmp_path / "report.json"
     write_atomic(path, "old\n")
 
-    def parts():
-        yield "new, part one\n"
+    def failing_replace(src, dst):
         raise OSError("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        write_atomic(path, parts())
+    # the new bytes are written, then putting them in place fails
+    with monkeypatch.context() as m, pytest.raises(OSError, match="disk full"):
+        m.setattr(model_mod.os, "replace", failing_replace)
+        write_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
