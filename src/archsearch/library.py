@@ -13,11 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    EXPERT_TENSORS,
     LAYER_TENSORS,
     AttentionVariant,
     ConfigError,
-    ExpertParams,
     LayerParams,
     MismatchError,
     ModelConfig,
@@ -260,10 +258,8 @@ def prune_layer(layer: LayerParams, keep_set: tuple[int, ...]) -> LayerParams:
     tensors["router"] = layer.router[positions]
     return LayerParams(
         **tensors,
-        experts=[
-            ExpertParams(**{name: getattr(expert, name).copy() for name in EXPERT_TENSORS})
-            for expert in (layer.experts[p] for p in positions)
-        ],
+        w_in=layer.w_in[positions],
+        w_out=layer.w_out[positions],
         expert_ids=keep,
     )
 

@@ -30,6 +30,7 @@ from .model import (
     MismatchError,
     ModelConfig,
     ModelParams,
+    _finish,
     _layer_walk,
     _silu,  # internal on purpose: identical math to the forward pass
     final_hidden,
@@ -193,8 +194,8 @@ def _retrieval_correct(
     validate_retrieval_probes(probes)
     if layer_input is None:
         layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
-    trace = resume_forward(params, arch, layer, layer_input, last_only=True)
-    predicted = np.argmax(trace.logits[:, -1, :], axis=-1)
+    leaving = resume_forward(params, arch, layer, layer_input, last_only=True)
+    predicted = np.argmax(_finish(params, leaving).logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
 
@@ -243,7 +244,7 @@ def expert_contribution_scores(
     outputs = np.zeros((len(lp.expert_ids), n_tokens, d), dtype=F32)
     for pos, on in enumerate(allowed):
         if on:
-            outputs[pos] = _silu(x @ lp.experts[pos].w_in) @ lp.experts[pos].w_out
+            outputs[pos] = _silu(x @ lp.w_in[pos]) @ lp.w_out[pos]
 
     def mix(allowed_mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         lg = logits if rows is None else logits[rows]
@@ -325,7 +326,7 @@ def replace_one_block_score(
     if layer_input is None:
         layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
     variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
-    variant_final = resume_forward(params, variant_arch, layer, layer_input).final_hidden
+    variant_final = final_hidden(params, resume_forward(params, variant_arch, layer, layer_input))
     diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
     return float(per_seq.mean()), per_seq

@@ -3,7 +3,6 @@ import pytest
 
 from archsearch.library import parent_spec
 from archsearch.model import (
-    ExpertParams,
     LayerParams,
     ModelConfig,
     ModelParams,
@@ -97,7 +96,8 @@ def build_induction_model(match_gain: float = 30.0) -> ModelParams:
         return dict(
             ffn_norm=np.ones(_D, dtype=np.float32),
             router=zeros(4, _D),
-            experts=[ExpertParams(w_in=zeros(_D, 4), w_out=zeros(4, _D)) for _ in range(4)],
+            w_in=zeros(4, _D, 4),
+            w_out=zeros(4, 4, _D),
             expert_ids=(0, 1, 2, 3),
         )
 

@@ -174,7 +174,8 @@ def test_prune_layer_selects_router_rows_and_experts(toy_params):
     assert pruned.router.shape == (4, 64)
     for row, eid in enumerate(keep):
         np.testing.assert_array_equal(pruned.router[row], layer.router[eid])
-        np.testing.assert_array_equal(pruned.experts[row].w_in, layer.experts[eid].w_in)
+        np.testing.assert_array_equal(pruned.w_in[row], layer.w_in[eid])
+        np.testing.assert_array_equal(pruned.w_out[row], layer.w_out[eid])
     # originals untouched, copies independent
     pruned.router[0, 0] += 1.0
     assert layer.router[1, 0] != pruned.router[0, 0]

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from archsearch import model as model_mod
 from archsearch.costs import HardwareProfile, Scenario, kv_bytes_per_sequence
 from archsearch.kvquant import QuantScales, calibrate_scales, forward_with_quantized_kv
-from archsearch.library import parent_spec
+from archsearch.library import assemble, parent_spec, prune_layer
 from archsearch.metrics import RunRecord
 from archsearch.model import (
     AttentionVariant,
@@ -278,10 +280,9 @@ def _naive_forward(params, arch, tokens):
                 w = np.exp(sel - sel.max())
                 w /= w.sum()
                 for wi, (_, e) in zip(w, chosen):
-                    ex = layer.experts[e]
-                    h1 = x[b, t] @ ex.w_in
+                    h1 = x[b, t] @ layer.w_in[e]
                     h1 = h1 / (1 + np.exp(-h1))
-                    moe[b, t] += wi * (h1 @ ex.w_out)
+                    moe[b, t] += wi * (h1 @ layer.w_out[e])
         hidden = hidden + moe
     final = rms(hidden, params.final_norm)
     return final @ params.lm_head
@@ -374,13 +375,14 @@ def _masked_layer_step(params, i, spec, hidden, run, last_only=False):
     group = c.n_heads // c.n_kv_heads
 
     def heads(x, n):
-        return x.reshape(batch, length, n, c.head_dim).transpose(0, 2, 1, 3)
+        x = x.reshape(batch, length, n, c.head_dim)
+        return model_mod._apply_rope(x, run.cos, run.sin).transpose(0, 2, 1, 3)
 
     att_in = model_mod._rms_norm(hidden, layer.attn_norm)
     q = heads(model_mod._dense(att_in, layer.wq), c.n_heads)
     k = heads(model_mod._dense(att_in, layer.wk), c.n_kv_heads)
-    q, k = model_mod._apply_rope(q, run.cos, run.sin), model_mod._apply_rope(k, run.cos, run.sin)
-    v = heads(model_mod._dense(att_in, layer.wv), c.n_kv_heads)
+    v = model_mod._dense(att_in, layer.wv).reshape(batch, length, c.n_kv_heads, c.head_dim)
+    v = v.transpose(0, 2, 1, 3)
     key_pos = run.query_pos
     if run.cache is not None:
         k, v, key_pos = run.cache.update(i, k, v, run.start)
@@ -466,11 +468,12 @@ def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens)
     for i, (hidden, _, _) in enumerate(model_mod._layer_walk(toy_params, arch, tokens)):
-        resumed = resume_forward(toy_params, arch, i, hidden)
+        resumed = model_mod._finish(toy_params, resume_forward(toy_params, arch, i, hidden))
         np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
         np.testing.assert_array_equal(resumed.logits, full.logits)
         last = resume_forward(toy_params, arch, i, hidden, last_only=True)
-        np.testing.assert_array_equal(last.logits, full.logits[:, -1:])
+        np.testing.assert_array_equal(model_mod._finish(toy_params, last).logits,
+                                      full.logits[:, -1:])
 
 
 def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
@@ -539,22 +542,26 @@ def _moe_reference(x, layer, allowed, top_k):
     flat_idx = idx.reshape(-1, top_k)
     flat_w = weights.reshape(-1, top_k)
     flat_out = out.reshape(-1, x.shape[-1])
-    for e, expert in enumerate(layer.experts):
+    for e in range(len(layer.expert_ids)):
         sel = flat_idx == e
         rows = np.nonzero(sel.any(axis=-1))[0]
         if rows.size == 0:
             continue
         w = (flat_w[rows] * sel[rows]).sum(axis=-1, dtype=np.float32)
-        y = model_mod._matmul(model_mod._silu(model_mod._matmul(flat_x[rows], expert.w_in)),
-                              expert.w_out)
+        y = model_mod._matmul(model_mod._silu(model_mod._matmul(flat_x[rows], layer.w_in[e])),
+                              layer.w_out[e])
         flat_out[rows] += w[:, None] * y
     return out
 
 
 @pytest.mark.parametrize("shape, keep", [
     ((24, 96), tuple(range(16))),  # a scoring batch
-    ((16, 1), tuple(range(16))),  # one decode step: only the routed experts run
+    ((16, 1), tuple(range(16))),  # one decode step: every expert runs on every row
     ((6, 20), (2, 3, 7, 11, 12)),  # a pruned layer: a strict subset is allowed
+    ((1, 1), tuple(range(16))),  # a lone row
+    ((4, 1), tuple(range(16))),
+    ((48, 1), tuple(range(16))),  # a retrieval batch's last position
+    ((6, 1), (2, 3, 7, 11, 12)),
 ])
 def test_moe_dispatch_is_bit_identical_to_the_per_expert_scan(toy_params, shape, keep):
     layer = toy_params.layers[3]
@@ -562,7 +569,50 @@ def test_moe_dispatch_is_bit_identical_to_the_per_expert_scan(toy_params, shape,
     x = np.random.default_rng(12).standard_normal(shape + (64,)).astype(np.float32)
     allowed = model_mod._expert_allowed_mask(layer, keep, top_k)
     got = model_mod._moe_layer(x, layer, allowed, top_k)
-    assert np.array_equal(got, _moe_reference(x, layer, allowed, top_k))
+    assert got.tobytes() == _moe_reference(x, layer, allowed, top_k).tobytes()
+
+
+@pytest.mark.parametrize("top_k", [2, 3])  # from 3 slots on, the order of adds shows
+@pytest.mark.parametrize("shape", [(6, 20), (6, 1)])
+def test_moe_dispatch_on_a_layer_with_experts_pruned_away(toy_params, shape, top_k):
+    # 8 present experts, 5 of them allowed
+    layer = prune_layer(toy_params.layers[3], (1, 2, 3, 5, 7, 11, 12, 14))
+    x = np.random.default_rng(13).standard_normal(shape + (64,)).astype(np.float32)
+    allowed = model_mod._expert_allowed_mask(layer, (2, 3, 7, 11, 12), top_k)
+    got = model_mod._moe_layer(x, layer, allowed, top_k)
+    assert got.tobytes() == _moe_reference(x, layer, allowed, top_k).tobytes()
+
+
+@pytest.mark.parametrize("k, n", [(64, 32), (32, 64), (64, 16), (64, 8)],
+                         ids=["expert-in", "expert-out", "router", "pruned-router"])
+def test_blas_gemm_rows_depend_on_neither_row_count_nor_stacking(k, n):
+    """Bit-identity of the forward rests on the BLAS: a row of a C-order GEMM
+    must come out the same whichever rows share the product (at least 2), and
+    as one slice of a stacked product. The one-position MoE runs all rows
+    where the prefill loop runs an expert's rows alone, and _dense runs a
+    decode step's rows as one GEMM over the batch. model._matmul puts a lone
+    row in a GEMM; that is checked here too."""
+    rng = np.random.default_rng(k * n)
+    x = rng.standard_normal((400, k)).astype(np.float32)
+    w = rng.standard_normal((16, k, n)).astype(np.float32)
+    full = x @ w[0]
+    for m in range(2, 400):
+        rows = rng.choice(400, size=m, replace=False)
+        assert np.array_equal(x[rows] @ w[0], full[rows]), (
+            f"this BLAS sums a [{m}, {k}] @ [{k}, {n}] GEMM's rows differently than "
+            f"the same rows among 400: the forward is no longer bit-identical to itself"
+        )
+    for i in (0, 17, 399):
+        assert np.array_equal(model_mod._matmul(x[i:i + 1], w[0])[0], full[i]), (
+            f"model._matmul sums a lone [1, {k}] @ [{k}, {n}] row differently than a GEMM"
+        )
+    for m in (1, 2, 3, 4, 8, 16, 48, 399):
+        stacked = model_mod._matmul(x[None, :m], w)
+        for e in range(len(w)):
+            assert np.array_equal(stacked[e], model_mod._matmul(x[:m], w[e])), (
+                f"this BLAS sums slice {e} of a stacked [{m}, {k}] @ [16, {k}, {n}] product "
+                f"differently than the same product alone"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +802,36 @@ def test_save_load_roundtrip(tmp_path, toy_params, toy_arch):
         forward_batch(loaded, toy_arch, tokens).logits,
         forward_batch(toy_params, toy_arch, tokens).logits,
     )
+
+
+def test_save_load_keeps_the_expert_stacks_and_the_names_on_disk(tmp_path, toy_params, toy_arch):
+    # layer 2 keeps 8 experts, so its stacks and names run to 8
+    keep = (0, 3, 4, 6, 9, 10, 13, 15)
+    child = assemble(toy_params, toy_arch.with_layer(2, expert_keep_set=keep))
+    path = tmp_path / "child.bin"
+    save_params(child, path)
+    loaded = load_params(path)
+    for a, b in zip(child.layers, loaded.layers):
+        assert b.expert_ids == a.expert_ids
+        for stack in ("w_in", "w_out"):
+            x, y = getattr(a, stack), getattr(b, stack)
+            assert y.dtype == np.float32 and y.flags.c_contiguous and y.flags.writeable
+            np.testing.assert_array_equal(x, y)
+    layer_names = ["attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "router"]
+    names = ["embedding"]
+    for i, layer in enumerate(child.layers):
+        names += [f"layers.{i}.{name}" for name in layer_names]
+        for j in range(len(layer.expert_ids)):
+            names += [f"layers.{i}.experts.{j}.w_in", f"layers.{i}.experts.{j}.w_out"]
+    names += ["final_norm", "lm_head"]
+    entries = json.loads(model_mod.manifest_path_for(path).read_text())["entries"]
+    assert [e["name"] for e in entries] == names
+    shapes = {e["name"]: e["shape"] for e in entries}
+    assert shapes["layers.2.experts.7.w_in"] == [64, 32]
+    assert shapes["layers.2.experts.7.w_out"] == [32, 64]
+    assert "layers.2.experts.8.w_in" not in shapes
+    offsets = [e["offset_bytes"] for e in entries]
+    assert offsets == sorted(offsets)  # the blob holds the tensors in this order
 
 
 def test_a_write_that_fails_part_way_leaves_the_old_file(monkeypatch, tmp_path):
