@@ -231,6 +231,18 @@ def window_attention(window_size: int) -> AttentionVariant:
     return AttentionVariant("window", window_size)
 
 
+def first_mask_difference(a: AttentionVariant, b: AttentionVariant) -> int | None:
+    """The first query position whose causal mask differs between a and b;
+    None when a == b. Global against window W gives W; window W1 against
+    window W2 gives min(W1, W2). Every query before it sees keys 0.. itself
+    under both, and its attention block starts at key 0 under both (see
+    _query_blocks), so a layer's rows before it are the same bits under
+    either variant."""
+    if a == b:
+        return None
+    return min(v.window_size for v in (a, b) if v.kind == "window")
+
+
 # ---------------------------------------------------------------------------
 # model config
 
@@ -738,22 +750,35 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
 
 
 def _rope_tables(config: ModelConfig, start: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width rotary tables, each [length, head_dim]: the cosine of each
+    pair's angle twice, and (-sine, sine) of it."""
     half = config.head_dim // 2
     inv_freq = config.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
     # The long-context knob divides every rotary angle; factor 1.0 is the exact
     # unscaled baseline.
     positions = np.arange(start, start + length, dtype=np.float64)
     angles = positions[:, None] * inv_freq[None, :] / config.rope_scale_factor
-    return np.cos(angles).astype(F32), np.sin(angles).astype(F32)
+    cos, sin = np.cos(angles).astype(F32), np.sin(angles).astype(F32)
+    return np.repeat(cos, 2, axis=-1), np.stack([-sin, sin], axis=-1).reshape(length, -1)
 
 
 def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """x [batch, positions, heads, head_dim] with each (even, odd) dim pair
-    rotated by its position's angle; cos and sin are [positions, head_dim/2]."""
-    pairs = x.reshape(x.shape[:-1] + (-1, 2))
-    xe, xo = pairs[..., 0], pairs[..., 1]
-    cos, sin = cos[:, None], sin[:, None]
-    return np.stack([xe * cos - xo * sin, xe * sin + xo * cos], axis=-1).reshape(x.shape)
+    rotated by its position's angle; cos and sin are _rope_tables' full-width
+    [positions, head_dim] tables.
+
+    x * cos + (x with each pair swapped) * sin, as whole-array passes into a
+    contiguous result. Each element gets the float ops of the pairwise form
+    (even: xe*c - xo*s, odd: xe*s + xo*c): xe*c + (-(xo*s)) is xe*c - xo*s,
+    and the odd sum only swaps its terms.
+    """
+    swapped = np.empty_like(x)
+    swapped[..., 0::2] = x[..., 1::2]
+    swapped[..., 1::2] = x[..., 0::2]
+    swapped *= sin[:, None]
+    out = x * cos[:, None]
+    out += swapped
+    return out
 
 
 def _attention_mask(
@@ -763,6 +788,25 @@ def _attention_mask(
     if variant.kind == "window":
         allowed &= key_pos[None, :] > query_pos[:, None] - variant.window_size
     return np.where(allowed, F32(0.0), F32(-np.inf))
+
+
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """np.max(scores, axis=-1, keepdims=True) for a block of several query
+    rows, by halving the key axis with np.maximum; an odd length folds its
+    last column into column 0. A max is exact in any order (a NaN propagates
+    either way), so only the sign of a zero max tied between +0 and -0 can
+    differ from np.max's, and subtracting either zero from a row gives values
+    that exp maps to the same bits. The whole-array passes beat NumPy's
+    per-row reduction on short rows."""
+    n = scores.shape[-1]
+    m = scores.copy() if n == 1 else scores
+    while n > 1:
+        half = n // 2
+        halved = np.maximum(m[..., :half], m[..., half : 2 * half])
+        if n % 2:
+            np.maximum(halved[..., :1], m[..., n - 1 :], out=halved[..., :1])
+        m, n = halved, half
+    return m
 
 
 def route_tokens(
@@ -928,20 +972,22 @@ def _layer_step(
     spec: "LayerBlockSpec",
     hidden: np.ndarray,
     run: _Pass,
-    last_only: bool = False,
+    first: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer on the residual stream `hidden` [batch, length, d_model].
 
-    Returns (residual leaving the layer, FFN input). With last_only, keys and
-    values are computed (and cached) for every position, and the rest of the
-    layer for the last position alone: both come back [batch, 1, d_model],
-    equal bit for bit to the last position of the full layer.
+    Keys and values are computed (and cached) for every position; queries,
+    attention, the output projection and the FFN run for positions first..
+    alone, 0 <= first < length. Returns (residual leaving the layer, FFN
+    input), both [batch, length - first, d_model] and equal bit for bit to
+    rows first.. of the full layer (first = 0): a query row reads the same
+    keys in the same attention block, and a product row does not depend on
+    the rows beside it.
     """
     c = params.config
     layer = params.layers[i]
     batch, length = hidden.shape[:2]
     group = c.n_heads // c.n_kv_heads
-    first = length - 1 if last_only else 0  # the first position whose query runs
 
     def heads(x: np.ndarray, n: int) -> np.ndarray:  # -> [batch, positions, n, head_dim]
         return x.reshape(batch, -1, n, c.head_dim)
@@ -971,7 +1017,7 @@ def _layer_step(
         scores *= np.float32(1.0 / np.sqrt(c.head_dim))
         scores += _attention_mask(spec.attention, run.query_pos[a:b], key_pos[lo:hi])
         # softmax over keys, in place; masked slots exp to exactly 0
-        scores -= np.max(scores, axis=-1, keepdims=True)
+        scores -= _row_max(scores) if b - a > 1 else np.max(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= np.sum(scores, axis=-1, keepdims=True)
         out = _matmul(scores.reshape(qb.shape[:3] + (hi - lo,)), v[:, :, lo:hi])
@@ -1063,7 +1109,8 @@ def forward_batch(
     hidden = params.embedding[tokens]
     last = len(layer_specs) - 1
     for i, spec in enumerate(layer_specs):
-        hidden = _layer_step(params, i, spec, hidden, run, last_only=last_only and i == last)[0]
+        first = length - 1 if last_only and i == last else 0
+        hidden = _layer_step(params, i, spec, hidden, run, first)[0]
     if cache is not None:
         cache.positions = start + length
     return _finish(params, hidden)
@@ -1089,38 +1136,75 @@ def _layer_walk(
         hidden = leaving
 
 
+def _layer_inputs(
+    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
+) -> list[np.ndarray]:
+    """The residual stream [batch, length, d_model] entering each layer of a
+    cache-free forward on `tokens`, bit-identical to what forward_batch
+    computes. The last layer does not run: nothing it computes enters a
+    layer."""
+    c = params.config
+    tokens = _check_tokens(c, tokens)
+    run = _Pass.new(c, tokens.shape[1])
+    entering = [params.embedding[tokens]]
+    for i, spec in enumerate(_layer_specs(params, arch)[:-1]):
+        entering.append(_layer_step(params, i, spec, entering[-1], run)[0])
+    return entering
+
+
 def resume_forward(
     params: ModelParams,
     arch: "ArchitectureSpec",
     layer: int,
-    hidden: np.ndarray,
+    entering: list[np.ndarray],
+    first: int = 0,
     last_only: bool = False,
 ) -> np.ndarray:
-    """The residual stream leaving the last layer of a cache-free forward
-    resumed from `hidden`, the residual entering `layer` (as _layer_walk gives
-    it), running only layers layer.. of `arch`; last_only as forward_batch
-    takes it. The caller applies final_hidden, or _finish for logits too.
+    """Rows first.. of the residual stream leaving the last layer of a
+    cache-free forward resumed at `layer`, running only layers layer.. of
+    `arch`; last_only as forward_batch takes it (the last row alone). The
+    caller applies final_hidden, or _finish for logits too, and takes rows
+    before `first` from the forward that gave `entering`.
 
-    When the layers before `layer` match those `hidden` came from, it equals
-    the residual forward_batch leaves on the same tokens, bit for bit.
+    `entering` holds, for every layer, the residual [batch, length, d_model]
+    entering it in some forward on the same tokens (as _layer_inputs gives
+    it). Layer `layer` reads all of entering[layer]. Every layer runs its
+    queries and FFN from `first` on (_layer_step); a later layer takes rows
+    before `first` from its own entry in `entering`, the rest from the layer
+    before it.
+
+    When that forward ran the layers before `layer` as `arch` does, and its
+    rows before `first` are those `arch` gives at every layer from `layer` on
+    (first = 0, or a changed attention's first_mask_difference), the result
+    equals rows first.. of the residual forward_batch leaves, bit for bit.
     """
     c = params.config
     layer_specs = _layer_specs(params, arch)
-    if not 0 <= layer < len(layer_specs):
-        raise MismatchError(f"cannot resume at layer {layer} of a {len(layer_specs)}-layer model")
-    hidden = np.asarray(hidden)
-    if hidden.ndim != 3 or hidden.shape[2] != c.d_model or hidden.size == 0:
+    n = len(layer_specs)
+    if not 0 <= layer < n:
+        raise MismatchError(f"cannot resume at layer {layer} of a {n}-layer model")
+    if len(entering) != n:
+        raise MismatchError(f"resume_forward needs the residual entering each of {n} layers, "
+                            f"got {len(entering)}")
+    hidden = np.asarray(entering[layer])
+    if hidden.ndim != 3 or hidden.shape[2] != c.d_model or hidden.size == 0 or any(
+        np.shape(e) != hidden.shape for e in entering[layer + 1 :]
+    ):
         raise MismatchError(
-            f"resume_forward expects a [batch, length, {c.d_model}] residual, got shape {hidden.shape}"
+            f"resume_forward expects [batch, length, {c.d_model}] residuals of one shape, "
+            f"got shape {hidden.shape} at layer {layer}"
         )
-    if hidden.shape[1] > c.max_seq_len:
-        raise MismatchError(f"sequence length {hidden.shape[1]} exceeds max_seq_len {c.max_seq_len}")
-    run = _Pass.new(c, hidden.shape[1])
-    last = len(layer_specs) - 1
-    for i in range(layer, len(layer_specs)):
-        hidden = _layer_step(
-            params, i, layer_specs[i], hidden, run, last_only=last_only and i == last
-        )[0]
+    length = hidden.shape[1]
+    if length > c.max_seq_len:
+        raise MismatchError(f"sequence length {length} exceeds max_seq_len {c.max_seq_len}")
+    if not 0 <= first < length:
+        raise MismatchError(f"cannot resume from position {first} of {length}")
+    run = _Pass.new(c, length)
+    for i in range(layer, n):
+        if i > layer and first:
+            hidden = np.concatenate([entering[i][:, :first], hidden], axis=1)
+        step_first = length - 1 if last_only and i == n - 1 else first
+        hidden = _layer_step(params, i, layer_specs[i], hidden, run, step_first)[0]
     return hidden
 
 

@@ -7,10 +7,11 @@ sits far behind the query. Expert contribution scores measure how much each
 expert's removal (with routing re-selected over the remaining experts) moves a
 layer's FFN output.
 
-Scoring looks inside the parent only through one walk of its layers per probe
-set (model._layer_walk): each layer's experts are ranked from the FFN input
-the walk gives, and each replace-one-block variant resumes from the residual
-the walk gives at its layer.
+Scoring looks inside the parent only through one pass over its layers per
+probe set (model._layer_walk on the LM probes, model._layer_inputs on the
+retrieval probes): each layer's experts are ranked from the FFN input the
+walk gives, and each replace-one-block variant resumes from the parent's
+residual entering each layer, from the first position it changes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from .model import (
     ModelConfig,
     ModelParams,
     _finish,
+    _layer_inputs,
     _layer_walk,
-    _silu,  # internal on purpose: identical math to the forward pass
+    _matmul,  # internal on purpose: identical math to the forward pass
+    _silu,
     final_hidden,
+    first_mask_difference,
     forward_batch,
     parse_json,
     read_jsonl,
@@ -172,14 +176,9 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
-def _parent_item(
-    params: ModelParams, arch: ArchitectureSpec, tokens: np.ndarray, layer: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residual stream entering `layer` of `arch` on `tokens`, and the
-    layer's FFN input."""
+def _check_layer(params: ModelParams, layer: int) -> None:
     if not 0 <= layer < len(params.layers):
         raise MismatchError(f"no layer {layer} in a {len(params.layers)}-layer model")
-    return next(islice(_layer_walk(params, arch, tokens), layer, None))
 
 
 def _retrieval_correct(
@@ -187,14 +186,16 @@ def _retrieval_correct(
     arch: ArchitectureSpec,
     probes: ProbeSet,
     layer: int = 0,
-    layer_input: np.ndarray | None = None,
+    entering: list[np.ndarray] | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Per-probe 1.0/0.0 retrieval outcome; only layers layer.. are run, from
-    `layer_input` (see replace_one_block_score)."""
+    `entering`, the residual entering each layer, and from position `first`
+    (see replace_one_block_score)."""
     validate_retrieval_probes(probes)
-    if layer_input is None:
-        layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
-    leaving = resume_forward(params, arch, layer, layer_input, last_only=True)
+    if entering is None:
+        entering = _layer_inputs(params, arch, probes.tokens)
+    leaving = resume_forward(params, arch, layer, entering, first, last_only=True)
     predicted = np.argmax(_finish(params, leaving).logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
@@ -232,7 +233,8 @@ def expert_contribution_scores(
     lp = params.layers[layer]
     keep = arch.layers[layer].expert_keep_set
     if ffn_input is None:
-        ffn_input = _parent_item(params, arch, probes.tokens, layer)[1]
+        _check_layer(params, layer)
+        ffn_input = next(islice(_layer_walk(params, arch, probes.tokens), layer, None))[1]
     n_probes, seq_len, d = ffn_input.shape
     x = ffn_input.reshape(-1, d)
     n_tokens = x.shape[0]
@@ -240,11 +242,17 @@ def expert_contribution_scores(
     allowed = np.array([eid in set(keep) for eid in lp.expert_ids], dtype=bool)
     logits = x @ lp.router.T
 
-    # Expert outputs are routing-independent; cache them once.
+    # Expert outputs are routing-independent; cache them once, each on the
+    # rows that read it. Removing an expert re-routes each of its tokens to
+    # exactly its next pick, so expert e is read only where a token's top
+    # top_k + 1 holds it. A row of a product does not depend on the rows
+    # beside it (_matmul keeps a lone row in a GEMM).
+    picks, _ = route_tokens(logits, allowed, min(c.top_k + 1, int(allowed.sum())))
     outputs = np.zeros((len(lp.expert_ids), n_tokens, d), dtype=F32)
-    for pos, on in enumerate(allowed):
-        if on:
-            outputs[pos] = _silu(x @ lp.w_in[pos]) @ lp.w_out[pos]
+    for pos in np.flatnonzero(allowed):
+        rows = np.flatnonzero((picks == pos).any(axis=-1))
+        if rows.size:
+            outputs[pos, rows] = _matmul(_silu(_matmul(x[rows], lp.w_in[pos])), lp.w_out[pos])
 
     def mix(allowed_mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         lg = logits if rows is None else logits[rows]
@@ -255,7 +263,7 @@ def expert_contribution_scores(
             out += w[:, j, None] * outputs[idx[:, j], row_ids]
         return out
 
-    base_idx, _ = route_tokens(logits, allowed, c.top_k)
+    base_idx = picks[:, : c.top_k]
     base = mix(allowed)
 
     kept_positions = [pos for pos, on in enumerate(allowed) if on]
@@ -310,26 +318,47 @@ def replace_one_block_score(
     attention: AttentionVariant | None = None,
     expert_keep_set: tuple[int, ...] | None = None,
     baseline_final: np.ndarray | None = None,
-    layer_input: np.ndarray | None = None,
+    entering: list[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Final-hidden MSE against the unmodified model with one layer's block swapped.
 
-    The variant's forward resumes from `layer_input`, the unmodified model's
-    residual stream entering `layer` on these probes (computed when not
-    given): the layers before it are the parent's own, so re-running them
-    would repeat work. Returns (mean squared error, per-sequence MSE array).
+    The variant's forward resumes from `entering`, the unmodified model's
+    residual stream entering each layer on these probes (computed when not
+    given): the layers before `layer` are the parent's own, so re-running
+    them would repeat work. A changed attention alone leaves every position
+    before its first_mask_difference with the parent's bits, so the variant
+    runs its queries from there and takes the rows before it from
+    `baseline_final`; a variant that changes no position scores 0 without a
+    forward. Returns (mean squared error, per-sequence MSE array).
     """
     if attention is None and expert_keep_set is None:
         raise ConfigError("nothing to replace: give attention and/or expert_keep_set")
+    _check_layer(params, layer)
+    variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
+    first = _first_changed_position(arch, variant_arch, layer)
+    if first is None or first >= probes.length:
+        return 0.0, np.zeros(probes.count)
     if baseline_final is None:
         baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
-    if layer_input is None:
-        layer_input = _parent_item(params, arch, probes.tokens, layer)[0]
-    variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
-    variant_final = final_hidden(params, resume_forward(params, variant_arch, layer, layer_input))
+    if entering is None:
+        entering = _layer_inputs(params, arch, probes.tokens)
+    rows = final_hidden(params, resume_forward(params, variant_arch, layer, entering, first))
+    # the same array, in the same summation order, as a full variant forward
+    variant_final = np.concatenate([baseline_final[:, :first], rows], axis=1)
     diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
     return float(per_seq.mean()), per_seq
+
+
+def _first_changed_position(
+    arch: ArchitectureSpec, variant: ArchitectureSpec, layer: int
+) -> int | None:
+    """The first position at which `variant`, which differs from `arch` at
+    `layer` alone, can change any layer's output; None if it changes none."""
+    old, new = arch.layers[layer], variant.layers[layer]
+    if old.expert_keep_set != new.expert_keep_set:
+        return 0
+    return first_mask_difference(old.attention, new.attention)
 
 
 # ---------------------------------------------------------------------------
@@ -405,37 +434,28 @@ def _activation_pass(
     gives, so the walk ranks each layer's experts as it goes and keeps the
     residual entering each layer for the variants scored after it.
     """
-    ranked, layer_inputs = [], []
+    ranked, entering = [], []
     for i, (layer_input, ffn_input, leaving) in enumerate(
         _layer_walk(params, arch, probes.tokens)
     ):
         ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
-        layer_inputs.append(layer_input)
+        entering.append(layer_input)
     baseline_final = final_hidden(params, leaving)
     rows = []
-    for i, (layer_lib, layer_input) in enumerate(zip(library.layers, layer_inputs)):
-        order = ranked[i].order
-        parent = arch.layers[i]
-        variants = [
-            (attn.variant_id, {"attention": attn}, attn == parent.attention)
-            for attn in layer_lib.attention_options
+    for i, layer_lib in enumerate(library.layers):
+        variants = [(attn.variant_id, {"attention": attn}) for attn in layer_lib.attention_options]
+        variants += [
+            (f"ffn:keep:{count}", {"expert_keep_set": top_experts(ranked[i].order, count)})
+            for count in layer_lib.keep_counts
         ]
-        for count in layer_lib.keep_counts:
-            keep = top_experts(order, count)
-            variants.append(
-                (f"ffn:keep:{count}", {"expert_keep_set": keep}, keep == parent.expert_keep_set)
+        for variant_id, change in variants:
+            # The parent's own block changes nothing and scores 0 without a
+            # forward; the forward pass is pure, so rescoring it would
+            # reproduce the baseline bit for bit.
+            mse, per_seq = replace_one_block_score(
+                params, arch, i, probes, **change,
+                baseline_final=baseline_final, entering=entering,
             )
-        for variant_id, change, is_parent in variants:
-            # The parent's own block leaves the architecture unchanged; the
-            # forward pass is pure, so rescoring it would reproduce the
-            # baseline bit for bit. Record the identity outcome without it.
-            if is_parent:
-                mse, per_seq = 0.0, np.zeros(probes.count)
-            else:
-                mse, per_seq = replace_one_block_score(
-                    params, arch, i, probes, **change,
-                    baseline_final=baseline_final, layer_input=layer_input,
-                )
             rows.append(
                 ScoreRow(
                     layer=i, variant_id=variant_id, signal=SIGNAL_ACTIVATION_MSE,
@@ -449,36 +469,34 @@ def _activation_pass(
 def _task_drop_pass(
     params: ModelParams, arch: ArchitectureSpec, library: BlockLibrary, probes: ProbeSet
 ) -> list[ScoreRow]:
-    """The task-drop row of every attention variant, from one walk of the
+    """The task-drop row of every attention variant, from one pass of the
     parent over the retrieval probes.
 
-    Each variant's per-probe outcome is kept until the parent's own is known:
-    the parent's outcome resumes from the residual entering its last layer.
+    The pass keeps the residual entering each layer. The parent's outcome
+    resumes at the last layer, so the pass does not run it. Each variant
+    resumes at its layer from its first changed position; one that changes
+    no position has the parent's outcome.
     """
-    outcomes = []  # (layer, variant id, per-probe outcome; None for the parent's block)
-    walk = zip(library.layers, _layer_walk(params, arch, probes.tokens))
-    for i, (layer_lib, (layer_input, _, _)) in enumerate(walk):
-        for attn in layer_lib.attention_options:
-            correct = None
-            if attn != arch.layers[i].attention:
-                variant_arch = arch.with_layer(i, attention=attn)
-                correct = _retrieval_correct(params, variant_arch, probes, i, layer_input)
-            outcomes.append((i, attn.variant_id, correct))
-    # the walk has ended: i and layer_input are the last layer's
-    parent_correct = _retrieval_correct(params, arch, probes, i, layer_input)
+    entering = _layer_inputs(params, arch, probes.tokens)
+    last = len(entering) - 1
+    parent_correct = _retrieval_correct(params, arch, probes, last, entering)
     parent_acc = float(parent_correct.mean())
     rows = []
-    for i, variant_id, correct in outcomes:
-        if correct is None:
+    for i, layer_lib in enumerate(library.layers):
+        for attn in layer_lib.attention_options:
             correct = parent_correct
-        drop = parent_acc - float(correct.mean())
-        rows.append(
-            ScoreRow(
-                layer=i, variant_id=variant_id, signal=SIGNAL_TASK_DROP,
-                value=max(0.0, drop), raw=drop, n_samples=probes.count,
-                per_sample=tuple((parent_correct - correct).tolist()),
+            first = first_mask_difference(arch.layers[i].attention, attn)
+            if first is not None and first < probes.length:
+                variant_arch = arch.with_layer(i, attention=attn)
+                correct = _retrieval_correct(params, variant_arch, probes, i, entering, first)
+            drop = parent_acc - float(correct.mean())
+            rows.append(
+                ScoreRow(
+                    layer=i, variant_id=attn.variant_id, signal=SIGNAL_TASK_DROP,
+                    value=max(0.0, drop), raw=drop, n_samples=probes.count,
+                    per_sample=tuple((parent_correct - correct).tolist()),
+                )
             )
-        )
     return rows
 
 
@@ -496,9 +514,10 @@ def score_library(
     FFN variants keep a prefix of the ranking made on the same probes. Task
     drop is restricted to attention variants (on the retrieval probes). A
     variant differs from the parent in one layer only, so its forward resumes
-    from the parent's residual entering that layer. Each probe set gets one
-    walk of the parent, stepping it layer by layer; the LM pass ends and
-    releases its arrays before the retrieval walk starts.
+    from the parent's residual entering each layer, and an attention variant
+    from the first position its mask changes (model.first_mask_difference).
+    Each probe set gets one pass over the parent, stepping it layer by layer;
+    the LM pass ends and releases its arrays before the retrieval pass starts.
 
     Rows are all activation-MSE rows, then all task-drop rows, each in layer
     order (ScoreTable.save sorts them).

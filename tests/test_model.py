@@ -15,6 +15,8 @@ from archsearch.model import (
     MismatchError,
     ModelConfig,
     count_params,
+    final_hidden,
+    first_mask_difference,
     forward_batch,
     generate_batch,
     global_attention,
@@ -364,11 +366,11 @@ def test_forward_rejects_empty_tokens(toy_params, toy_arch):
 # attention in query blocks against the masked full matrix
 
 
-def _masked_layer_step(params, i, spec, hidden, run, last_only=False):
+def _masked_layer_step(params, i, spec, hidden, run, first=0):
     """A decoder layer whose attention scores every query against every key
     and masks the keys a query may not see to -inf: the reference for the
     query blocks of model._layer_step. Every other step is the model's own."""
-    assert not last_only
+    assert first == 0
     c = params.config
     layer = params.layers[i]
     batch, length = hidden.shape[:2]
@@ -463,17 +465,41 @@ def test_last_position_forward_equals_the_full_forwards_last(toy_params, toy_arc
 # resuming a forward from the residual entering one layer
 
 
+def _same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
 def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_arch):
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens)
-    for i, (hidden, _, _) in enumerate(model_mod._layer_walk(toy_params, arch, tokens)):
-        resumed = model_mod._finish(toy_params, resume_forward(toy_params, arch, i, hidden))
+    entering = [hidden for hidden, _, _ in model_mod._layer_walk(toy_params, arch, tokens)]
+    for i in range(len(entering)):
+        resumed = model_mod._finish(toy_params, resume_forward(toy_params, arch, i, entering))
         np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
         np.testing.assert_array_equal(resumed.logits, full.logits)
-        last = resume_forward(toy_params, arch, i, hidden, last_only=True)
+        last = resume_forward(toy_params, arch, i, entering, last_only=True)
         np.testing.assert_array_equal(model_mod._finish(toy_params, last).logits,
                                       full.logits[:, -1:])
+
+
+@pytest.mark.parametrize("length", [40, 200])
+def test_resumed_forward_from_a_position_equals_the_full_forwards_rows(toy_params, toy_arch,
+                                                                      length):
+    # window-4, window-16 and global layers; positions below, at and past a
+    # multiple of 8 and a 32-query block; at 200 positions the last blocks
+    # read past 128 keys
+    arch = _pruned_window_arch(toy_arch)
+    tokens = np.random.default_rng(length).integers(0, 256, size=(2, length), dtype=np.int64)
+    full = forward_batch(toy_params, arch, tokens).final_hidden
+    entering = model_mod._layer_inputs(toy_params, arch, tokens)
+    for layer in range(len(entering)):
+        for first in (1, 7, 8, 31, 32, 33, length - 1):
+            rows = resume_forward(toy_params, arch, layer, entering, first)
+            _same_bytes(final_hidden(toy_params, rows), full[:, first:])
+            last = resume_forward(toy_params, arch, layer, entering, first, last_only=True)
+            _same_bytes(final_hidden(toy_params, last), full[:, -1:])
 
 
 def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
@@ -482,9 +508,9 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
     entering, ffn_inputs, leaving_layer = {}, {}, {}
     step = model_mod._layer_step
 
-    def recording_step(params, i, spec, hidden, run, last_only=False):
+    def recording_step(params, i, spec, hidden, run, first=0):
         entering[i] = hidden.copy()
-        leaving, ffn_in = step(params, i, spec, hidden, run, last_only=last_only)
+        leaving, ffn_in = step(params, i, spec, hidden, run, first)
         ffn_inputs[i], leaving_layer[i] = ffn_in.copy(), leaving.copy()
         return leaving, ffn_in
 
@@ -497,6 +523,10 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
         np.testing.assert_array_equal(hidden, entering[i])
         np.testing.assert_array_equal(ffn_in, ffn_inputs[i])
         np.testing.assert_array_equal(leaving, leaving_layer[i])
+    inputs = model_mod._layer_inputs(toy_params, arch, tokens)
+    assert len(inputs) == len(walked)
+    for i, hidden in enumerate(inputs):
+        _same_bytes(hidden, entering[i])
 
 
 def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch, monkeypatch):
@@ -504,9 +534,9 @@ def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch,
     ran = []
     step = model_mod._layer_step
 
-    def counting_step(params, i, spec, hidden, run, last_only=False):
+    def counting_step(params, i, spec, hidden, run, first=0):
         ran.append(i)
-        return step(params, i, spec, hidden, run, last_only=last_only)
+        return step(params, i, spec, hidden, run, first)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     walk = model_mod._layer_walk(toy_params, toy_arch, tokens)
@@ -520,11 +550,109 @@ def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch,
 def test_resume_validation(toy_params, toy_arch):
     tokens = np.full((2, 4), 5, dtype=np.int64)
     hidden = toy_params.embedding[tokens]
-    for layer in (-1, toy_params.config.n_layers):
-        with pytest.raises(MismatchError, match="cannot resume"):
-            resume_forward(toy_params, toy_arch, layer, hidden)
-    with pytest.raises(MismatchError, match="residual"):
-        resume_forward(toy_params, toy_arch, 2, hidden[..., :8])
+    n = toy_params.config.n_layers
+    for layer in (-1, n):
+        with pytest.raises(MismatchError, match="cannot resume at layer"):
+            resume_forward(toy_params, toy_arch, layer, [hidden] * n)
+    with pytest.raises(MismatchError, match="entering each of 8 layers"):
+        resume_forward(toy_params, toy_arch, 2, [hidden] * (n - 1))
+    with pytest.raises(MismatchError, match="residuals of one shape"):
+        resume_forward(toy_params, toy_arch, 2, [hidden[..., :8]] * n)
+    with pytest.raises(MismatchError, match="residuals of one shape"):
+        resume_forward(toy_params, toy_arch, 2, [hidden] * (n - 1) + [hidden[:, :3]])
+    for first in (-1, 4):
+        with pytest.raises(MismatchError, match=f"from position {first} of 4"):
+            resume_forward(toy_params, toy_arch, 2, [hidden] * n, first)
+
+
+# ---------------------------------------------------------------------------
+# the first position a changed attention can change
+
+
+@pytest.mark.parametrize("parent, variant, rule", [
+    (global_attention(), window_attention(4), 4),
+    (global_attention(), window_attention(16), 16),
+    (global_attention(), window_attention(64), 64),
+    (window_attention(16), window_attention(4), 4),
+])
+def test_a_changed_attention_keeps_the_rows_before_its_first_mask_difference(
+    toy_params, toy_arch, parent, variant, rule
+):
+    assert first_mask_difference(parent, variant) == first_mask_difference(variant, parent) == rule
+    assert first_mask_difference(parent, parent) is None
+    length = 100
+    pos = np.arange(length)
+    masks = [model_mod._attention_mask(v, pos, pos) for v in (parent, variant)]
+    _same_bytes(masks[0][:rule], masks[1][:rule])
+    assert not np.array_equal(masks[0][rule], masks[1][rule])
+    tokens = np.random.default_rng(rule).integers(0, 256, size=(2, length), dtype=np.int64)
+    before = toy_arch.with_layer(3, attention=parent)
+    want = forward_batch(toy_params, before, tokens).final_hidden
+    got = forward_batch(toy_params, before.with_layer(3, attention=variant), tokens).final_hidden
+    _same_bytes(got[:, :rule], want[:, :rule])
+    assert not np.array_equal(got[:, rule], want[:, rule])
+
+
+def test_a_window_as_long_as_the_sequence_changes_nothing(toy_params, toy_arch):
+    length = 100
+    tokens = np.random.default_rng(4).integers(0, 256, size=(2, length), dtype=np.int64)
+    want = forward_batch(toy_params, toy_arch, tokens).final_hidden
+    for window in (length, length + 37):
+        assert first_mask_difference(global_attention(), window_attention(window)) >= length
+        wide = toy_arch.with_layer(3, attention=window_attention(window))
+        _same_bytes(forward_batch(toy_params, wide, tokens).final_hidden, want)
+
+
+# ---------------------------------------------------------------------------
+# whole-array kernels against the forms they replace
+
+
+def test_row_max_equals_numpys_max():
+    rng = np.random.default_rng(3)
+    values = np.array([-np.inf, np.nan, 0.0, -0.0, 1.5, -2.0, 3e38, -1e-40], dtype=np.float32)
+    for n in range(1, 131):
+        x = rng.choice(values, size=(2, 3, 4, n), p=[0.25, 0.02, 0.2, 0.2, 0.1, 0.1, 0.08, 0.05])
+        x[0, 0, 0] = -0.0  # rows of one zero sign each, and of both
+        x[0, 0, 1] = 0.0
+        x[0, 0, 2, ::2] = -0.0
+        x[0, 0, 2, 1::2] = 0.0
+        x[0, 0, 3] = -np.inf
+        want = np.max(x, axis=-1, keepdims=True)
+        got = model_mod._row_max(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # Bit for bit, but for the sign of a zero max tied between +0 and -0,
+        # which follows the order of the comparisons. Subtracting either zero
+        # gives values that exp maps to the same bits.
+        zero = want == 0.0
+        assert got[~zero].tobytes() == want[~zero].tobytes()
+        assert np.all(got[zero] == 0.0)
+        with np.errstate(invalid="ignore"):
+            assert np.exp(x - got).tobytes() == np.exp(x - want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(24, 96, 4, 16), (4, 1, 4, 16)])
+def test_rope_equals_the_pairwise_rotation(shape):
+    cfg = toy_config(rope_base=500.0, rope_scale_factor=3.0)
+    start = 7
+
+    def reference_tables(positions):  # [positions, head_dim / 2] each
+        half = cfg.head_dim // 2
+        inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
+        angles = positions[:, None] * inv_freq[None, :] / cfg.rope_scale_factor
+        return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+
+    def reference(x, cos, sin):
+        pairs = x.reshape(x.shape[:-1] + (-1, 2))
+        xe, xo = pairs[..., 0], pairs[..., 1]
+        cos, sin = cos[:, None], sin[:, None]
+        return np.stack([xe * cos - xo * sin, xe * sin + xo * cos], axis=-1).reshape(x.shape)
+
+    x = np.random.default_rng(shape[0]).standard_normal(shape).astype(np.float32)
+    cos, sin = model_mod._rope_tables(cfg, start, shape[1])
+    got = model_mod._apply_rope(x, cos, sin)
+    assert got.flags.c_contiguous
+    want = reference(x, *reference_tables(np.arange(start, start + shape[1], dtype=np.float64)))
+    _same_bytes(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -205,21 +205,28 @@ def test_score_library_produces_both_signals(toy_params, toy_arch, toy_cfg,
     assert table.get(0, "ffn:keep:16", SIGNAL_ACTIVATION_MSE).value == 0.0
 
 
-@pytest.mark.parametrize("model", ["toy", "induction"])
+@pytest.mark.parametrize("model", ["toy", "induction", "toy-160"])
 def test_score_library_equals_scoring_by_full_forwards(request, model):
     # On the planted-retrieval model a window of 64 on its global layer keeps
     # every 40-token probe answered, so the task rows show a wrong resumed
-    # residual as well as the activation rows do.
+    # residual as well as the activation rows do. The 160-token case resumes
+    # from a window that is not a multiple of 8, and its query rows read past
+    # 128 keys.
+    length = 40
     if model == "toy":
         params = request.getfixturevalue("toy_params")
         menu = LibraryMenu(keep_fractions=(1.0, 0.5, 0.25), alt_windows=(16,))
-    else:
+    elif model == "induction":
         params = request.getfixturevalue("induction_model")
         menu = LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(64, 8))
+    else:
+        params = request.getfixturevalue("toy_params")
+        menu = LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(12, 64))
+        length = 160
     cfg = params.config
     parent = parent_spec(cfg)
-    lm = make_lm_probes(cfg, count=3, length=40, seed=303)
-    retrieval = make_retrieval_probes(cfg, count=4, length=40, n_pairs=4, seed=404)
+    lm = make_lm_probes(cfg, count=3, length=length, seed=303)
+    retrieval = make_retrieval_probes(cfg, count=4, length=length, n_pairs=4, seed=404)
     lib = build_library(cfg, menu)
     ranking, table = score_library(params, parent, lib, lm, retrieval)
     assert ranking == rank_experts(params, parent, lm)
@@ -258,37 +265,42 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
 
 def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, toy_arch,
                                                            monkeypatch):
-    # The toy run's menu: two keep-count variants at every layer, and two
-    # window variants at each global layer scored on both probe sets. Each
-    # variant resumes at its layer and runs to the end: 136 layer passes.
-    # Parent passes: one LM walk and one retrieval walk of 8 layers each, and
-    # the parent's retrieval outcome resumed at the last layer, so 17. A
-    # retrieval outcome reads only the last position's logits, so the last
-    # layer of each of the 9 retrieval passes (8 variants and the parent's)
-    # runs for that position alone; no other pass does.
+    # The toy run's menu: two keep-count variants at every layer, and windows
+    # 64 and 16 at each global layer (1, 3, 5, 7), scored on both probe sets.
+    # Probes of 80 positions are longer than both windows. Each pass runs a
+    # layer's queries for positions first.. of the probes.
+    # - Parent: one LM walk of 8 layers and a retrieval pass of the 7 layers
+    #   before the last, all from 0; the parent's retrieval outcome resumes at
+    #   the last layer for the last position alone.
+    # - A keep-count variant changes every position: layers i.. from 0.
+    # - A window-W variant of a global layer leaves positions before W as the
+    #   parent has them: layers i.. from W, except that a retrieval outcome
+    #   reads only the last position, so its last layer runs for that alone.
+    length, last = 80, toy_cfg.n_layers - 1
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25),
                                              alt_windows=(64, 16)))
-    lm = make_lm_probes(toy_cfg, count=2, length=16, seed=5)
-    retrieval = make_retrieval_probes(toy_cfg, count=2, length=16, n_pairs=4, seed=6)
-    variant_passes = 0
-    for i, layer_lib in enumerate(lib.layers):
-        n_attn = sum(a != toy_arch.layers[i].attention for a in layer_lib.attention_options)
-        n_keep = sum(c != toy_cfg.n_experts for c in layer_lib.keep_counts)
-        variant_passes += (2 * n_attn + n_keep) * (toy_cfg.n_layers - i)
-    assert variant_passes == 136
+    lm = make_lm_probes(toy_cfg, count=2, length=length, seed=5)
+    retrieval = make_retrieval_probes(toy_cfg, count=2, length=length, n_pairs=4, seed=6)
+    want = [(i, length) for i in range(last + 1)] + [(i, length) for i in range(last)]
+    want.append((last, 1))
+    for i in range(last + 1):
+        want += 2 * [(j, length) for j in range(i, last + 1)]
+    for i in (1, 3, 5, 7):
+        for window in (64, 16):
+            want += [(j, length - window) for j in range(i, last + 1)]
+            want += [(j, length - window) for j in range(i, last)] + [(last, 1)]
+    assert len(want) == 152
 
     calls = []
     step = model_mod._layer_step
 
-    def counting_step(params, i, spec, hidden, run, last_only=False):
-        calls.append((i, last_only))
-        return step(params, i, spec, hidden, run, last_only=last_only)
+    def counting_step(params, i, spec, hidden, run, first=0):
+        calls.append((i, hidden.shape[1] - first))
+        return step(params, i, spec, hidden, run, first)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     score_library(toy_params, toy_arch, lib, lm, retrieval)
-    assert len(calls) == variant_passes + 17
-    last = toy_cfg.n_layers - 1
-    assert [c for c in calls if c[1]] == [(last, True)] * 9
+    assert sorted(calls) == sorted(want)
 
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
