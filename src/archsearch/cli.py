@@ -42,7 +42,9 @@ from .library import (
     parent_spec,
 )
 from .manifest import LockError, RunLock, RunManifest
-from .metrics import bundled_run_records, build_frontier, emit_frontier, load_run_records
+from .metrics import (
+    build_frontier, bundled_run_records, effort_length_ratio, emit_frontier, load_run_records,
+)
 from .model import (
     ConfigError,
     KvCache,
@@ -409,8 +411,8 @@ def cmd_eval(args) -> int:
         ratio = None
         if "high" in effort_stats and "low" in effort_stats:
             low_mean = effort_stats["low"]["mean_generated"]
-            if low_mean > 0:
-                ratio = effort_stats["high"]["mean_generated"] / low_mean
+            if low_mean > 0:  # some length is then > 0, so high's mean (cap >= 1) is too
+                ratio = effort_length_ratio(effort_stats["high"]["mean_generated"], low_mean)
         kv_cache = {
             "length": cache.positions,
             "held_bytes": cache.held_bytes(),

@@ -19,7 +19,6 @@ integers, so budget feasibility checks are exact.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .library import ArchitectureSpec, BlockLibrary, BlockVariant
 from .model import (
-    AttentionVariant, ConfigError, ModelConfig, parse_json, read_jsonl, write_atomic,
+    AttentionVariant, ConfigError, ModelConfig, parse_json, read_jsonl, write_jsonl,
 )
 
 WEIGHT_BYTES = 4  # weights stay float32 in this substrate
@@ -214,9 +213,6 @@ class CostEntry:
     kv_bytes_per_seq: int  # at full request context isl + osl, scenario precision
     weight_bytes: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 COST_FIELDS = tuple(f.name for f in fields(CostEntry))
 
@@ -234,12 +230,9 @@ class CostTable:
             ) from None
 
     def save(self, path: Path | str) -> None:
-        lines = []
-        for (layer, variant, scenario) in sorted(self.entries):
-            row = {"layer": layer, "variant": variant, "scenario": scenario}
-            row.update(self.entries[(layer, variant, scenario)].to_json())
-            lines.append(json.dumps(row, sort_keys=True) + "\n")
-        write_atomic(path, "".join(lines))
+        write_jsonl(path, (
+            CostLine(*key, **asdict(self.entries[key])) for key in sorted(self.entries)
+        ))
 
     @staticmethod
     def load(path: Path | str) -> "CostTable":

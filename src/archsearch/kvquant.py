@@ -188,19 +188,10 @@ class QuantScales:
         ones = (1.0,) * n_layers
         return QuantScales(mode="unit", k_scales=ones, v_scales=ones, k_raw=ones, v_raw=ones)
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k_scales": list(self.k_scales),
-            "v_scales": list(self.v_scales),
-            "k_raw": list(self.k_raw),
-            "v_raw": list(self.v_raw),
-        }
-
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        write_json(path, self.to_json())
+        write_json(path, self)
 
     @staticmethod
     def load(path: Path | str) -> "QuantScales":

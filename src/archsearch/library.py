@@ -7,7 +7,7 @@ expert ranking, so smaller keep-counts are contained in larger ones.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +48,6 @@ class LayerBlockSpec:
         object.__setattr__(self, "expert_keep_set", keep)
         object.__setattr__(self, "experts_kept", len(keep))
 
-    def to_json(self) -> dict:
-        return {
-            "attention": self.attention.to_json(),
-            "experts_kept": self.experts_kept,
-            "expert_keep_set": list(self.expert_keep_set),
-        }
-
     from_json = classmethod(parse_json)
 
 
@@ -81,13 +74,10 @@ class ArchitectureSpec:
         layers[index] = new
         return ArchitectureSpec(tuple(layers))
 
-    def to_json(self) -> dict:
-        return {"layers": [s.to_json() for s in self.layers]}
-
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        write_json(path, self.to_json())
+        write_json(path, self)
 
     @staticmethod
     def load(path: Path | str) -> "ArchitectureSpec":
@@ -137,13 +127,10 @@ class ExpertRanking:
         """The top-`count` experts of `layer`, as an ascending id tuple."""
         return top_experts(self.layers[layer].order, count)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     from_json = classmethod(parse_json)
 
     def save(self, path: Path | str) -> None:
-        write_json(path, self.to_json())
+        write_json(path, self)
 
     @staticmethod
     def load(path: Path | str) -> "ExpertRanking":

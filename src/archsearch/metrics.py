@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .costs import KV_BYTES
-from .model import ConfigError, parse_json, read_jsonl, write_atomic, write_json
+from .model import (
+    ConfigError, parse_json, read_jsonl, to_json, write_atomic, write_json, write_jsonl,
+)
 
 EFFORTS = ("high", "medium", "low")
 _EFFORT_RANK = {e: i for i, e in enumerate(EFFORTS)}
@@ -65,22 +66,11 @@ class RunRecord:
     def request_rate(self) -> float:
         return self.throughput_tokens_per_s / self.avg_tokens_per_request
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "kv_precision": self.kv_precision,
-            "effort": self.effort,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-            "avg_tokens_per_request": self.avg_tokens_per_request,
-            "accuracy": self.accuracy,
-            "suite": self.suite,
-        }
-
     from_json = classmethod(parse_json)
 
 
 def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
-    write_atomic(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records))
+    write_jsonl(path, records)
 
 
 def load_run_records(path: Path | str) -> list[RunRecord]:
@@ -138,32 +128,6 @@ class FrontierPoint:
     accuracy: float | None
     suite: str
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "kv_precision": self.kv_precision,
-            "effort": self.effort,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-            "avg_tokens_per_request": self.avg_tokens_per_request,
-            "request_rate": self.request_rate,
-            "relative_request_rate": self.relative_request_rate,
-            "accuracy": self.accuracy,
-            "suite": self.suite,
-        }
-
-
-_FRONTIER_COLUMNS = (
-    "model",
-    "kv_precision",
-    "effort",
-    "throughput_tokens_per_s",
-    "avg_tokens_per_request",
-    "request_rate",
-    "relative_request_rate",
-    "accuracy",
-    "suite",
-)
-
 
 def find_baseline(
     records: Sequence[RunRecord], baseline_model: str, baseline_precision: str
@@ -210,10 +174,10 @@ def build_frontier(
 def emit_frontier(
     points: Sequence[FrontierPoint], csv_path: Path | str, json_path: Path | str
 ) -> None:
+    rows = to_json(points)
     text = io.StringIO(newline="")
-    writer = csv.DictWriter(text, fieldnames=_FRONTIER_COLUMNS)
+    writer = csv.DictWriter(text, fieldnames=[f.name for f in fields(FrontierPoint)])
     writer.writeheader()
-    for p in points:
-        writer.writerow(p.to_json())
+    writer.writerows(rows)
     write_atomic(csv_path, text.getvalue())
-    write_json(json_path, [p.to_json() for p in points])
+    write_json(json_path, rows)

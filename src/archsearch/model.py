@@ -127,6 +127,25 @@ def parse_json(cls, obj, where: str = ""):
     return made
 
 
+def to_json(value):
+    """The JSON value of `value` by the rule parse_json reads back: a
+    dataclass becomes an object of its declared fields by name, leaving out a
+    field whose declared default is None while it is None (parse_json gives
+    it that default); a tuple or list becomes a list and a dict an object of
+    the same keys, each item by this rule; anything else stays as it is."""
+    if is_dataclass(value):
+        return {
+            f.name: to_json(getattr(value, f.name))
+            for f in fields(value)
+            if not (f.default is None and getattr(value, f.name) is None)
+        }
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
+
 def _parsed(text: str, parse, where: str):
     try:
         return parse(json.loads(text))
@@ -154,9 +173,15 @@ def write_atomic(path: Path | str, data: str | bytes) -> None:
 
 
 def write_json(path: Path | str, obj) -> None:
-    """Write `obj` to `path` as indented JSON with sorted keys and a final
-    newline, atomically (write_atomic)."""
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write to_json(obj) to `path` as indented JSON with sorted keys and a
+    final newline, atomically (write_atomic)."""
+    write_atomic(path, json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path: Path | str, rows: Iterable) -> None:
+    """Write to_json of each of `rows` to `path` as one line of JSON with
+    sorted keys, atomically (write_atomic)."""
+    write_atomic(path, "".join(json.dumps(to_json(r), sort_keys=True) + "\n" for r in rows))
 
 
 def read_json(path: Path | str, parse):
@@ -214,11 +239,6 @@ class AttentionVariant:
         if self.kind == "global":
             return length
         return min(length, self.window_size)
-
-    def to_json(self) -> dict:
-        if self.kind == "global":
-            return {"kind": "global"}
-        return {"kind": "window", "window_size": self.window_size}
 
     from_json = classmethod(parse_json)
 
@@ -283,11 +303,6 @@ class ModelConfig:
             raise ConfigError(
                 f"attn_pattern has {len(self.attn_pattern)} entries for n_layers={self.n_layers}"
             )
-
-    def to_json(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj["attn_pattern"] = [v.to_json() for v in self.attn_pattern]
-        return obj
 
     from_json = classmethod(parse_json)
 
@@ -452,19 +467,18 @@ def save_params(params: ModelParams, bin_path: Path | str) -> Path:
     entries = []
     offset = 0
     for name, a in param_items(params):
-        nbytes = int(a.size) * 4
-        entries.append({"name": name, "shape": list(a.shape), "offset_bytes": offset})
-        offset += nbytes
-    manifest = {
-        "format": _PARAMS_FORMAT,
-        "dtype": "float32",
-        "byte_order": "little",
-        "total_bytes": len(blob),
-        "checksum_sha256": hashlib.sha256(blob).hexdigest(),
-        "config": params.config.to_json(),
-        "expert_ids": [list(layer.expert_ids) for layer in params.layers],
-        "entries": entries,
-    }
+        entries.append(TensorEntry(name, a.shape, offset))
+        offset += int(a.size) * 4
+    manifest = ParamsManifest(
+        format=_PARAMS_FORMAT,
+        dtype="float32",
+        byte_order="little",
+        total_bytes=len(blob),
+        checksum_sha256=hashlib.sha256(blob).hexdigest(),
+        config=params.config,
+        expert_ids=tuple(layer.expert_ids for layer in params.layers),
+        entries=tuple(entries),
+    )
     write_atomic(bin_path, blob)
     write_json(manifest_path_for(bin_path), manifest)
     return bin_path
@@ -1117,39 +1131,29 @@ def forward_batch(
 
 
 def _layer_walk(
-    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray, last_only: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield, for each layer of a cache-free forward in turn, (the residual
     stream [batch, length, d_model] entering it, its FFN input, the residual
-    leaving it), bit-identical to what forward_batch computes.
+    leaving it), bit-identical to what forward_batch computes. With
+    last_only, the last layer runs its last position alone, as forward_batch
+    runs it: its FFN input and leaving residual are [batch, 1, d_model].
 
     A layer runs only when its item is asked for. The walk holds that layer's
     item, no earlier layer's; every layer shares one set of rotary tables.
     """
     c = params.config
     tokens = _check_tokens(c, tokens)
-    run = _Pass.new(c, tokens.shape[1])
+    length = tokens.shape[1]
+    run = _Pass.new(c, length)
     hidden = params.embedding[tokens]
-    for i, spec in enumerate(_layer_specs(params, arch)):
-        leaving, ffn_in = _layer_step(params, i, spec, hidden, run)
+    layer_specs = _layer_specs(params, arch)
+    last = len(layer_specs) - 1
+    for i, spec in enumerate(layer_specs):
+        first = length - 1 if last_only and i == last else 0
+        leaving, ffn_in = _layer_step(params, i, spec, hidden, run, first)
         yield hidden, ffn_in, leaving
         hidden = leaving
-
-
-def _layer_inputs(
-    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray
-) -> list[np.ndarray]:
-    """The residual stream [batch, length, d_model] entering each layer of a
-    cache-free forward on `tokens`, bit-identical to what forward_batch
-    computes. The last layer does not run: nothing it computes enters a
-    layer."""
-    c = params.config
-    tokens = _check_tokens(c, tokens)
-    run = _Pass.new(c, tokens.shape[1])
-    entering = [params.embedding[tokens]]
-    for i, spec in enumerate(_layer_specs(params, arch)[:-1]):
-        entering.append(_layer_step(params, i, spec, entering[-1], run)[0])
-    return entering
 
 
 def resume_forward(
@@ -1167,7 +1171,7 @@ def resume_forward(
     before `first` from the forward that gave `entering`.
 
     `entering` holds, for every layer, the residual [batch, length, d_model]
-    entering it in some forward on the same tokens (as _layer_inputs gives
+    entering it in some forward on the same tokens (as _layer_walk gives
     it). Layer `layer` reads all of entering[layer]. Every layer runs its
     queries and FFN from `first` on (_layer_step); a later layer takes rows
     before `first` from its own entry in `entering`, the rest from the layer

@@ -7,17 +7,17 @@ sits far behind the query. Expert contribution scores measure how much each
 expert's removal (with routing re-selected over the remaining experts) moves a
 layer's FFN output.
 
-Scoring looks inside the parent only through one pass over its layers per
-probe set (model._layer_walk on the LM probes, model._layer_inputs on the
-retrieval probes): each layer's experts are ranked from the FFN input the
-walk gives, and each replace-one-block variant resumes from the parent's
-residual entering each layer, from the first position it changes.
+Scoring looks inside the parent only through one walk over its layers per
+probe set (model._layer_walk): on the LM probes each layer's experts are
+ranked from the FFN input the walk gives; on the retrieval probes the walk
+runs the last layer at the query position alone, which gives the parent's
+outcome. Each replace-one-block variant resumes from the parent's residual
+entering each layer, from the first position it changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -31,8 +31,8 @@ from .model import (
     MismatchError,
     ModelConfig,
     ModelParams,
+    _expert_allowed_mask,
     _finish,
-    _layer_inputs,
     _layer_walk,
     _matmul,  # internal on purpose: identical math to the forward pass
     _silu,
@@ -43,7 +43,8 @@ from .model import (
     read_jsonl,
     resume_forward,
     route_tokens,
-    write_atomic,
+    to_json,
+    write_jsonl,
 )
 
 F32 = np.float32
@@ -194,8 +195,14 @@ def _retrieval_correct(
     (see replace_one_block_score)."""
     validate_retrieval_probes(probes)
     if entering is None:
-        entering = _layer_inputs(params, arch, probes.tokens)
+        entering = [h for h, _, _ in _layer_walk(params, arch, probes.tokens, last_only=True)]
     leaving = resume_forward(params, arch, layer, entering, first, last_only=True)
+    return _answered(params, probes, leaving)
+
+
+def _answered(params: ModelParams, probes: ProbeSet, leaving: np.ndarray) -> np.ndarray:
+    """Per-probe 1.0/0.0: whether the logits of `leaving`, the residual
+    leaving the last layer, predict each probe's answer at its last row."""
     predicted = np.argmax(_finish(params, leaving).logits[:, -1, :], axis=-1)
     return (predicted == probes.answers).astype(np.float64)
 
@@ -239,7 +246,7 @@ def expert_contribution_scores(
     x = ffn_input.reshape(-1, d)
     n_tokens = x.shape[0]
 
-    allowed = np.array([eid in set(keep) for eid in lp.expert_ids], dtype=bool)
+    allowed = _expert_allowed_mask(lp, keep, c.top_k)
     logits = x @ lp.router.T
 
     # Expert outputs are routing-independent; cache them once, each on the
@@ -341,7 +348,7 @@ def replace_one_block_score(
     if baseline_final is None:
         baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
     if entering is None:
-        entering = _layer_inputs(params, arch, probes.tokens)
+        entering = [h for h, _, _ in _layer_walk(params, arch, probes.tokens, last_only=True)]
     rows = final_hidden(params, resume_forward(params, variant_arch, layer, entering, first))
     # the same array, in the same summation order, as a full variant forward
     variant_final = np.concatenate([baseline_final[:, :first], rows], axis=1)
@@ -376,15 +383,11 @@ class ScoreRow:
     per_sample: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "layer": self.layer,
-            "variant": self.variant_id,
-            "signal": self.signal,
-            "value": self.value,
-            "raw": self.raw,
-            "n_samples": self.n_samples,
-            "per_sample": list(self.per_sample),
-        }
+        """model.to_json's object, with variant_id stored under the key
+        "variant" (ScoreTable.load reads it back)."""
+        obj = to_json(self)  # the module function; a method sees no class names
+        obj["variant"] = obj.pop("variant_id")
+        return obj
 
 
 @dataclass
@@ -411,13 +414,12 @@ class ScoreTable:
         return tuple(sorted({r.signal for r in self.rows}))
 
     def save(self, path: Path | str) -> None:
-        rows = self.sorted_rows()
-        write_atomic(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in rows))
+        write_jsonl(path, (r.to_json() for r in self.sorted_rows()))
 
     @staticmethod
     def load(path: Path | str) -> "ScoreTable":
         def row(obj) -> ScoreRow:
-            if isinstance(obj, dict):  # to_json writes variant_id as "variant"
+            if isinstance(obj, dict):  # ScoreRow.to_json writes variant_id as "variant"
                 obj = {("variant_id" if k == "variant" else k): v for k, v in obj.items()}
             return parse_json(ScoreRow, obj)
 
@@ -472,14 +474,15 @@ def _task_drop_pass(
     """The task-drop row of every attention variant, from one pass of the
     parent over the retrieval probes.
 
-    The pass keeps the residual entering each layer. The parent's outcome
-    resumes at the last layer, so the pass does not run it. Each variant
-    resumes at its layer from its first changed position; one that changes
-    no position has the parent's outcome.
+    The pass keeps the residual entering each layer, and runs the last layer
+    at the query position alone, which gives the parent's outcome. Each
+    variant resumes at its layer from its first changed position; one that
+    changes no position has the parent's outcome.
     """
-    entering = _layer_inputs(params, arch, probes.tokens)
-    last = len(entering) - 1
-    parent_correct = _retrieval_correct(params, arch, probes, last, entering)
+    entering = []
+    for layer_input, _, leaving in _layer_walk(params, arch, probes.tokens, last_only=True):
+        entering.append(layer_input)
+    parent_correct = _answered(params, probes, leaving)
     parent_acc = float(parent_correct.mean())
     rows = []
     for i, layer_lib in enumerate(library.layers):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
 every imported name is used, the package imports only the standard library,
-NumPy and itself, and every class reads JSON by the one rule, parse_json."""
+NumPy and itself, every class reads JSON by the one rule, parse_json, and
+writes it by its mirror, to_json."""
 
 import ast
 import sys
@@ -80,3 +81,20 @@ def test_every_from_json_is_parse_json(path):
                 assert ast.unparse(node.value) == "classmethod(parse_json)", (
                     f"{path.name}: {cls.name}.from_json is {ast.unparse(node.value)}"
                 )
+
+
+# The classes whose JSON is not model.to_json of their fields, and why.
+OWN_TO_JSON = {
+    "ScoreRow": "scores.jsonl stores the field variant_id under the key \"variant\"",
+    "KvQuantReport": "its JSON is a per-layer view derived from its tallies",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
+def test_every_to_json_is_the_one_rule(path):
+    """No class writes JSON by hand, except those OWN_TO_JSON names."""
+    for cls in (n for n in ast.walk(_parse(path)) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name == "to_json":
+                assert cls.name in OWN_TO_JSON, f"{path.name}: {cls.name} defines to_json"

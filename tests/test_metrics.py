@@ -18,7 +18,7 @@ from archsearch.metrics import (
     request_rate,
     save_run_records,
 )
-from archsearch.model import ConfigError
+from archsearch.model import ConfigError, to_json
 
 
 def rec(model="m", precision="bf16", effort="high", tps=1000.0, avg=100.0,
@@ -87,7 +87,7 @@ def test_record_file_roundtrip(tmp_path):
 
 def test_record_file_errors_name_the_line(tmp_path):
     path = tmp_path / "runs.jsonl"
-    good = json.dumps(rec().to_json())
+    good = json.dumps(to_json(rec()))
     path.write_text(good + "\n" + "{oops\n")
     with pytest.raises(ConfigError, match="line 2"):
         load_run_records(path)

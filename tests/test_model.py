@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from archsearch import model as model_mod
-from archsearch.costs import HardwareProfile, Scenario, kv_bytes_per_sequence
+from archsearch.costs import (
+    CostEntry, CostLine, HardwareProfile, Scenario, kv_bytes_per_sequence,
+)
 from archsearch.kvquant import QuantScales, calibrate_scales, forward_with_quantized_kv
-from archsearch.library import assemble, parent_spec, prune_layer
-from archsearch.metrics import RunRecord
+from archsearch.library import ExpertRanking, LayerRanking, assemble, parent_spec, prune_layer
+from archsearch.metrics import RunRecord, build_frontier
 from archsearch.model import (
     AttentionVariant,
     ConfigError,
     KvCache,
     MismatchError,
     ModelConfig,
+    ParamsManifest,
     count_params,
     final_hidden,
     first_mask_difference,
@@ -28,6 +31,7 @@ from archsearch.model import (
     resume_forward,
     route_tokens,
     save_params,
+    to_json,
     toy_config,
     window_attention,
     write_atomic,
@@ -52,8 +56,8 @@ def test_attention_variant_ids_and_windows():
     assert g.effective_window(1000) == 1000
     assert w.effective_window(1000) == 128
     assert w.effective_window(50) == 50  # shorter sequence occupies fewer slots
-    assert AttentionVariant.from_json(w.to_json()) == w
-    assert AttentionVariant.from_json(g.to_json()) == g
+    assert AttentionVariant.from_json(to_json(w)) == w
+    assert AttentionVariant.from_json(to_json(g)) == g
 
 
 def test_attention_variant_validation():
@@ -96,18 +100,18 @@ def test_toy_config_pattern_alternates():
 
 
 def test_config_json_roundtrip(toy_cfg):
-    assert ModelConfig.from_json(toy_cfg.to_json()) == toy_cfg
+    assert ModelConfig.from_json(to_json(toy_cfg)) == toy_cfg
 
 
 def test_config_from_json_rejects_unknown_and_missing_fields(toy_cfg):
     with pytest.raises(ConfigError, match="bogus is not a model config field"):
-        ModelConfig.from_json({**toy_cfg.to_json(), "bogus": 1})
-    obj = toy_cfg.to_json()
+        ModelConfig.from_json({**to_json(toy_cfg), "bogus": 1})
+    obj = to_json(toy_cfg)
     del obj["top_k"], obj["attn_pattern"]
     with pytest.raises(ConfigError, match="missing fields: attn_pattern, top_k"):
         ModelConfig.from_json(obj)
     del obj["rope_base"]  # a field with a default may be left out
-    obj.update(top_k=2, attn_pattern=toy_cfg.to_json()["attn_pattern"])
+    obj.update(top_k=2, attn_pattern=to_json(toy_cfg)["attn_pattern"])
     assert ModelConfig.from_json(obj) == toy_cfg
 
 
@@ -119,7 +123,7 @@ SCALES = {"mode": "unit", "k_scales": [1.0], "v_scales": [1.0], "k_raw": [1.0], 
 SCORE = {"layer": 1, "variant_id": "attn:global", "signal": "activation_mse",
          "value": 0.5, "raw": 0.5, "n_samples": 1}
 WINDOW = {"kind": "window", "window_size": 4}
-TOY = toy_config().to_json()
+TOY = to_json(toy_config())
 
 
 @pytest.mark.parametrize("cls, obj, message", [
@@ -177,6 +181,31 @@ def test_json_records_store_declared_types_and_take_defaults():
     assert parse_json(KvBudget, {"length": 8, "max_bytes_per_seq": 0}).precision == "bf16"
     with pytest.raises(ConfigError, match="^kv_budget.length must be positive, got 0$"):
         parse_json(KvBudget, {"length": 0, "max_bytes_per_seq": 0}, "kv_budget")
+
+
+def test_every_written_record_reads_back_as_itself(toy_cfg, toy_params, toy_arch, tmp_path):
+    """parse_json of to_json(record) is the record, for every record class
+    the pipeline writes; a field whose default is None is left out while it
+    is None, so global attention stays {"kind": "global"}."""
+    assert to_json(global_attention()) == {"kind": "global"}
+    assert "accuracy" not in to_json(RunRecord(**RECORD))
+    point, = build_frontier([RunRecord(**RECORD)], "m", "bf16")
+    assert to_json(point)["accuracy"] is None  # declared with no default: kept
+    save_params(toy_params, tmp_path / "p.bin")
+    text = (tmp_path / "p.bin.json").read_text()
+    manifest = parse_json(ParamsManifest, json.loads(text))
+    assert text == json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"
+    arch = toy_arch.with_layer(1, attention=window_attention(16), expert_keep_set=(0, 3, 5))
+    ranking = ExpertRanking((LayerRanking((2, 0, 1), (0.5, 0.25, 0.0)),))
+    records = [
+        global_attention(), window_attention(4), toy_cfg, arch.layers[1], arch, ranking,
+        QuantScales("calibrated", (0.5,), (2.0,), (0.375,), (1.5,)),
+        RunRecord(**RECORD), RunRecord(**RECORD, accuracy=61.5, suite="s"), point,
+        CostLine(1, "attn:global", "s", 7, 8, 9), CostLine(1, "attn:global", "s", 7),
+        CostEntry(7, 8, 9), manifest.entries[0], manifest,
+    ]
+    for record in records:
+        assert parse_json(type(record), json.loads(json.dumps(to_json(record)))) == record
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +522,8 @@ def test_resumed_forward_from_a_position_equals_the_full_forwards_rows(toy_param
     arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(length).integers(0, 256, size=(2, length), dtype=np.int64)
     full = forward_batch(toy_params, arch, tokens).final_hidden
-    entering = model_mod._layer_inputs(toy_params, arch, tokens)
+    walk = model_mod._layer_walk(toy_params, arch, tokens, last_only=True)
+    entering = [hidden for hidden, _, _ in walk]
     for layer in range(len(entering)):
         for first in (1, 7, 8, 31, 32, 33, length - 1):
             rows = resume_forward(toy_params, arch, layer, entering, first)
@@ -523,10 +553,15 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
         np.testing.assert_array_equal(hidden, entering[i])
         np.testing.assert_array_equal(ffn_in, ffn_inputs[i])
         np.testing.assert_array_equal(leaving, leaving_layer[i])
-    inputs = model_mod._layer_inputs(toy_params, arch, tokens)
-    assert len(inputs) == len(walked)
-    for i, hidden in enumerate(inputs):
+    # last_only runs the last layer at the last position alone
+    walked = list(model_mod._layer_walk(toy_params, arch, tokens, last_only=True))
+    assert len(walked) == len(entering)
+    for i, (hidden, _, _) in enumerate(walked):
         _same_bytes(hidden, entering[i])
+    _, ffn_in, leaving = walked[-1]
+    last = len(walked) - 1
+    _same_bytes(ffn_in, ffn_inputs[last][:, -1:])
+    _same_bytes(leaving, leaving_layer[last][:, -1:])
 
 
 def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch, monkeypatch):
