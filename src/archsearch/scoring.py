@@ -13,14 +13,23 @@ ranked from the FFN input the walk gives; on the retrieval probes the walk
 runs the last layer at the query position alone, which gives the parent's
 outcome. Each replace-one-block variant resumes from the parent's residual
 entering each layer, from the first position it changes.
+
+The two passes read disjoint inputs. When this process may run on two or
+more CPUs, score_library forks one child that runs the task-drop pass while
+this process runs the activation pass; the child sends its rows back pickled
+over a pipe, and the rows merge in the order one process gives them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -253,13 +262,24 @@ def expert_contribution_scores(
     # rows that read it. Removing an expert re-routes each of its tokens to
     # exactly its next pick, so expert e is read only where a token's top
     # top_k + 1 holds it. A row of a product does not depend on the rows
-    # beside it (_matmul keeps a lone row in a GEMM).
+    # beside it (_matmul keeps a lone row in a GEMM). The outputs sit
+    # expert after expert in one compact array; outputs[at[pos, t]] is expert
+    # pos's output on token t, and a pair never computed points at the zero
+    # row at the end.
     picks, _ = route_tokens(logits, allowed, min(c.top_k + 1, int(allowed.sum())))
-    outputs = np.zeros((len(lp.expert_ids), n_tokens, d), dtype=F32)
-    for pos in np.flatnonzero(allowed):
-        rows = np.flatnonzero((picks == pos).any(axis=-1))
-        if rows.size:
-            outputs[pos, rows] = _matmul(_silu(_matmul(x[rows], lp.w_in[pos])), lp.w_out[pos])
+    reads = [(pos, np.flatnonzero((picks == pos).any(axis=-1))) for pos in np.flatnonzero(allowed)]
+    n_rows = sum(rows.size for _, rows in reads)
+    outputs = np.empty((n_rows + 1, d), dtype=F32)
+    outputs[n_rows] = 0.0
+    at = np.full((len(lp.expert_ids), n_tokens), n_rows, dtype=np.intp)
+    start = 0
+    for pos, rows in reads:
+        if rows.size == 0:
+            continue
+        stop = start + rows.size
+        outputs[start:stop] = _matmul(_silu(_matmul(x[rows], lp.w_in[pos])), lp.w_out[pos])
+        at[pos, rows] = np.arange(start, stop)
+        start = stop
 
     def mix(allowed_mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         lg = logits if rows is None else logits[rows]
@@ -267,7 +287,7 @@ def expert_contribution_scores(
         row_ids = np.arange(lg.shape[0]) if rows is None else rows
         out = np.zeros((lg.shape[0], d), dtype=F32)
         for j in range(c.top_k):
-            out += w[:, j, None] * outputs[idx[:, j], row_ids]
+            out += w[:, j, None] * outputs[at[idx[:, j], row_ids]]
         return out
 
     base_idx = picks[:, : c.top_k]
@@ -519,8 +539,12 @@ def score_library(
     variant differs from the parent in one layer only, so its forward resumes
     from the parent's residual entering each layer, and an attention variant
     from the first position its mask changes (model.first_mask_difference).
-    Each probe set gets one pass over the parent, stepping it layer by layer;
-    the LM pass ends and releases its arrays before the retrieval pass starts.
+    Each probe set gets one pass over the parent, stepping it layer by layer.
+
+    The passes share no input but the parent. When os.sched_getaffinity
+    gives this process two or more CPUs, a forked child runs the retrieval
+    pass while this process runs the LM pass (_forked); with one CPU they run
+    here, one after the other. The rows are the same either way.
 
     Rows are all activation-MSE rows, then all task-drop rows, each in layer
     order (ScoreTable.save sorts them).
@@ -528,6 +552,95 @@ def score_library(
     if library.n_layers != len(params.layers):
         raise MismatchError("library and parameters disagree on layer count")
     validate_retrieval_probes(retrieval_probes)
-    ranking, rows = _activation_pass(params, arch, library, lm_probes)
-    rows += _task_drop_pass(params, arch, library, retrieval_probes)
+    # sched_getaffinity is Linux-only; elsewhere both passes run here
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2:
+        ranking, rows = _activation_pass(params, arch, library, lm_probes)
+        rows += _task_drop_pass(params, arch, library, retrieval_probes)
+    else:
+        with _forked(_task_drop_pass, params, arch, library, retrieval_probes) as task_drop_rows:
+            ranking, rows = _activation_pass(params, arch, library, lm_probes)
+            rows += task_drop_rows()
     return ranking, ScoreTable(rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# one forked child
+
+
+@contextmanager
+def _forked(fn: Callable, *args) -> Iterator[Callable[[], object]]:
+    """Run fn(*args) in a forked child while the with-body runs here.
+
+    The body calls the yielded function to wait for the child: it returns
+    fn's result, re-raises fn's exception (same type and message), or raises
+    ChildProcessError naming the exit status of a child that died without
+    reporting. Leaving the body by an exception, KeyboardInterrupt included,
+    kills and reaps the child; no path leaves it running. The blocking
+    os.read and os.waitpid are retried after a signal handler that returns
+    (PEP 475), so a timer signal does not break the wait.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child_main(read_fd, write_fd, fn, args)
+    os.close(write_fd)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        chunks = []
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"the scoring child process {how}")
+        ok, value = pickle.loads(b"".join(chunks))  # bytes the child wrote
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            import signal  # here only: the module costs 0.7 ms to import
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_main(read_fd: int, write_fd: int, fn: Callable, args: tuple) -> NoReturn:
+    """The forked child: pickle (True, fn's result) or (False, its exception)
+    into the pipe and end through os._exit, which runs no atexit handler,
+    flushes no stdio buffer it shares with the parent and unwinds no `with`
+    of the parent's stack (so the parent's RunLock file is left alone)."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, fn(*args)))
+        except BaseException as exc:  # reported to the parent, which re-raises it
+            payload = _pickled_error(exc)
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(write_fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """(False, exc) pickled; an exception that does not survive the round
+    trip (one whose __init__ takes other arguments) goes as a RuntimeError
+    with its type name and message."""
+    try:
+        payload = pickle.dumps((False, exc))
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from archsearch import scoring
 from archsearch.cli import _SEED_PROMPTS, load_run_config, main
 from archsearch.library import assembled_spec
 from archsearch.model import generate_batch, load_params
+from archsearch.scoring import ProbeError
 
 
 def bundled_config() -> Path:
@@ -221,6 +223,28 @@ def test_leftover_unheld_lock_file_does_not_block(tmp_path):
     assert run("--out", out, "frontier") == 0
     assert (out / "frontier.csv").exists()
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("death, message", [
+    ("raise", "error: retrieval probe 3 has no answer"),
+    ("exit", "error: the scoring child process exited with status 3"),
+])
+def test_a_failed_scoring_child_exits_1_and_unlocks(tmp_path, capsys, monkeypatch,
+                                                      death, message):
+    def task_drop_pass(*args):
+        if death == "exit":
+            os._exit(3)
+        raise ProbeError("retrieval probe 3 has no answer")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(scoring, "_task_drop_pass", task_drop_pass)
+    out = tmp_path / "run"
+    assert run("--config", bundled_config(), "--out", out, "score") == 1
+    assert message in capsys.readouterr().err
+    assert not (out / ".lock").exists()
+    assert not (out / "scores.jsonl").exists()
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_stage_needs_config(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Source hygiene of the package, checked with the standard library's ast:
 every imported name is used, the package imports only the standard library,
 NumPy and itself, every class reads JSON by the one rule, parse_json, and
-writes it by its mirror, to_json."""
+writes it by its mirror, to_json; and importing the CLI loads no process
+pool."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +101,15 @@ def test_every_to_json_is_the_one_rule(path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name == "to_json":
                 assert cls.name in OWN_TO_JSON, f"{path.name}: {cls.name} defines to_json"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """score forks its one child with os.fork; multiprocessing and
+    concurrent.futures would add about 10 ms to every CLI start."""
+    code = ("import sys, archsearch.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split("\n")[0] == "[]"

@@ -1,7 +1,12 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from archsearch import model as model_mod
+from archsearch import scoring
 from archsearch.library import LibraryMenu, build_library, parent_spec
 from archsearch.model import MismatchError, forward_batch, global_attention, window_attention
 from archsearch.scoring import (
@@ -86,6 +91,56 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
             assert s == 0.0  # exactly, not approximately
         else:
             assert s > 0.0
+
+
+def _dense_contribution_scores(params, arch, layer, ffn_input):
+    """The reference: expert_contribution_scores with each kept expert's output
+    held for every token in one dense [n_present, tokens, d_model] array."""
+    c, lp = params.config, params.layers[layer]
+    x = ffn_input.reshape(-1, ffn_input.shape[-1])
+    allowed = model_mod._expert_allowed_mask(lp, arch.layers[layer].expert_keep_set, c.top_k)
+    logits = x @ lp.router.T
+    picks, _ = model_mod.route_tokens(logits, allowed, min(c.top_k + 1, int(allowed.sum())))
+    outputs = np.zeros((len(lp.expert_ids), x.shape[0], x.shape[1]), dtype=np.float32)
+    for pos in np.flatnonzero(allowed):
+        rows = np.flatnonzero((picks == pos).any(axis=-1))
+        if rows.size:
+            outputs[pos, rows] = model_mod._matmul(
+                model_mod._silu(model_mod._matmul(x[rows], lp.w_in[pos])), lp.w_out[pos])
+
+    def mix(mask, rows):
+        idx, w = model_mod.route_tokens(logits[rows], mask, c.top_k)
+        out = np.zeros((rows.size, x.shape[1]), dtype=np.float32)
+        for j in range(c.top_k):
+            out += w[:, j, None] * outputs[idx[:, j], rows]
+        return out
+
+    everyone = np.arange(x.shape[0])
+    base = mix(allowed, everyone)
+    scores = []
+    for pos in np.flatnonzero(allowed):
+        affected = np.flatnonzero((picks[:, : c.top_k] == pos).any(axis=-1))
+        smaller = allowed.copy()
+        smaller[pos] = False
+        row_total = np.zeros(x.shape[0])
+        if affected.size:
+            alt = mix(smaller, affected)
+            row_total[affected] = np.square(
+                base[affected].astype(np.float64) - alt.astype(np.float64)).mean(axis=-1)
+        scores.append(row_total.reshape(ffn_input.shape[:2]).mean(axis=1).mean())
+    return np.array(scores)
+
+
+@pytest.mark.parametrize("keep", [16, 8, 4])
+def test_compact_expert_outputs_score_as_dense_ones(toy_params, toy_arch, lm_probes_small, keep):
+    walk = model_mod._layer_walk(toy_params, toy_arch, lm_probes_small.tokens)
+    for layer, (_, ffn_input, _) in enumerate(walk):
+        arch = toy_arch.with_layer(layer, expert_keep_set=tuple(range(0, 16, 16 // keep)))
+        got = expert_contribution_scores(toy_params, arch, layer, lm_probes_small, ffn_input)
+        assert len(got.expert_ids) == keep
+        want = _dense_contribution_scores(toy_params, arch, layer, ffn_input)
+        assert want.any()
+        np.testing.assert_array_equal(got.scores, want)
 
 
 def test_expert_scores_rank_by_damage(toy_params, toy_arch, lm_probes_small):
@@ -263,8 +318,19 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
     assert table.rows == want
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """score_library forks its retrieval pass whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, toy_arch,
-                                                           monkeypatch):
+                                                           monkeypatch, tmp_path, two_cpus):
     # The toy run's menu: two keep-count variants at every layer, and windows
     # 64 and 16 at each global layer (1, 3, 5, 7), scored on both probe sets.
     # Probes of 80 positions are longer than both windows. Each pass runs a
@@ -291,16 +357,137 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
             want += [(j, length - window) for j in range(i, last)] + [(last, 1)]
     assert len(want) == 152
 
-    calls = []
+    # The retrieval pass runs in a forked child, which inherits the counting
+    # step and appends to the same file.
+    log = tmp_path / "calls.txt"
     step = model_mod._layer_step
 
     def counting_step(params, i, spec, hidden, run, first=0):
-        calls.append((i, hidden.shape[1] - first))
+        with open(log, "a") as f:
+            f.write(f"{i} {hidden.shape[1] - first}\n")
         return step(params, i, spec, hidden, run, first)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     score_library(toy_params, toy_arch, lib, lm, retrieval)
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert sorted(calls) == sorted(want)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("model, moving", [("toy_params", SIGNAL_ACTIVATION_MSE),
+                                           ("induction_model", SIGNAL_TASK_DROP)])
+def test_one_cpu_scores_as_two_processes(request, monkeypatch, model, moving):
+    # The untrained toy answers no retrieval probe, so its task rows are all
+    # 0; on the planted-retrieval model windowing the global layer drops
+    # accuracy, so its task rows carry information too.
+    params = request.getfixturevalue(model)
+    cfg = params.config
+    lib = build_library(cfg, LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(32, 8)))
+    args = (params, parent_spec(cfg), lib, make_lm_probes(cfg, count=8, length=48, seed=101),
+            make_retrieval_probes(cfg, count=16, length=48, n_pairs=4, seed=202))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = score_library(*args)
+    assert_no_child_left()
+
+    def no_fork():
+        raise AssertionError("one CPU forks no child")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    ranking, table = score_library(*args)
+    assert ranking == forked[0]
+    assert table.rows == forked[1].rows
+    assert any(r.signal == moving and r.value > 0 for r in table.rows)
+
+
+def _small_library(cfg):
+    return build_library(cfg, LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(16,)))
+
+
+def test_a_child_exception_is_raised_here(toy_cfg, toy_params, toy_arch, monkeypatch,
+                                          lm_probes_small, retrieval_probes_small, two_cpus):
+    def bad_probes(*args):
+        raise ProbeError("probe 3 has no answer")
+
+    monkeypatch.setattr(scoring, "_task_drop_pass", bad_probes)
+    with pytest.raises(ProbeError, match="^probe 3 has no answer$"):
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+    assert_no_child_left()
+
+
+class _TwoPartError(Exception):
+    def __init__(self, part, whole):  # pickles, but does not load from its args
+        super().__init__(f"{part} of {whole}")
+
+
+def test_a_child_exception_that_does_not_unpickle_comes_as_runtime_error(
+        toy_cfg, toy_params, toy_arch, monkeypatch, lm_probes_small, retrieval_probes_small,
+        two_cpus):
+    def odd(*args):
+        raise _TwoPartError("probe 3", "32")
+
+    monkeypatch.setattr(scoring, "_task_drop_pass", odd)
+    with pytest.raises(RuntimeError, match="^_TwoPartError: probe 3 of 32$"):
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death, message", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+])
+def test_a_child_that_dies_names_its_exit_status(toy_cfg, toy_params, toy_arch, monkeypatch,
+                                                 lm_probes_small, retrieval_probes_small,
+                                                 two_cpus, death, message):
+    monkeypatch.setattr(scoring, "_task_drop_pass", lambda *args: death())
+    with pytest.raises(ChildProcessError, match=message):
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_here_kills_and_reaps_the_child(toy_cfg, toy_params, toy_arch, monkeypatch,
+                                                 lm_probes_small, retrieval_probes_small,
+                                                 two_cpus, error):
+    def interrupted(*args):
+        raise error("stop")
+
+    monkeypatch.setattr(scoring, "_task_drop_pass", lambda *args: time.sleep(60))
+    monkeypatch.setattr(scoring, "_activation_pass", interrupted)
+    start = time.monotonic()
+    with pytest.raises(error, match="stop"):
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+    assert time.monotonic() - start < 30  # the child was killed, not waited for
+    assert_no_child_left()
+
+
+def test_a_timer_signal_does_not_break_the_wait(toy_cfg, toy_params, toy_arch, monkeypatch,
+                                                lm_probes_small, retrieval_probes_small,
+                                                two_cpus):
+    # A 5 ms SIGALRM whose handler returns, as a sampling clock installs,
+    # interrupts the parent's os.read and os.waitpid many times over.
+    ticks = []
+
+    def slow_task_drop(*args):
+        time.sleep(0.3)
+        return ["task-drop rows"]
+
+    monkeypatch.setattr(scoring, "_task_drop_pass", slow_task_drop)
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: ticks.append(signum))
+    signal.setitimer(signal.ITIMER_REAL, 0.005, 0.005)
+    try:
+        _, table = score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                                 lm_probes_small, retrieval_probes_small)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert table.rows[-1] == "task-drop rows"
+    assert len(ticks) > 10
+    assert_no_child_left()
 
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
