@@ -14,10 +14,13 @@ runs the last layer at the query position alone, which gives the parent's
 outcome. Each replace-one-block variant resumes from the parent's residual
 entering each layer, from the first position it changes.
 
-The two passes read disjoint inputs. When this process may run on two or
-more CPUs, score_library forks one child that runs the task-drop pass while
-this process runs the activation pass; the child sends its rows back pickled
-over a pipe, and the rows merge in the order one process gives them.
+When this process may run on two or more CPUs, score_library forks one
+child. This process walks the LM probes, ranks the experts and scores the
+keep-count variants; the child runs the task-drop pass. Then both claim the
+attention variants' activation-MSE rows from one shared queue, a pipe of job
+ids, until it is drained. The child sends its rows back pickled over a pipe,
+keyed by job, and the rows merge in the order one process gives them. Under
+--trace, this process's counts cover only the variants it claimed.
 """
 
 from __future__ import annotations
@@ -446,11 +449,25 @@ class ScoreTable:
         return ScoreTable(rows=read_jsonl(path, row))
 
 
+def _activation_row(layer: int, variant_id: str, probes: ProbeSet, mse: float,
+                    per_seq: np.ndarray) -> ScoreRow:
+    return ScoreRow(
+        layer=layer, variant_id=variant_id, signal=SIGNAL_ACTIVATION_MSE,
+        value=mse, raw=mse, n_samples=probes.count, per_sample=tuple(per_seq.tolist()),
+    )
+
+
 def _activation_pass(
-    params: ModelParams, arch: ArchitectureSpec, library: BlockLibrary, probes: ProbeSet
-) -> tuple[ExpertRanking, list[ScoreRow]]:
-    """The expert ranking and every activation-MSE row, from one walk of the
-    parent over the LM probes.
+    params: ModelParams,
+    arch: ArchitectureSpec,
+    library: BlockLibrary,
+    probes: ProbeSet,
+    jobs: list[tuple[int, AttentionVariant]],
+    queue: int,
+) -> tuple[ExpertRanking, list[ScoreRow], dict[int, ScoreRow]]:
+    """The expert ranking, every keep-count row, and the activation-MSE row
+    of each attention job this process claims from `queue`, from one walk
+    of the parent over the LM probes.
 
     Every row needs the parent's final hidden, which only the end of the walk
     gives, so the walk ranks each layer's experts as it goes and keeps the
@@ -463,29 +480,41 @@ def _activation_pass(
         ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
         entering.append(layer_input)
     baseline_final = final_hidden(params, leaving)
-    rows = []
-    for i, layer_lib in enumerate(library.layers):
-        variants = [(attn.variant_id, {"attention": attn}) for attn in layer_lib.attention_options]
-        variants += [
-            (f"ffn:keep:{count}", {"expert_keep_set": top_experts(ranked[i].order, count)})
-            for count in layer_lib.keep_counts
-        ]
-        for variant_id, change in variants:
-            # The parent's own block changes nothing and scores 0 without a
-            # forward; the forward pass is pure, so rescoring it would
-            # reproduce the baseline bit for bit.
-            mse, per_seq = replace_one_block_score(
-                params, arch, i, probes, **change,
-                baseline_final=baseline_final, entering=entering,
-            )
-            rows.append(
-                ScoreRow(
-                    layer=i, variant_id=variant_id, signal=SIGNAL_ACTIVATION_MSE,
-                    value=mse, raw=mse, n_samples=probes.count,
-                    per_sample=tuple(per_seq.tolist()),
-                )
-            )
-    return ExpertRanking(tuple(ranked)), rows
+    keep_rows = [
+        _activation_row(i, f"ffn:keep:{count}", probes, *replace_one_block_score(
+            params, arch, i, probes, expert_keep_set=top_experts(ranked[i].order, count),
+            baseline_final=baseline_final, entering=entering,
+        ))
+        for i, layer_lib in enumerate(library.layers)
+        for count in layer_lib.keep_counts
+    ]
+    claimed = _claimed_rows(params, arch, probes, jobs, queue,
+                            lambda: (baseline_final, entering))
+    return ExpertRanking(tuple(ranked)), keep_rows, claimed
+
+
+def _claimed_rows(
+    params: ModelParams,
+    arch: ArchitectureSpec,
+    probes: ProbeSet,
+    jobs: list[tuple[int, AttentionVariant]],
+    queue: int,
+    parent_states: Callable[[], tuple[np.ndarray, list[np.ndarray]]],
+) -> dict[int, ScoreRow]:
+    """The activation-MSE row of every job claimed from `queue` until it is
+    drained, keyed by job. parent_states() gives the parent's final hidden
+    and the residual entering each layer; it is called on the first claim."""
+    rows, states = {}, None
+    while (job := _claim(queue)) is not None:
+        if states is None:
+            states = parent_states()
+        baseline_final, entering = states
+        layer, attn = jobs[job]
+        rows[job] = _activation_row(layer, attn.variant_id, probes, *replace_one_block_score(
+            params, arch, layer, probes, attention=attn,
+            baseline_final=baseline_final, entering=entering,
+        ))
+    return rows
 
 
 def _task_drop_pass(
@@ -523,6 +552,29 @@ def _task_drop_pass(
     return rows
 
 
+def _child_pass(
+    params: ModelParams,
+    arch: ArchitectureSpec,
+    library: BlockLibrary,
+    lm_probes: ProbeSet,
+    retrieval_probes: ProbeSet,
+    jobs: list[tuple[int, AttentionVariant]],
+    queue: int,
+) -> tuple[list[ScoreRow], dict[int, ScoreRow]]:
+    """Every task-drop row, then the activation-MSE rows of the attention
+    jobs claimed from `queue`. The parent's states on the LM probes come
+    from a walk of its own, run only if a job is left to claim."""
+
+    def parent_states():
+        entering = []
+        for layer_input, _, leaving in _layer_walk(params, arch, lm_probes.tokens):
+            entering.append(layer_input)
+        return final_hidden(params, leaving), entering
+
+    task_drop_rows = _task_drop_pass(params, arch, library, retrieval_probes)
+    return task_drop_rows, _claimed_rows(params, arch, lm_probes, jobs, queue, parent_states)
+
+
 def score_library(
     params: ModelParams,
     arch: ArchitectureSpec,
@@ -539,29 +591,92 @@ def score_library(
     variant differs from the parent in one layer only, so its forward resumes
     from the parent's residual entering each layer, and an attention variant
     from the first position its mask changes (model.first_mask_difference).
-    Each probe set gets one pass over the parent, stepping it layer by layer.
 
-    The passes share no input but the parent. When os.sched_getaffinity
-    gives this process two or more CPUs, a forked child runs the retrieval
-    pass while this process runs the LM pass (_forked); with one CPU they run
-    here, one after the other. The rows are the same either way.
+    Two processes share the work (_forked). This one walks the LM probes,
+    ranking each layer's experts, and scores every keep-count row. A forked
+    child runs the task-drop pass. Then each claims attention variants from
+    one shared queue (_job_queue) of those that need a forward, and scores
+    their activation-MSE rows until it is drained; the child walks the LM
+    probes, without ranking, only if it claims one. A variant that changes
+    no position scores 0 without a forward. With one CPU nothing is forked:
+    this process drains the queue, then runs the child's part, which finds
+    it empty. Under --trace, this process's counts cover only the variants
+    it claimed. The rows are the same whoever scores them.
 
     Rows are all activation-MSE rows, then all task-drop rows, each in layer
-    order (ScoreTable.save sorts them).
+    order, a layer's attention variants before its keep counts, as one
+    process scoring them in turn gives them (ScoreTable.save sorts them).
     """
     if library.n_layers != len(params.layers):
         raise MismatchError("library and parameters disagree on layer count")
     validate_retrieval_probes(retrieval_probes)
-    # sched_getaffinity is Linux-only; elsewhere both passes run here
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2:
-        ranking, rows = _activation_pass(params, arch, library, lm_probes)
-        rows += _task_drop_pass(params, arch, library, retrieval_probes)
-    else:
-        with _forked(_task_drop_pass, params, arch, library, retrieval_probes) as task_drop_rows:
-            ranking, rows = _activation_pass(params, arch, library, lm_probes)
-            rows += task_drop_rows()
-    return ranking, ScoreTable(rows=rows)
+    jobs = [(i, attn) for i, layer_lib in enumerate(library.layers)
+            for attn in layer_lib.attention_options]
+    # A variant that changes no probe position (the parent's own block, or a
+    # window as long as the probes) is queued for no forward: the forward
+    # pass is pure, so it would reproduce the baseline bit for bit.
+    queued = []
+    for job, (i, attn) in enumerate(jobs):
+        first = first_mask_difference(arch.layers[i].attention, attn)
+        if first is not None and first < lm_probes.length:
+            queued.append(job)
+    with _job_queue(queued) as queue, _forked(
+        _child_pass, params, arch, library, lm_probes, retrieval_probes, jobs, queue
+    ) as child_result:
+        ranking, keep_rows, claimed = _activation_pass(
+            params, arch, library, lm_probes, jobs, queue
+        )
+        task_drop_rows, child_claimed = child_result()
+    claimed.update(child_claimed)
+    unchanged = np.zeros(lm_probes.count)
+    attention_rows = [
+        claimed[job] if job in claimed
+        else _activation_row(i, attn.variant_id, lm_probes, 0.0, unchanged)
+        for job, (i, attn) in enumerate(jobs)
+    ]
+    # a stable sort: within a layer, attention rows stay before keep counts
+    rows = sorted(attention_rows + keep_rows, key=lambda r: r.layer)
+    return ranking, ScoreTable(rows=rows + task_drop_rows)
+
+
+# ---------------------------------------------------------------------------
+# one shared job queue
+
+
+@contextmanager
+def _job_queue(jobs: list[int]) -> Iterator[int]:
+    """A pipe holding `jobs` as 2-byte ids, its write end already closed;
+    yields the read end, which is closed on leaving.
+
+    A process that holds the read end, forked children included, claims the
+    next job with _claim. Every id is written before anyone reads, so no read
+    blocks; ids that do not fit in the pipe's buffer raise ConfigError, as a
+    blocking write would hang.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        payload = b"".join(job.to_bytes(2, "little") for job in jobs)
+        try:
+            os.set_blocking(write_fd, False)
+            written = os.write(write_fd, payload)
+        except BlockingIOError:
+            written = 0
+        finally:
+            os.close(write_fd)
+        if written < len(payload):
+            raise ConfigError(
+                f"{len(jobs)} scoring jobs do not fit in a pipe's buffer "
+                f"({written} of {len(payload)} bytes written)"
+            )
+        yield read_fd
+    finally:
+        os.close(read_fd)
+
+
+def _claim(queue: int) -> int | None:
+    """The next job id from _job_queue's read end; None once it is drained."""
+    data = os.read(queue, 2)
+    return int.from_bytes(data, "little") if data else None
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +694,15 @@ def _forked(fn: Callable, *args) -> Iterator[Callable[[], object]]:
     kills and reaps the child; no path leaves it running. The blocking
     os.read and os.waitpid are retried after a signal handler that returns
     (PEP 475), so a timer signal does not break the wait.
+
+    Where os.sched_getaffinity gives this process fewer than two CPUs, or
+    does not exist (it is Linux-only), nothing is forked: the yielded
+    function runs fn(*args) here.
     """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2:
+        yield lambda: fn(*args)
+        return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:

@@ -104,8 +104,10 @@ def test_every_to_json_is_the_one_rule(path):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """score forks its one child with os.fork; multiprocessing and
-    concurrent.futures would add about 10 ms to every CLI start."""
+    """score forks its one child with os.fork, and the two processes share
+    the attention variants through a plain os.pipe of job ids;
+    multiprocessing and concurrent.futures would add about 10 ms to every
+    CLI start."""
     code = ("import sys, archsearch.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,6 +1,8 @@
 import os
+import select
 import signal
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ import pytest
 from archsearch import model as model_mod
 from archsearch import scoring
 from archsearch.library import LibraryMenu, build_library, parent_spec
-from archsearch.model import MismatchError, forward_batch, global_attention, window_attention
+from archsearch.model import (
+    ConfigError,
+    MismatchError,
+    first_mask_difference,
+    forward_batch,
+    global_attention,
+    window_attention,
+)
 from archsearch.scoring import (
     PAD_TOKEN,
     QUERY_MARKER,
@@ -335,9 +344,11 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     # 64 and 16 at each global layer (1, 3, 5, 7), scored on both probe sets.
     # Probes of 80 positions are longer than both windows. Each pass runs a
     # layer's queries for positions first.. of the probes.
-    # - Parent: one LM walk of 8 layers and a retrieval pass of the 7 layers
-    #   before the last, all from 0; the parent's retrieval outcome resumes at
-    #   the last layer for the last position alone.
+    # - Parent: an LM walk of 8 layers in each process that scores an LM row
+    #   (this one always, for the keep counts; the child if it claims a
+    #   window variant), and a retrieval pass of the 7 layers before the
+    #   last, all from 0; the parent's retrieval outcome resumes at the last
+    #   layer for the last position alone.
     # - A keep-count variant changes every position: layers i.. from 0.
     # - A window-W variant of a global layer leaves positions before W as the
     #   parent has them: layers i.. from W, except that a retrieval outcome
@@ -347,31 +358,34 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
                                              alt_windows=(64, 16)))
     lm = make_lm_probes(toy_cfg, count=2, length=length, seed=5)
     retrieval = make_retrieval_probes(toy_cfg, count=2, length=length, n_pairs=4, seed=6)
-    want = [(i, length) for i in range(last + 1)] + [(i, length) for i in range(last)]
-    want.append((last, 1))
+    lm_walk = [(i, length) for i in range(last + 1)]
+    task = [(i, length) for i in range(last)] + [(last, 1)]
+    variants = []
     for i in range(last + 1):
-        want += 2 * [(j, length) for j in range(i, last + 1)]
+        variants += 2 * [(j, length) for j in range(i, last + 1)]
     for i in (1, 3, 5, 7):
         for window in (64, 16):
-            want += [(j, length - window) for j in range(i, last + 1)]
-            want += [(j, length - window) for j in range(i, last)] + [(last, 1)]
-    assert len(want) == 152
+            variants += [(j, length - window) for j in range(i, last + 1)]
+            task += [(j, length - window) for j in range(i, last)] + [(last, 1)]
+    assert len(lm_walk + task + variants) == 152
 
-    # The retrieval pass runs in a forked child, which inherits the counting
-    # step and appends to the same file.
+    # The child inherits the counting step and appends to the same file.
     log = tmp_path / "calls.txt"
     step = model_mod._layer_step
 
     def counting_step(params, i, spec, hidden, run, first=0):
         with open(log, "a") as f:
-            f.write(f"{i} {hidden.shape[1] - first}\n")
+            f.write(f"{os.getpid()} {i} {hidden.shape[1] - first}\n")
         return step(params, i, spec, hidden, run, first)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
     score_library(toy_params, toy_arch, lib, lm, retrieval)
-    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert sorted(calls) == sorted(want)
     assert_no_child_left()
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    child = Counter((i, n) for pid, i, n in calls if pid != os.getpid())
+    assert not Counter(task) - child  # the child ran the whole task-drop pass
+    lm_walks = 2 if child - Counter(task) else 1
+    assert sorted((i, n) for _, i, n in calls) == sorted(lm_walks * lm_walk + task + variants)
 
 
 @pytest.mark.parametrize("model, moving", [("toy_params", SIGNAL_ACTIVATION_MSE),
@@ -487,6 +501,174 @@ def test_a_timer_signal_does_not_break_the_wait(toy_cfg, toy_params, toy_arch, m
         signal.signal(signal.SIGALRM, previous)
     assert table.rows[-1] == "task-drop rows"
     assert len(ticks) > 10
+    assert_no_child_left()
+
+
+def test_each_queued_id_is_claimed_once_by_one_of_two_processes(two_cpus):
+    ids = list(range(0, 1 << 16, 219))  # 300 ids, both bytes of each in use
+    assert len(ids) == 300
+
+    def drain(queue):
+        claimed = []
+        while (job := scoring._claim(queue)) is not None:
+            claimed.append(job)
+            time.sleep(0.002)  # long enough that the other process claims too
+        return claimed
+
+    with scoring._job_queue(ids) as queue, scoring._forked(drain, queue) as child_claimed:
+        here = drain(queue)
+        there = child_claimed()
+    assert here and there
+    assert sorted(here + there) == ids
+    assert_no_child_left()
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_ids_that_overflow_the_pipe_raise_and_leave_no_fd():
+    before = _open_fds()
+    with pytest.raises(ConfigError, match="do not fit in a pipe's buffer"):
+        with scoring._job_queue(list(range(1 << 16))):  # 128 KiB of ids
+            pass
+    assert _open_fds() == before
+
+
+@pytest.fixture
+def gate():
+    """(wait, open): wait() blocks, at most 30 s, until another process has
+    called open()."""
+    read_fd, write_fd = os.pipe()
+
+    def wait():
+        ready, _, _ = select.select([read_fd], [], [], 30)
+        assert ready, "the gate was never opened"
+        os.read(read_fd, 1)
+
+    yield wait, lambda: os.write(write_fd, b"x")
+    os.close(read_fd)
+    os.close(write_fd)
+
+
+def _logged_claims(monkeypatch, log, on_claim):
+    """Log every claim as "pid job" ("pid None" once drained) and call
+    on_claim(job) after it."""
+    claim = scoring._claim
+
+    def logged(queue):
+        job = claim(queue)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {job}\n")
+        on_claim(job)
+        return job
+
+    monkeypatch.setattr(scoring, "_claim", logged)
+
+
+def _first_ranking_waits(monkeypatch, wait):
+    """This process calls wait() as it ranks layer 0, before any claim."""
+    ranking = scoring._layer_ranking
+
+    def waiting_ranking(params, arch, layer, *rest):
+        if layer == 0:
+            wait()
+        return ranking(params, arch, layer, *rest)
+
+    monkeypatch.setattr(scoring, "_layer_ranking", waiting_ranking)
+
+
+@pytest.mark.parametrize("drainer", ["this process", "the child"])
+def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monkeypatch,
+                                           tmp_path, lm_probes_small, retrieval_probes_small,
+                                           gate, drainer):
+    lib = _small_library(toy_cfg)
+    args = (toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = score_library(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    # The drainer's last claim opens the gate; the other process waits for
+    # it before its first claim: this process in its first ranking, the
+    # child before its task-drop pass.
+    wait, open_gate = gate
+    here = os.getpid()
+
+    def drained(job):
+        if job is None and (os.getpid() == here) == (drainer == "this process"):
+            open_gate()
+
+    log = tmp_path / "claims.txt"
+    _logged_claims(monkeypatch, log, drained)
+    walks, walk = tmp_path / "walks.txt", scoring._layer_walk
+
+    def logged_walk(params, arch, tokens, *rest, **kw):
+        with open(walks, "a") as f:
+            f.write(f"{os.getpid() == here} {len(tokens)}\n")
+        return walk(params, arch, tokens, *rest, **kw)
+
+    monkeypatch.setattr(scoring, "_layer_walk", logged_walk)
+    if drainer == "this process":
+        task_drop = scoring._task_drop_pass
+
+        def waiting_task_drop(*args):
+            wait()
+            return task_drop(*args)
+
+        monkeypatch.setattr(scoring, "_task_drop_pass", waiting_task_drop)
+    else:
+        _first_ranking_waits(monkeypatch, wait)
+    two = score_library(*args)
+    assert_no_child_left()
+    assert two[0] == one_cpu[0]
+    assert two[1].rows == one_cpu[1].rows
+
+    jobs = [(i, attn) for i, layer_lib in enumerate(lib.layers)
+            for attn in layer_lib.attention_options]
+    queued = [job for job, (i, attn) in enumerate(jobs)
+              if (first := first_mask_difference(toy_arch.layers[i].attention, attn)) is not None
+              and first < lm_probes_small.length]
+    assert queued
+    claims = [line.split() for line in log.read_text().splitlines()]
+    claimed = [(int(pid), int(job)) for pid, job in claims if job != "None"]
+    assert sorted(job for _, job in claimed) == queued  # each exactly once
+    assert {pid == here for pid, _ in claimed} == {drainer == "this process"}
+    # one LM walk here; the child walks the LM probes only if it claims a job
+    lm_walks = Counter(line for line in walks.read_text().splitlines()
+                       if line.endswith(f" {lm_probes_small.count}"))
+    assert lm_walks == Counter({f"True {lm_probes_small.count}": 1,
+                                f"False {lm_probes_small.count}": drainer == "the child"})
+
+
+def test_score_leaves_no_fd_open(toy_cfg, toy_params, toy_arch, lm_probes_small,
+                                 retrieval_probes_small, two_cpus):
+    before = _open_fds()
+    score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                  lm_probes_small, retrieval_probes_small)
+    assert _open_fds() == before
+    assert_no_child_left()
+
+
+def test_a_child_that_raises_holding_a_claim_leaves_no_fd_open(
+        toy_cfg, toy_params, toy_arch, monkeypatch, tmp_path, lm_probes_small,
+        retrieval_probes_small, two_cpus, gate):
+    # This process waits in its first ranking until the child has claimed a
+    # job; the child raises before scoring it.
+    wait, open_gate = gate
+    here = os.getpid()
+
+    def raise_in_child(job):
+        if job is not None and os.getpid() != here:
+            open_gate()
+            raise ProbeError(f"job {job} failed")
+
+    _logged_claims(monkeypatch, tmp_path / "claims.txt", raise_in_child)
+    _first_ranking_waits(monkeypatch, wait)
+    before = _open_fds()
+    with pytest.raises(ProbeError, match=r"^job \d+ failed$"):
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+    assert _open_fds() == before
     assert_no_child_left()
 
 
