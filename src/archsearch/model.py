@@ -8,6 +8,7 @@ parameters on any platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -680,12 +681,14 @@ class KvCache:
 
         Returns the keys, values and key positions attention reads: the slots
         held before this write, then the T new positions as stored. A window
-        layer keeps only its last W positions after the write.
+        layer keeps only its last W positions after the write. A write that
+        reuses no slot returns views of the slots, valid until the next update.
         """
         s = self._layers[layer]
         held = self.held(layer)
         n_new = k.shape[2]
-        new_pos = np.arange(start, start + n_new)
+        end = start + n_new
+        new_pos = np.arange(start, end)
         if self.scales is None:
             k_seen, v_seen = k, v
             k_stats = v_stats = None
@@ -700,13 +703,19 @@ class KvCache:
             k_tally.add(k, k_seen, k_stats)
             v_tally.add(v, v_seen, v_stats)
 
+        n_slots = s.pos.size
+        if end <= n_slots:  # slot p holds position p: the held slots, then the new
+            s.k[:, :, start:end] = k_seen
+            s.v[:, :, start:end] = v_seen
+            s.pos[start:end] = new_pos
+            return s.k[:, :, :end], s.v[:, :, :end], s.pos[:end]
+
         keys, values, key_pos = k_seen, v_seen, new_pos
         if held:
             keys = np.concatenate([s.k[:, :, :held], k_seen], axis=2)
             values = np.concatenate([s.v[:, :, :held], v_seen], axis=2)
             key_pos = np.concatenate([s.pos[:held], new_pos])
 
-        n_slots = s.pos.size
         keep = slice(max(0, n_new - n_slots), n_new)
         slots = new_pos[keep] % n_slots
         s.k[:, :, slots] = k_seen[:, :, keep]
@@ -748,19 +757,15 @@ def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    # np.mean's own steps, without its Python wrapper
+    ms = np.add.reduce(np.square(x), -1, keepdims=True)
+    np.true_divide(ms, np.intp(x.shape[-1]), out=ms, casting="unsafe")
     return x * (np.float32(1.0) / np.sqrt(ms + RMS_EPS)) * gain
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return x / (np.float32(1.0) + np.exp(-x))
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _rope_tables(config: ModelConfig, start: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -833,7 +838,9 @@ def route_tokens(
 
     Takes top_k argmax passes, each knocking its pick out to -inf: argmax
     returns the first of equal maxima, so this is a stable descending sort cut
-    at top_k, for logits that are not NaN or -inf.
+    at top_k, for logits that are not NaN or -inf. The first pick is the row
+    max of the selected logits, so the softmax subtracts it without reducing
+    (a zero max of either sign gives the same exp).
     """
     n_allowed = int(np.count_nonzero(allowed))
     if n_allowed < top_k:
@@ -850,18 +857,28 @@ def route_tokens(
         at = row_starts + pick.reshape(-1)
         selected[..., j] = flat[at].reshape(pick.shape)
         flat[at] = -np.inf
-    return idx, _softmax_last(selected).astype(F32)
+    e = np.exp(selected - selected[..., :1])
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return idx, e
 
 
 def _expert_allowed_mask(layer: LayerParams, keep_set: Iterable[int], top_k: int) -> np.ndarray:
+    """Read-only: which present experts `keep_set` keeps. Made once per
+    (expert ids, keep set, top_k)."""
+    return _allowed_mask(tuple(layer.expert_ids), tuple(keep_set), top_k)
+
+
+@functools.lru_cache(maxsize=1024)
+def _allowed_mask(expert_ids: tuple[int, ...], keep_set: tuple[int, ...], top_k: int) -> np.ndarray:
     keep = set(keep_set)
-    present = set(layer.expert_ids)
-    missing = sorted(keep - present)
+    missing = sorted(keep - set(expert_ids))
     if missing:
         raise MismatchError(f"architecture keeps experts {missing} absent from parameters")
     if len(keep) < top_k:
         raise MismatchError(f"architecture keeps {len(keep)} experts, fewer than top_k={top_k}")
-    return np.array([eid in keep for eid in layer.expert_ids], dtype=bool)
+    mask = np.array([eid in keep for eid in expert_ids], dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _moe_layer(
@@ -1029,11 +1046,15 @@ def _layer_step(
         scores = _matmul(qb, k[:, :, lo:hi].transpose(0, 1, 3, 2))
         scores = scores.reshape(batch, c.n_kv_heads, group, b - a, hi - lo)
         scores *= np.float32(1.0 / np.sqrt(c.head_dim))
-        scores += _attention_mask(spec.attention, run.query_pos[a:b], key_pos[lo:hi])
+        # A lone query of a global layer sees every key its block reads, so
+        # its mask is all +0.0; adding it only turns -0.0 scores into +0.0,
+        # which the softmax below cannot tell apart.
+        if b - a > 1 or spec.attention.kind != "global":
+            scores += _attention_mask(spec.attention, run.query_pos[a:b], key_pos[lo:hi])
         # softmax over keys, in place; masked slots exp to exactly 0
-        scores -= _row_max(scores) if b - a > 1 else np.max(scores, axis=-1, keepdims=True)
+        scores -= _row_max(scores) if b - a > 1 else np.maximum.reduce(scores, -1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= np.sum(scores, axis=-1, keepdims=True)
+        scores /= np.add.reduce(scores, -1, keepdims=True)
         out = _matmul(scores.reshape(qb.shape[:3] + (hi - lo,)), v[:, :, lo:hi])
         ctx[:, :, :, rows] = out.reshape(batch, c.n_kv_heads, group, b - a, c.head_dim)
     ctx = (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from archsearch import model as model_mod
 from archsearch.costs import (
     CostEntry, CostLine, HardwareProfile, Scenario, kv_bytes_per_sequence,
 )
-from archsearch.kvquant import QuantScales, calibrate_scales, forward_with_quantized_kv
+from archsearch.kvquant import (
+    QuantScales, calibrate_scales, forward_with_quantized_kv, quantize_roundtrip,
+)
 from archsearch.library import ExpertRanking, LayerRanking, assemble, parent_spec, prune_layer
 from archsearch.metrics import RunRecord, build_frontier
 from archsearch.model import (
@@ -808,35 +811,63 @@ def test_route_tokens_tie_breaks_to_lower_index():
     np.testing.assert_allclose(w[0], [0.5, 0.5])
 
 
+def _softmax_last(x):
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def _route_reference(router_logits, allowed, top_k):
-    """A stable descending argsort of the masked logits, cut at top_k."""
+    """A stable descending argsort of the masked logits, cut at top_k, and a
+    softmax of the selected logits that reduces each row for its max."""
     masked = np.where(allowed, router_logits, -np.inf)
     order = np.argsort(-masked, axis=-1, kind="stable")
     idx = order[..., :top_k]
     selected = np.take_along_axis(masked, idx, axis=-1)
-    return idx, model_mod._softmax_last(selected).astype(np.float32)
+    return idx, _softmax_last(selected).astype(np.float32)
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 16), (16, 1, 16), (24, 96, 16)])
-@pytest.mark.parametrize("top_k", [1, 2, 3])
+@pytest.mark.parametrize("top_k", [1, 2, 3, 4])
 def test_route_tokens_matches_a_stable_argsort(shape, top_k):
     rng = np.random.default_rng(31)
     logits = rng.standard_normal(shape).astype(np.float32)
     tied = np.round(logits * 2) / 2  # few distinct values: many exact ties
     tied[..., 5] = tied[..., 9]  # and a duplicated expert in every row
+    # top logits tied between -0.0 and +0.0, in either order: the first pick
+    # and np.max may differ in the sign of the zero they take as the max
+    zeros = -np.abs(logits)
+    rows = zeros.reshape(-1, 16)
+    rows[0::2, 1::4], rows[0::2, 2::4] = -0.0, 0.0
+    rows[1::2, 1::4], rows[1::2, 2::4] = 0.0, -0.0
     pruned = np.ones(16, dtype=bool)
     pruned[[0, 3, 9, 10, 15]] = False
-    for x in (logits, tied):
+    for x in (logits, tied, zeros):
         for allowed in (np.ones(16, dtype=bool), pruned):
             idx, w = route_tokens(x, allowed, top_k)
             ref_idx, ref_w = _route_reference(x, allowed, top_k)
             assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
-            assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
+            assert np.array_equal(idx, ref_idx) and w.tobytes() == ref_w.tobytes()
 
 
 def test_route_tokens_requires_enough_experts():
     with pytest.raises(MismatchError):
         route_tokens(np.zeros((1, 4)), np.array([True, False, False, False]), top_k=2)
+
+
+def test_expert_allowed_mask_is_made_once_and_still_checks_every_call(toy_params):
+    layer = prune_layer(toy_params.layers[3], (1, 2, 3, 5, 7, 11, 12, 14))
+    mask = model_mod._expert_allowed_mask(layer, (2, 3, 7), 2)
+    assert mask.tolist() == [False, True, True, False, True, False, False, False]
+    assert model_mod._expert_allowed_mask(layer, (2, 3, 7), 2) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = True
+    for _ in range(2):  # a failed call is not cached as a success
+        with pytest.raises(MismatchError, match=r"keeps experts \[4\] absent"):
+            model_mod._expert_allowed_mask(layer, (2, 3, 4), 2)
+        with pytest.raises(MismatchError, match="fewer than top_k=3"):
+            model_mod._expert_allowed_mask(layer, (2, 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +943,97 @@ def test_generate_batch_matches_reforward_reference(toy_params, toy_arch, precis
     np.testing.assert_array_equal(seqs, _reforward_greedy(toy_params, arch, prompts, 16, scales))
     assert lengths.tolist() == [16, 16, 16]
     assert cache.positions == 6 + 15  # the last token is emitted, never fed back
+
+
+def _concatenated_update(cache, layer, k, v, start):
+    """The reference for KvCache.update's result: the slots held before the
+    write, concatenated with the new positions as the cache stores them."""
+    s = cache._layers[layer]
+    held = cache.held(layer)
+    if cache.scales is not None:
+        k = quantize_roundtrip(k, cache.scales.k_scales[layer])[0]
+        v = quantize_roundtrip(v, cache.scales.v_scales[layer])[0]
+    return (np.concatenate([s.k[:, :, :held], k], axis=2),
+            np.concatenate([s.v[:, :, :held], v], axis=2),
+            np.concatenate([s.pos[:held], np.arange(start, start + k.shape[2])]))
+
+
+@pytest.mark.parametrize("precision", ["bf16", "fp8"])
+@pytest.mark.parametrize("layer, writes", [
+    (3, (5, 1, 1, 4)),  # a global layer
+    (1, (3, 1, 1, 3)),  # a window-8 layer filled to its last slot, not wrapped
+    (1, (5, 1, 6, 1)),  # a 6-position chunk that wraps the ring, then a step
+])
+def test_cache_update_returns_the_concatenated_slots(toy_params, toy_arch, precision, layer,
+                                                     writes):
+    arch = _two_window_arch(toy_arch)
+    cfg = toy_params.config
+    scales = QuantScales.unit(cfg.n_layers) if precision == "fp8" else None
+    cache = KvCache(cfg, arch, batch=2, length=20, scales=scales)
+    n_slots = arch.layers[layer].attention.effective_window(20)
+    rng = np.random.default_rng(layer)
+    start = 0
+    for n in writes:
+        shape = (2, cfg.n_kv_heads, n, cfg.head_dim)
+        k, v = (rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+        want = _concatenated_update(cache, layer, k, v, start)
+        got = cache.update(layer, k, v, start)
+        for g, w in zip(got, want):
+            _same_bytes(g, w)
+        # a write that reuses no slot returns views of the slots
+        assert np.shares_memory(got[0], cache._layers[layer].k) == (start + n <= n_slots)
+        start += n
+        cache.positions = start
+        # float32 slots: twice the analytic bf16 figure; fp8 codes: the fp8 one
+        assert cache.held_bytes() == (2 * kv_bytes_per_sequence(arch, cfg, start, "bf16")
+                                      if scales is None
+                                      else kv_bytes_per_sequence(arch, cfg, start, "fp8"))
+
+
+# sha256 of every step's logits in one generate_batch call
+DECODE_LOGITS_SHA256 = {
+    ("toy", "bf16", 1):
+        "502bf3ae29b8c6f59b0b22d363a4dc62c848f5b1ee66e21b69b20d113bc903c3",
+    ("toy", "bf16", 5):
+        "c60f43f52bdd97c17fa8569494aa1dcb40806521c42745c84387c6d382cb6fe6",
+    ("toy", "fp8", 1):
+        "381a8bebb8170e502181a5c2c46b9845946598319ac27cd3b39fe0f9461900ba",
+    ("toy", "fp8", 5):
+        "f3ea6330a4d9076301ba3f9a9772c6ea5d48c8d6d50f7dfa88dd17ba3e6e180b",
+    ("two-window", "bf16", 1):
+        "3191f2f65ba72013223869532a85909b3b6a82b6f34e9a9e07a54d7d558e2358",
+    ("two-window", "bf16", 5):
+        "7697b616d76e1cbd709f2ebb1a306236ac7b9eda0ce8a47f36a2a91cb1c411b4",
+    ("two-window", "fp8", 1):
+        "be48c07fac3963ecb8a5d7e37391c6cb13a397a9912b1b177f9423bb0040eccf",
+    ("two-window", "fp8", 5):
+        "3d26bdc0435835817722907d7a994844eeb2ac4fba3f41750ccc8e24e3d0d204",
+}
+
+
+@pytest.mark.parametrize("arch_name, precision, batch", sorted(DECODE_LOGITS_SHA256))
+def test_decode_steps_keep_their_bits(toy_params, toy_arch, monkeypatch, arch_name, precision,
+                                      batch):
+    """Every step's logits, prefill included, hashed against constants that
+    the model computed before its decode step read cache slots in place and
+    made each allowed-expert mask once, so a change of one ulp anywhere in a
+    step shows. The toy arch's window-4 rings wrap, and so does the window-8
+    ring of _two_window_arch; each runs with a float and an fp8 cache."""
+    arch = toy_arch if arch_name == "toy" else _two_window_arch(toy_arch)
+    prompts = np.random.default_rng(batch).integers(2, 256, size=(batch, 6), dtype=np.int64)
+    scales = calibrate_scales(toy_params, arch, prompts) if precision == "fp8" else None
+    digest = hashlib.sha256()
+    forward = model_mod.forward_batch
+
+    def hashed(*args, **kwargs):
+        trace = forward(*args, **kwargs)
+        digest.update(trace.logits.tobytes())
+        return trace
+
+    monkeypatch.setattr(model_mod, "forward_batch", hashed)
+    cache = KvCache.for_generation(toy_params.config, arch, batch, 6, 20, scales=scales)
+    generate_batch(toy_params, arch, prompts, 20, end_token=-1, cache=cache)
+    assert digest.hexdigest() == DECODE_LOGITS_SHA256[arch_name, precision, batch]
 
 
 def test_window_layer_holds_min_of_length_and_window(toy_params, toy_arch):
