@@ -7,20 +7,21 @@ sits far behind the query. Expert contribution scores measure how much each
 expert's removal (with routing re-selected over the remaining experts) moves a
 layer's FFN output.
 
-Scoring looks inside the parent only through one walk over its layers per
-probe set (model._layer_walk): on the LM probes each layer's experts are
-ranked from the FFN input the walk gives; on the retrieval probes the walk
-runs the last layer at the query position alone, which gives the parent's
-outcome. Each replace-one-block variant resumes from the parent's residual
-entering each layer, from the first position it changes.
+Every score row is a job: a signal, a layer, and a change to that layer's
+block (an attention variant or a keep count); the signal fixes the probe
+set. A job that changes no probe position scores 0 without a forward; the
+others go on one queue per probe set. One loop (_drain) scores jobs: it
+claims from each queue in turn, walks the parent over that queue's probes on
+its first claim (model._layer_walk), and resumes each variant from the
+parent's residual entering its layer, from the first position it changes.
+The walk of the LM probes also ranks each layer's experts.
 
 When this process may run on two or more CPUs, score_library forks one
-child. This process walks the LM probes, ranks the experts and scores the
-keep-count variants; the child runs the task-drop pass. Then both claim the
-attention variants' activation-MSE rows from one shared queue, a pipe of job
-ids, until it is drained. The child sends its rows back pickled over a pipe,
-keyed by job, and the rows merge in the order one process gives them. Under
---trace, this process's counts cover only the variants it claimed.
+child. This process walks the LM probes, ranking the experts, and drains the
+LM queue; the child drains the retrieval queue, then the LM queue. The child
+sends its rows back pickled over a pipe, keyed by job, and the rows merge in
+job order. Under --trace, this process's counts cover only the jobs it
+claimed.
 """
 
 from __future__ import annotations
@@ -449,130 +450,117 @@ class ScoreTable:
         return ScoreTable(rows=read_jsonl(path, row))
 
 
-def _activation_row(layer: int, variant_id: str, probes: ProbeSet, mse: float,
-                    per_seq: np.ndarray) -> ScoreRow:
-    return ScoreRow(
-        layer=layer, variant_id=variant_id, signal=SIGNAL_ACTIVATION_MSE,
-        value=mse, raw=mse, n_samples=probes.count, per_sample=tuple(per_seq.tolist()),
-    )
+# ---------------------------------------------------------------------------
+# score jobs
 
 
-def _activation_pass(
-    params: ModelParams,
-    arch: ArchitectureSpec,
-    library: BlockLibrary,
-    probes: ProbeSet,
-    jobs: list[tuple[int, AttentionVariant]],
-    queue: int,
-) -> tuple[ExpertRanking, list[ScoreRow], dict[int, ScoreRow]]:
-    """The expert ranking, every keep-count row, and the activation-MSE row
-    of each attention job this process claims from `queue`, from one walk
-    of the parent over the LM probes.
+@dataclass(frozen=True)
+class _Job:
+    """One score row: `layer`'s block with `change` (an attention variant, or
+    a keep count of the layer's expert ranking), measured by `signal` on its
+    probe set (LM probes for activation MSE, retrieval probes for task drop)."""
 
-    Every row needs the parent's final hidden, which only the end of the walk
-    gives, so the walk ranks each layer's experts as it goes and keeps the
-    residual entering each layer for the variants scored after it.
-    """
-    ranked, entering = [], []
+    signal: str
+    layer: int
+    change: AttentionVariant | int
+
+    @property
+    def variant_id(self) -> str:
+        if isinstance(self.change, int):
+            return f"ffn:keep:{self.change}"
+        return self.change.variant_id
+
+
+def _jobs(library: BlockLibrary) -> list[_Job]:
+    """Every row's job in row order: per layer, its attention options, then
+    its keep counts, on the LM probes; then, per layer, its attention options
+    on the retrieval probes."""
+    lm = [_Job(SIGNAL_ACTIVATION_MSE, i, change) for i, layer_lib in enumerate(library.layers)
+          for change in (*layer_lib.attention_options, *layer_lib.keep_counts)]
+    task = [_Job(SIGNAL_TASK_DROP, i, attn) for i, layer_lib in enumerate(library.layers)
+            for attn in layer_lib.attention_options]
+    return lm + task
+
+
+def _changes_a_position(arch: ArchitectureSpec, job: _Job, probes: ProbeSet) -> bool:
+    """Whether `job`'s variant can change any position of `probes`. One that
+    cannot (the parent's own block, a window as long as the probes) needs no
+    forward: the forward pass is pure, so it would reproduce the parent bit
+    for bit."""
+    block = arch.layers[job.layer]
+    if isinstance(job.change, int):  # the top ranked of the kept experts
+        return job.change != block.experts_kept
+    first = first_mask_difference(block.attention, job.change)
+    return first is not None and first < probes.length
+
+
+def _walk(
+    params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, rank: bool
+) -> tuple[list[np.ndarray], np.ndarray, tuple[LayerRanking, ...]]:
+    """The parent's states on `probes`, from one walk over its layers: the
+    residual entering each layer; then the final hidden on LM probes, or on
+    retrieval probes the parent's outcome, its last layer run at the query
+    position alone; and, when `rank`, each layer's expert ranking."""
+    last_only = probes.kind == "retrieval"
+    entering, ranked = [], []
     for i, (layer_input, ffn_input, leaving) in enumerate(
-        _layer_walk(params, arch, probes.tokens)
+        _layer_walk(params, arch, probes.tokens, last_only=last_only)
     ):
-        ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
         entering.append(layer_input)
-    baseline_final = final_hidden(params, leaving)
-    keep_rows = [
-        _activation_row(i, f"ffn:keep:{count}", probes, *replace_one_block_score(
-            params, arch, i, probes, expert_keep_set=top_experts(ranked[i].order, count),
-            baseline_final=baseline_final, entering=entering,
-        ))
-        for i, layer_lib in enumerate(library.layers)
-        for count in layer_lib.keep_counts
-    ]
-    claimed = _claimed_rows(params, arch, probes, jobs, queue,
-                            lambda: (baseline_final, entering))
-    return ExpertRanking(tuple(ranked)), keep_rows, claimed
+        if rank:
+            ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
+    outcome = _answered(params, probes, leaving) if last_only else final_hidden(params, leaving)
+    return entering, outcome, tuple(ranked)
 
 
-def _claimed_rows(
+def _score(
+    params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, job: _Job, parent: tuple
+) -> ScoreRow:
+    """`job`'s row, its variant resumed from `parent`, _walk's states on
+    `probes`, at its layer and its first changed position."""
+    entering, outcome, ranked = parent
+    if job.signal == SIGNAL_TASK_DROP:
+        first = first_mask_difference(arch.layers[job.layer].attention, job.change)
+        variant_arch = arch.with_layer(job.layer, attention=job.change)
+        correct = _retrieval_correct(params, variant_arch, probes, job.layer, entering, first)
+        drop = float(outcome.mean()) - float(correct.mean())
+        return _row(job, probes, max(0.0, drop), drop, outcome - correct)
+    if isinstance(job.change, int):
+        block = {"expert_keep_set": top_experts(ranked[job.layer].order, job.change)}
+    else:
+        block = {"attention": job.change}
+    mse, per_seq = replace_one_block_score(params, arch, job.layer, probes,
+                                           baseline_final=outcome, entering=entering, **block)
+    return _row(job, probes, mse, mse, per_seq)
+
+
+def _row(job: _Job, probes: ProbeSet, value: float, raw: float, per_sample: np.ndarray) -> ScoreRow:
+    return ScoreRow(layer=job.layer, variant_id=job.variant_id, signal=job.signal, value=value,
+                    raw=raw, n_samples=probes.count, per_sample=tuple(per_sample.tolist()))
+
+
+def _drain(
     params: ModelParams,
     arch: ArchitectureSpec,
-    probes: ProbeSet,
-    jobs: list[tuple[int, AttentionVariant]],
-    queue: int,
-    parent_states: Callable[[], tuple[np.ndarray, list[np.ndarray]]],
+    jobs: list[_Job],
+    queues: list[tuple[ProbeSet, int, bool]],
+    held: dict[str, tuple],
 ) -> dict[int, ScoreRow]:
-    """The activation-MSE row of every job claimed from `queue` until it is
-    drained, keyed by job. parent_states() gives the parent's final hidden
-    and the residual entering each layer; it is called on the first claim."""
-    rows, states = {}, None
-    while (job := _claim(queue)) is not None:
-        if states is None:
-            states = parent_states()
-        baseline_final, entering = states
-        layer, attn = jobs[job]
-        rows[job] = _activation_row(layer, attn.variant_id, probes, *replace_one_block_score(
-            params, arch, layer, probes, attention=attn,
-            baseline_final=baseline_final, entering=entering,
-        ))
-    return rows
+    """The row of every job claimed from each (probes, queue, rank) of
+    `queues` in turn, until that queue is drained, keyed by job.
 
-
-def _task_drop_pass(
-    params: ModelParams, arch: ArchitectureSpec, library: BlockLibrary, probes: ProbeSet
-) -> list[ScoreRow]:
-    """The task-drop row of every attention variant, from one pass of the
-    parent over the retrieval probes.
-
-    The pass keeps the residual entering each layer, and runs the last layer
-    at the query position alone, which gives the parent's outcome. Each
-    variant resumes at its layer from its first changed position; one that
-    changes no position has the parent's outcome.
+    The parent's states on a probe set are taken out of `held`, keyed by
+    probe kind, or else walked (ranking when `rank`) on the first claim from
+    its queue; either way they are dropped before the next queue.
     """
-    entering = []
-    for layer_input, _, leaving in _layer_walk(params, arch, probes.tokens, last_only=True):
-        entering.append(layer_input)
-    parent_correct = _answered(params, probes, leaving)
-    parent_acc = float(parent_correct.mean())
-    rows = []
-    for i, layer_lib in enumerate(library.layers):
-        for attn in layer_lib.attention_options:
-            correct = parent_correct
-            first = first_mask_difference(arch.layers[i].attention, attn)
-            if first is not None and first < probes.length:
-                variant_arch = arch.with_layer(i, attention=attn)
-                correct = _retrieval_correct(params, variant_arch, probes, i, entering, first)
-            drop = parent_acc - float(correct.mean())
-            rows.append(
-                ScoreRow(
-                    layer=i, variant_id=attn.variant_id, signal=SIGNAL_TASK_DROP,
-                    value=max(0.0, drop), raw=drop, n_samples=probes.count,
-                    per_sample=tuple((parent_correct - correct).tolist()),
-                )
-            )
+    rows = {}
+    for probes, queue, rank in queues:
+        parent = held.pop(probes.kind, None)
+        while (job := _claim(queue)) is not None:
+            if parent is None:
+                parent = _walk(params, arch, probes, rank)
+            rows[job] = _score(params, arch, probes, jobs[job], parent)
     return rows
-
-
-def _child_pass(
-    params: ModelParams,
-    arch: ArchitectureSpec,
-    library: BlockLibrary,
-    lm_probes: ProbeSet,
-    retrieval_probes: ProbeSet,
-    jobs: list[tuple[int, AttentionVariant]],
-    queue: int,
-) -> tuple[list[ScoreRow], dict[int, ScoreRow]]:
-    """Every task-drop row, then the activation-MSE rows of the attention
-    jobs claimed from `queue`. The parent's states on the LM probes come
-    from a walk of its own, run only if a job is left to claim."""
-
-    def parent_states():
-        entering = []
-        for layer_input, _, leaving in _layer_walk(params, arch, lm_probes.tokens):
-            entering.append(layer_input)
-        return final_hidden(params, leaving), entering
-
-    task_drop_rows = _task_drop_pass(params, arch, library, retrieval_probes)
-    return task_drop_rows, _claimed_rows(params, arch, lm_probes, jobs, queue, parent_states)
 
 
 def score_library(
@@ -592,55 +580,46 @@ def score_library(
     from the parent's residual entering each layer, and an attention variant
     from the first position its mask changes (model.first_mask_difference).
 
-    Two processes share the work (_forked). This one walks the LM probes,
-    ranking each layer's experts, and scores every keep-count row. A forked
-    child runs the task-drop pass. Then each claims attention variants from
-    one shared queue (_job_queue) of those that need a forward, and scores
-    their activation-MSE rows until it is drained; the child walks the LM
-    probes, without ranking, only if it claims one. A variant that changes
-    no position scores 0 without a forward. With one CPU nothing is forked:
-    this process drains the queue, then runs the child's part, which finds
-    it empty. Under --trace, this process's counts cover only the variants
-    it claimed. The rows are the same whoever scores them.
-
-    Rows are all activation-MSE rows, then all task-drop rows, each in layer
-    order, a layer's attention variants before its keep counts, as one
-    process scoring them in turn gives them (ScoreTable.save sorts them).
+    Every row is a job (_jobs). A job that changes no probe position scores 0
+    without a forward; the others go on their probe set's queue (_job_queue),
+    and _drain scores them. This process walks the LM probes, ranking each
+    layer's experts, and drains the LM queue. A forked child (_forked) drains
+    the retrieval queue, then the LM queue; its LM walk ranks only if a
+    keep-count job is queued. With one CPU nothing is forked: this process
+    drains the LM queue, then runs the child's part. Under --trace, this
+    process's counts cover only the jobs it claimed. The rows are the same
+    whoever scores them, in job order: all activation-MSE rows, then all
+    task-drop rows, each in layer order, a layer's attention variants before
+    its keep counts (ScoreTable.save sorts them).
     """
     if library.n_layers != len(params.layers):
         raise MismatchError("library and parameters disagree on layer count")
     validate_retrieval_probes(retrieval_probes)
-    jobs = [(i, attn) for i, layer_lib in enumerate(library.layers)
-            for attn in layer_lib.attention_options]
-    # A variant that changes no probe position (the parent's own block, or a
-    # window as long as the probes) is queued for no forward: the forward
-    # pass is pure, so it would reproduce the baseline bit for bit.
-    queued = []
-    for job, (i, attn) in enumerate(jobs):
-        first = first_mask_difference(arch.layers[i].attention, attn)
-        if first is not None and first < lm_probes.length:
-            queued.append(job)
-    with _job_queue(queued) as queue, _forked(
-        _child_pass, params, arch, library, lm_probes, retrieval_probes, jobs, queue
-    ) as child_result:
-        ranking, keep_rows, claimed = _activation_pass(
-            params, arch, library, lm_probes, jobs, queue
-        )
-        task_drop_rows, child_claimed = child_result()
-    claimed.update(child_claimed)
-    unchanged = np.zeros(lm_probes.count)
-    attention_rows = [
-        claimed[job] if job in claimed
-        else _activation_row(i, attn.variant_id, lm_probes, 0.0, unchanged)
-        for job, (i, attn) in enumerate(jobs)
-    ]
-    # a stable sort: within a layer, attention rows stay before keep counts
-    rows = sorted(attention_rows + keep_rows, key=lambda r: r.layer)
-    return ranking, ScoreTable(rows=rows + task_drop_rows)
+    probe_sets = {SIGNAL_ACTIVATION_MSE: lm_probes, SIGNAL_TASK_DROP: retrieval_probes}
+    jobs = _jobs(library)
+    queued = {signal: [] for signal in probe_sets}
+    for n, job in enumerate(jobs):
+        if _changes_a_position(arch, job, probe_sets[job.signal]):
+            queued[job.signal].append(n)
+    child_ranks = any(isinstance(jobs[n].change, int) for n in queued[SIGNAL_ACTIVATION_MSE])
+    with _job_queue(queued[SIGNAL_ACTIVATION_MSE]) as lm_queue, \
+            _job_queue(queued[SIGNAL_TASK_DROP]) as task_queue, \
+            _forked(_drain, params, arch, jobs,
+                    [(retrieval_probes, task_queue, False), (lm_probes, lm_queue, child_ranks)],
+                    {}) as child_rows:
+        held = {lm_probes.kind: _walk(params, arch, lm_probes, rank=True)}
+        ranking = ExpertRanking(held[lm_probes.kind][2])
+        rows = _drain(params, arch, jobs, [(lm_probes, lm_queue, True)], held)
+        rows.update(child_rows())
+    return ranking, ScoreTable(rows=[
+        rows[n] if n in rows
+        else _row(job, probe_sets[job.signal], 0.0, 0.0, np.zeros(probe_sets[job.signal].count))
+        for n, job in enumerate(jobs)
+    ])
 
 
 # ---------------------------------------------------------------------------
-# one shared job queue
+# shared job queues
 
 
 @contextmanager

@@ -161,10 +161,16 @@ def test_frontier_outputs(pipeline):
     assert parent_high[0]["relative_request_rate"] == 1.0
 
 
-def test_scoring_is_deterministic_across_processes_shapes(tmp_path):
+@pytest.mark.parametrize("first, second", [({0}, {0, 1}), ({0, 1}, {0})],
+                         ids=["one-cpu-first", "two-cpus-first"])
+def test_score_bytes_match_with_and_without_the_forked_child(tmp_path, monkeypatch,
+                                                              first, second):
+    # One CPU scores in this process alone; two fork a scoring child.
     cfg = bundled_config()
     a, b = tmp_path / "a", tmp_path / "b"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: first)
     assert run("--config", cfg, "--out", a, "score") == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: second)
     assert run("--config", cfg, "--out", b, "score") == 0
     for name in ("params.bin", "scores.jsonl", "ranking.json", "probes.json"):
         ha = hashlib.sha256((a / name).read_bytes()).hexdigest()
@@ -231,13 +237,17 @@ def test_leftover_unheld_lock_file_does_not_block(tmp_path):
 ])
 def test_a_failed_scoring_child_exits_1_and_unlocks(tmp_path, capsys, monkeypatch,
                                                       death, message):
-    def task_drop_pass(*args):
-        if death == "exit":
-            os._exit(3)
-        raise ProbeError("retrieval probe 3 has no answer")
+    walk = scoring._walk
+
+    def retrieval_walk_fails(params, arch, probes, rank):  # only the child walks these
+        if probes.kind == "retrieval":
+            if death == "exit":
+                os._exit(3)
+            raise ProbeError("retrieval probe 3 has no answer")
+        return walk(params, arch, probes, rank)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(scoring, "_task_drop_pass", task_drop_pass)
+    monkeypatch.setattr(scoring, "_walk", retrieval_walk_fails)
     out = tmp_path / "run"
     assert run("--config", bundled_config(), "--out", out, "score") == 1
     assert message in capsys.readouterr().err

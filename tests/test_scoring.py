@@ -329,7 +329,7 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """score_library forks its retrieval pass whatever this host has."""
+    """score_library forks its scoring child whatever this host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -345,8 +345,8 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     # Probes of 80 positions are longer than both windows. Each pass runs a
     # layer's queries for positions first.. of the probes.
     # - Parent: an LM walk of 8 layers in each process that scores an LM row
-    #   (this one always, for the keep counts; the child if it claims a
-    #   window variant), and a retrieval pass of the 7 layers before the
+    #   (this one always, for the ranking; the child if it claims an LM
+    #   job), and a retrieval pass of the 7 layers before the
     #   last, all from 0; the parent's retrieval outcome resumes at the last
     #   layer for the last position alone.
     # - A keep-count variant changes every position: layers i.. from 0.
@@ -383,7 +383,7 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     assert_no_child_left()
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     child = Counter((i, n) for pid, i, n in calls if pid != os.getpid())
-    assert not Counter(task) - child  # the child ran the whole task-drop pass
+    assert not Counter(task) - child  # the child scored every task-drop row
     lm_walks = 2 if child - Counter(task) else 1
     assert sorted((i, n) for _, i, n in calls) == sorted(lm_walks * lm_walk + task + variants)
 
@@ -418,12 +418,26 @@ def _small_library(cfg):
     return build_library(cfg, LibraryMenu(keep_fractions=(1.0, 0.5), alt_windows=(16,)))
 
 
+def _before_walks(monkeypatch, **before):
+    """Every parent walk over probes of kind "lm" or "retrieval" calls
+    before[kind]() first. With two processes only the child walks the
+    retrieval probes."""
+    walk = scoring._walk
+
+    def patched(params, arch, probes, rank):
+        if probes.kind in before:
+            before[probes.kind]()
+        return walk(params, arch, probes, rank)
+
+    monkeypatch.setattr(scoring, "_walk", patched)
+
+
 def test_a_child_exception_is_raised_here(toy_cfg, toy_params, toy_arch, monkeypatch,
                                           lm_probes_small, retrieval_probes_small, two_cpus):
-    def bad_probes(*args):
+    def bad_probes():
         raise ProbeError("probe 3 has no answer")
 
-    monkeypatch.setattr(scoring, "_task_drop_pass", bad_probes)
+    _before_walks(monkeypatch, retrieval=bad_probes)
     with pytest.raises(ProbeError, match="^probe 3 has no answer$"):
         score_library(toy_params, toy_arch, _small_library(toy_cfg),
                       lm_probes_small, retrieval_probes_small)
@@ -438,10 +452,10 @@ class _TwoPartError(Exception):
 def test_a_child_exception_that_does_not_unpickle_comes_as_runtime_error(
         toy_cfg, toy_params, toy_arch, monkeypatch, lm_probes_small, retrieval_probes_small,
         two_cpus):
-    def odd(*args):
+    def odd():
         raise _TwoPartError("probe 3", "32")
 
-    monkeypatch.setattr(scoring, "_task_drop_pass", odd)
+    _before_walks(monkeypatch, retrieval=odd)
     with pytest.raises(RuntimeError, match="^_TwoPartError: probe 3 of 32$"):
         score_library(toy_params, toy_arch, _small_library(toy_cfg),
                       lm_probes_small, retrieval_probes_small)
@@ -455,7 +469,7 @@ def test_a_child_exception_that_does_not_unpickle_comes_as_runtime_error(
 def test_a_child_that_dies_names_its_exit_status(toy_cfg, toy_params, toy_arch, monkeypatch,
                                                  lm_probes_small, retrieval_probes_small,
                                                  two_cpus, death, message):
-    monkeypatch.setattr(scoring, "_task_drop_pass", lambda *args: death())
+    _before_walks(monkeypatch, retrieval=death)
     with pytest.raises(ChildProcessError, match=message):
         score_library(toy_params, toy_arch, _small_library(toy_cfg),
                       lm_probes_small, retrieval_probes_small)
@@ -466,11 +480,10 @@ def test_a_child_that_dies_names_its_exit_status(toy_cfg, toy_params, toy_arch, 
 def test_an_error_here_kills_and_reaps_the_child(toy_cfg, toy_params, toy_arch, monkeypatch,
                                                  lm_probes_small, retrieval_probes_small,
                                                  two_cpus, error):
-    def interrupted(*args):
+    def interrupted():
         raise error("stop")
 
-    monkeypatch.setattr(scoring, "_task_drop_pass", lambda *args: time.sleep(60))
-    monkeypatch.setattr(scoring, "_activation_pass", interrupted)
+    _before_walks(monkeypatch, retrieval=lambda: time.sleep(60), lm=interrupted)
     start = time.monotonic()
     with pytest.raises(error, match="stop"):
         score_library(toy_params, toy_arch, _small_library(toy_cfg),
@@ -484,24 +497,34 @@ def test_a_timer_signal_does_not_break_the_wait(toy_cfg, toy_params, toy_arch, m
                                                 two_cpus):
     # A 5 ms SIGALRM whose handler returns, as a sampling clock installs,
     # interrupts the parent's os.read and os.waitpid many times over.
+    args = (toy_params, toy_arch, _small_library(toy_cfg), lm_probes_small,
+            retrieval_probes_small)
+    want = score_library(*args)
     ticks = []
-
-    def slow_task_drop(*args):
-        time.sleep(0.3)
-        return ["task-drop rows"]
-
-    monkeypatch.setattr(scoring, "_task_drop_pass", slow_task_drop)
+    _before_walks(monkeypatch, retrieval=lambda: time.sleep(0.3))
     previous = signal.signal(signal.SIGALRM, lambda signum, frame: ticks.append(signum))
     signal.setitimer(signal.ITIMER_REAL, 0.005, 0.005)
     try:
-        _, table = score_library(toy_params, toy_arch, _small_library(toy_cfg),
-                                 lm_probes_small, retrieval_probes_small)
+        ranking, table = score_library(*args)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert table.rows[-1] == "task-drop rows"
+    assert ranking == want[0]
+    assert table.rows == want[1].rows
     assert len(ticks) > 10
     assert_no_child_left()
+
+
+def test_a_two_process_score_writes_nothing_to_stdout_or_stderr(
+        toy_cfg, toy_params, toy_arch, capfd, lm_probes_small, retrieval_probes_small,
+        two_cpus):
+    # The child shares this process's stdout and stderr; a stray line there
+    # would land in the middle of a CLI stage's output.
+    capfd.readouterr()
+    score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                  lm_probes_small, retrieval_probes_small)
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_each_queued_id_is_claimed_once_by_one_of_two_processes(two_cpus):
@@ -567,15 +590,37 @@ def _logged_claims(monkeypatch, log, on_claim):
 
 
 def _first_ranking_waits(monkeypatch, wait):
-    """This process calls wait() as it ranks layer 0, before any claim."""
-    ranking = scoring._layer_ranking
+    """This process calls wait() as it ranks layer 0, before any claim; the
+    child's ranking does not wait."""
+    ranking, here = scoring._layer_ranking, os.getpid()
 
     def waiting_ranking(params, arch, layer, *rest):
-        if layer == 0:
+        if layer == 0 and os.getpid() == here:
             wait()
         return ranking(params, arch, layer, *rest)
 
     monkeypatch.setattr(scoring, "_layer_ranking", waiting_ranking)
+
+
+def _opens_when_the_lm_queue_is_drained(open_gate, by_this_process):
+    """An on_claim for _logged_claims that opens the gate once this process,
+    or the child, has drained the LM queue: this process's only queue, the
+    child's second."""
+    here, drained = os.getpid(), []
+
+    def on_claim(job):
+        if job is None and (os.getpid() == here) == by_this_process:
+            drained.append(job)
+            if len(drained) == (1 if by_this_process else 2):
+                open_gate()
+
+    return on_claim
+
+
+def _claims(log):
+    """(pid, job) of every claim _logged_claims logged, drained ones left out."""
+    lines = [line.split() for line in log.read_text().splitlines()]
+    return [(int(pid), int(job)) for pid, job in lines if job != "None"]
 
 
 @pytest.mark.parametrize("drainer", ["this process", "the child"])
@@ -588,18 +633,14 @@ def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monke
     one_cpu = score_library(*args)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    # The drainer's last claim opens the gate; the other process waits for
-    # it before its first claim: this process in its first ranking, the
-    # child before its task-drop pass.
+    # The drainer's last LM claim opens the gate; the other process waits for
+    # it before its first LM claim: this process in its first ranking, the
+    # child before its retrieval walk.
     wait, open_gate = gate
     here = os.getpid()
-
-    def drained(job):
-        if job is None and (os.getpid() == here) == (drainer == "this process"):
-            open_gate()
-
     log = tmp_path / "claims.txt"
-    _logged_claims(monkeypatch, log, drained)
+    _logged_claims(monkeypatch, log,
+                   _opens_when_the_lm_queue_is_drained(open_gate, drainer == "this process"))
     walks, walk = tmp_path / "walks.txt", scoring._layer_walk
 
     def logged_walk(params, arch, tokens, *rest, **kw):
@@ -609,13 +650,7 @@ def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monke
 
     monkeypatch.setattr(scoring, "_layer_walk", logged_walk)
     if drainer == "this process":
-        task_drop = scoring._task_drop_pass
-
-        def waiting_task_drop(*args):
-            wait()
-            return task_drop(*args)
-
-        monkeypatch.setattr(scoring, "_task_drop_pass", waiting_task_drop)
+        _before_walks(monkeypatch, retrieval=wait)
     else:
         _first_ranking_waits(monkeypatch, wait)
     two = score_library(*args)
@@ -623,21 +658,86 @@ def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monke
     assert two[0] == one_cpu[0]
     assert two[1].rows == one_cpu[1].rows
 
-    jobs = [(i, attn) for i, layer_lib in enumerate(lib.layers)
-            for attn in layer_lib.attention_options]
-    queued = [job for job, (i, attn) in enumerate(jobs)
-              if (first := first_mask_difference(toy_arch.layers[i].attention, attn)) is not None
-              and first < lm_probes_small.length]
-    assert queued
-    claims = [line.split() for line in log.read_text().splitlines()]
-    claimed = [(int(pid), int(job)) for pid, job in claims if job != "None"]
-    assert sorted(job for _, job in claimed) == queued  # each exactly once
-    assert {pid == here for pid, _ in claimed} == {drainer == "this process"}
+    # every job that changes a probe position is queued: on the LM probes a
+    # window shorter than them or a keep count below the 16 experts
+    def changes(job, probes):
+        if isinstance(job.change, int):
+            return job.change < toy_cfg.n_experts
+        first = first_mask_difference(toy_arch.layers[job.layer].attention, job.change)
+        return first is not None and first < probes.length
+
+    jobs = scoring._jobs(lib)
+    lm = {n for n, job in enumerate(jobs) if job.signal == SIGNAL_ACTIVATION_MSE
+          and changes(job, lm_probes_small)}
+    task = {n for n, job in enumerate(jobs) if job.signal == SIGNAL_TASK_DROP
+            and changes(job, retrieval_probes_small)}
+    assert any(isinstance(jobs[n].change, int) for n in lm)  # keep counts too
+    claimed = _claims(log)
+    assert sorted(job for _, job in claimed) == sorted(lm | task)  # each exactly once
+    assert {pid == here for pid, job in claimed if job in lm} == {drainer == "this process"}
+    assert {pid == here for pid, job in claimed if job in task} == {False}
     # one LM walk here; the child walks the LM probes only if it claims a job
     lm_walks = Counter(line for line in walks.read_text().splitlines()
                        if line.endswith(f" {lm_probes_small.count}"))
     assert lm_walks == Counter({f"True {lm_probes_small.count}": 1,
                                 f"False {lm_probes_small.count}": drainer == "the child"})
+
+
+def _child_drains_the_lm_queue(monkeypatch, tmp_path, gate):
+    """Make this process wait in its first ranking until the child has
+    drained the LM queue. Returns the claims log and a log of "pid layer" per
+    expert ranking."""
+    wait, open_gate = gate
+    claims, ranked = tmp_path / "claims.txt", tmp_path / "ranked.txt"
+    _logged_claims(monkeypatch, claims, _opens_when_the_lm_queue_is_drained(open_gate, False))
+    _first_ranking_waits(monkeypatch, wait)
+    ranking = scoring._layer_ranking
+
+    def logged_ranking(params, arch, layer, *rest):
+        with open(ranked, "a") as f:
+            f.write(f"{os.getpid()} {layer}\n")
+        return ranking(params, arch, layer, *rest)
+
+    monkeypatch.setattr(scoring, "_layer_ranking", logged_ranking)
+    return claims, ranked
+
+
+def test_the_child_scores_keep_count_rows_as_this_process_does(
+        toy_cfg, toy_params, toy_arch, monkeypatch, tmp_path, lm_probes_small,
+        retrieval_probes_small, gate):
+    lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25), alt_windows=(16,)))
+    args = (toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = score_library(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    claims, _ = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
+    two = score_library(*args)
+    assert_no_child_left()
+    assert two[0] == one_cpu[0]
+    assert two[1].rows == one_cpu[1].rows
+    jobs = scoring._jobs(lib)
+    kept = sorted((jobs[n].layer, jobs[n].change) for pid, n in _claims(claims)
+                  if pid != os.getpid() and isinstance(jobs[n].change, int))
+    assert kept == [(i, count) for i in range(toy_cfg.n_layers) for count in (4, 8)]
+
+
+@pytest.mark.parametrize("keep_fractions", [(1.0, 0.5), (1.0,)])
+def test_the_child_ranks_experts_only_when_a_keep_count_is_queued(
+        toy_cfg, toy_params, toy_arch, monkeypatch, tmp_path, lm_probes_small,
+        retrieval_probes_small, two_cpus, gate, keep_fractions):
+    # keep_fractions (1.0,) is decode-long's library: its one keep count
+    # keeps every expert, so no keep-count row needs a forward or a ranking.
+    lib = build_library(toy_cfg, LibraryMenu(keep_fractions=keep_fractions, alt_windows=(16,)))
+    claims, ranked = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
+    score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    assert_no_child_left()
+    jobs, here = scoring._jobs(lib), os.getpid()
+    assert any(pid != here and jobs[n].signal == SIGNAL_ACTIVATION_MSE
+               for pid, n in _claims(claims))  # the child walked the LM probes
+    layers = Counter(int(pid) == here for pid, _ in map(str.split,
+                                                         ranked.read_text().splitlines()))
+    assert layers == Counter({True: toy_cfg.n_layers,
+                              False: toy_cfg.n_layers if len(keep_fractions) > 1 else 0})
 
 
 def test_score_leaves_no_fd_open(toy_cfg, toy_params, toy_arch, lm_probes_small,
