@@ -4,6 +4,12 @@ Forward passes are functions of (params, architecture, tokens): float32
 activations, no internal mutation except the KvCache a forward is given to
 fill, counter-based RNG for init so the same seed reproduces bit-identical
 parameters on any platform.
+
+Every forward runs its layers through one loop, _layer_walk, which starts at
+any layer and position from the residual stream entering that layer.
+forward_batch drives it from the token embeddings, with or without a KvCache
+(a decode step is a one-position forward against the cache); scoring resumes
+it at one layer from the parent's residual streams.
 """
 
 from __future__ import annotations
@@ -1141,96 +1147,63 @@ def forward_batch(
             raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
     run = _Pass.new(c, length, start, cache)
-    hidden = params.embedding[tokens]
-    last = len(layer_specs) - 1
-    for i, spec in enumerate(layer_specs):
-        first = length - 1 if last_only and i == last else 0
-        hidden = _layer_step(params, i, spec, hidden, run, first)[0]
+    for _, _, hidden in _layer_walk(params, arch, run, params.embedding[tokens],
+                                    last_only=last_only):
+        pass
     if cache is not None:
         cache.positions = start + length
     return _finish(params, hidden)
 
 
 def _layer_walk(
-    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray, last_only: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield, for each layer of a cache-free forward in turn, (the residual
-    stream [batch, length, d_model] entering it, its FFN input, the residual
-    leaving it), bit-identical to what forward_batch computes. With
-    last_only, the last layer runs its last position alone, as forward_batch
-    runs it: its FFN input and leaving residual are [batch, 1, d_model].
-
-    A layer runs only when its item is asked for. The walk holds that layer's
-    item, no earlier layer's; every layer shares one set of rotary tables.
-    """
-    c = params.config
-    tokens = _check_tokens(c, tokens)
-    length = tokens.shape[1]
-    run = _Pass.new(c, length)
-    hidden = params.embedding[tokens]
-    layer_specs = _layer_specs(params, arch)
-    last = len(layer_specs) - 1
-    for i, spec in enumerate(layer_specs):
-        first = length - 1 if last_only and i == last else 0
-        leaving, ffn_in = _layer_step(params, i, spec, hidden, run, first)
-        yield hidden, ffn_in, leaving
-        hidden = leaving
-
-
-def resume_forward(
     params: ModelParams,
     arch: "ArchitectureSpec",
-    layer: int,
-    entering: list[np.ndarray],
+    run: _Pass,
+    hidden: np.ndarray,
+    layer: int = 0,
     first: int = 0,
+    entering: list[np.ndarray] | None = None,
     last_only: bool = False,
-) -> np.ndarray:
-    """Rows first.. of the residual stream leaving the last layer of a
-    cache-free forward resumed at `layer`, running only layers layer.. of
-    `arch`; last_only as forward_batch takes it (the last row alone). The
-    caller applies final_hidden, or _finish for logits too, and takes rows
-    before `first` from the forward that gave `entering`.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one loop over a forward's layers. From `hidden` [batch, length,
+    d_model], the residual stream entering layer `layer`, run layers layer..
+    of `arch` over the positions of `run`, and yield for each in turn (the
+    residual stream entering it, its FFN input, the residual leaving it).
 
-    `entering` holds, for every layer, the residual [batch, length, d_model]
-    entering it in some forward on the same tokens (as _layer_walk gives
-    it). Layer `layer` reads all of entering[layer]. Every layer runs its
-    queries and FFN from `first` on (_layer_step); a later layer takes rows
-    before `first` from its own entry in `entering`, the rest from the layer
-    before it.
+    Every layer runs its queries and FFN from position `first` on
+    (_layer_step), so the last two items hold rows first..; with last_only
+    the last layer runs its last position alone, as forward_batch runs it. A
+    layer after `layer` takes the rows before `first` of the residual
+    entering it from `entering`, the residual entering each layer in some
+    forward on the same tokens (as a walk from layer 0 yields it).
 
     When that forward ran the layers before `layer` as `arch` does, and its
     rows before `first` are those `arch` gives at every layer from `layer` on
-    (first = 0, or a changed attention's first_mask_difference), the result
-    equals rows first.. of the residual forward_batch leaves, bit for bit.
+    (first = 0, or a changed attention's first_mask_difference), every item
+    equals those rows of a walk from layer 0, bit for bit.
+
+    A layer runs only when its item is asked for. The walk holds that layer's
+    item, no earlier layer's; every layer shares the rotary tables of `run`.
     """
-    c = params.config
     layer_specs = _layer_specs(params, arch)
-    n = len(layer_specs)
-    if not 0 <= layer < n:
-        raise MismatchError(f"cannot resume at layer {layer} of a {n}-layer model")
-    if len(entering) != n:
-        raise MismatchError(f"resume_forward needs the residual entering each of {n} layers, "
-                            f"got {len(entering)}")
-    hidden = np.asarray(entering[layer])
-    if hidden.ndim != 3 or hidden.shape[2] != c.d_model or hidden.size == 0 or any(
-        np.shape(e) != hidden.shape for e in entering[layer + 1 :]
-    ):
-        raise MismatchError(
-            f"resume_forward expects [batch, length, {c.d_model}] residuals of one shape, "
-            f"got shape {hidden.shape} at layer {layer}"
-        )
-    length = hidden.shape[1]
-    if length > c.max_seq_len:
-        raise MismatchError(f"sequence length {length} exceeds max_seq_len {c.max_seq_len}")
-    if not 0 <= first < length:
-        raise MismatchError(f"cannot resume from position {first} of {length}")
-    run = _Pass.new(c, length)
+    n, length = len(layer_specs), hidden.shape[1]
     for i in range(layer, n):
         if i > layer and first:
             hidden = np.concatenate([entering[i][:, :first], hidden], axis=1)
         step_first = length - 1 if last_only and i == n - 1 else first
-        hidden = _layer_step(params, i, layer_specs[i], hidden, run, step_first)[0]
-    return hidden
+        leaving, ffn_in = _layer_step(params, i, layer_specs[i], hidden, run, step_first)
+        yield hidden, ffn_in, leaving
+        hidden = leaving
+
+
+def _token_walk(
+    params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray, last_only: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_layer_walk over every layer of a cache-free forward of [batch, length]
+    `tokens`: its items are bit-identical to what forward_batch computes."""
+    tokens = _check_tokens(params.config, tokens)
+    run = _Pass.new(params.config, tokens.shape[1])
+    return _layer_walk(params, arch, run, params.embedding[tokens], last_only=last_only)
 
 
 def generate_batch(

@@ -9,12 +9,14 @@ layer's FFN output.
 
 Every score row is a job: a signal, a layer, and a change to that layer's
 block (an attention variant or a keep count); the signal fixes the probe
-set. A job that changes no probe position scores 0 without a forward; the
-others go on one queue per probe set. One loop (_drain) scores jobs: it
-claims from each queue in turn, walks the parent over that queue's probes on
-its first claim (model._layer_walk), and resumes each variant from the
-parent's residual entering its layer, from the first position it changes.
-The walk of the LM probes also ranks each layer's experts.
+set. A job's first changed position (_first_changed) decides its forward: a
+job that changes no probe position scores 0 without one; the others go on
+one queue per probe set. One loop (_drain) scores jobs: it claims from each
+queue in turn, walks the parent over that queue's probes on its first claim
+(model._token_walk), and scores each job (_score) with one resume of the
+model's layer loop (model._layer_walk) at the job's layer, from the parent's
+residual streams and from the job's first changed position. The walk of the
+LM probes also ranks each layer's experts.
 
 When this process may run on two or more CPUs, score_library forks one
 child. This process walks the LM probes, ranking the experts, and drains the
@@ -31,7 +33,6 @@ import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn
 
@@ -48,13 +49,13 @@ from .model import (
     _finish,
     _layer_walk,
     _matmul,  # internal on purpose: identical math to the forward pass
+    _Pass,
     _silu,
+    _token_walk,
     final_hidden,
     first_mask_difference,
-    forward_batch,
     parse_json,
     read_jsonl,
-    resume_forward,
     route_tokens,
     to_json,
     write_jsonl,
@@ -190,29 +191,6 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # long-context task scoring
 
 
-def _check_layer(params: ModelParams, layer: int) -> None:
-    if not 0 <= layer < len(params.layers):
-        raise MismatchError(f"no layer {layer} in a {len(params.layers)}-layer model")
-
-
-def _retrieval_correct(
-    params: ModelParams,
-    arch: ArchitectureSpec,
-    probes: ProbeSet,
-    layer: int = 0,
-    entering: list[np.ndarray] | None = None,
-    first: int = 0,
-) -> np.ndarray:
-    """Per-probe 1.0/0.0 retrieval outcome; only layers layer.. are run, from
-    `entering`, the residual entering each layer, and from position `first`
-    (see replace_one_block_score)."""
-    validate_retrieval_probes(probes)
-    if entering is None:
-        entering = [h for h, _, _ in _layer_walk(params, arch, probes.tokens, last_only=True)]
-    leaving = resume_forward(params, arch, layer, entering, first, last_only=True)
-    return _answered(params, probes, leaving)
-
-
 def _answered(params: ModelParams, probes: ProbeSet, leaving: np.ndarray) -> np.ndarray:
     """Per-probe 1.0/0.0: whether the logits of `leaving`, the residual
     leaving the last layer, predict each probe's answer at its last row."""
@@ -240,10 +218,10 @@ def expert_contribution_scores(
     params: ModelParams,
     arch: ArchitectureSpec,
     layer: int,
-    probes: ProbeSet,
-    ffn_input: np.ndarray | None = None,
+    ffn_input: np.ndarray,
 ) -> ExpertScores:
-    """Mean squared FFN-output change from removing each kept expert.
+    """Mean squared FFN-output change from removing each kept expert, on
+    `ffn_input` [probes, positions, d_model], the FFN input of `layer`.
 
     Removing expert i re-selects the per-token top-k over the remaining experts
     and renormalizes the routing weights. Tokens that never routed to i are
@@ -252,9 +230,6 @@ def expert_contribution_scores(
     c = params.config
     lp = params.layers[layer]
     keep = arch.layers[layer].expert_keep_set
-    if ffn_input is None:
-        _check_layer(params, layer)
-        ffn_input = next(islice(_layer_walk(params, arch, probes.tokens), layer, None))[1]
     n_probes, seq_len, d = ffn_input.shape
     x = ffn_input.reshape(-1, d)
     n_tokens = x.shape[0]
@@ -315,14 +290,10 @@ def expert_contribution_scores(
 
 
 def _layer_ranking(
-    params: ModelParams,
-    arch: ArchitectureSpec,
-    layer: int,
-    probes: ProbeSet,
-    ffn_input: np.ndarray,
+    params: ModelParams, arch: ArchitectureSpec, layer: int, ffn_input: np.ndarray
 ) -> LayerRanking:
     """One layer's expert ids, most important first, and their scores."""
-    es = expert_contribution_scores(params, arch, layer, probes, ffn_input=ffn_input)
+    es = expert_contribution_scores(params, arch, layer, ffn_input)
     order = es.ranking_order()
     by_id = dict(zip(es.expert_ids, es.scores.tolist()))
     return LayerRanking(order, tuple(by_id[eid] for eid in order))
@@ -332,64 +303,9 @@ def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) 
     """Per-layer expert importance ranking from contribution scores, from one
     walk of the parent over `probes` (score_library ranks the same way)."""
     return ExpertRanking(tuple(
-        _layer_ranking(params, arch, i, probes, ffn_input)
-        for i, (_, ffn_input, _) in enumerate(_layer_walk(params, arch, probes.tokens))
+        _layer_ranking(params, arch, i, ffn_input)
+        for i, (_, ffn_input, _) in enumerate(_token_walk(params, arch, probes.tokens))
     ))
-
-
-# ---------------------------------------------------------------------------
-# replace-one-block scoring
-
-
-def replace_one_block_score(
-    params: ModelParams,
-    arch: ArchitectureSpec,
-    layer: int,
-    probes: ProbeSet,
-    attention: AttentionVariant | None = None,
-    expert_keep_set: tuple[int, ...] | None = None,
-    baseline_final: np.ndarray | None = None,
-    entering: list[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Final-hidden MSE against the unmodified model with one layer's block swapped.
-
-    The variant's forward resumes from `entering`, the unmodified model's
-    residual stream entering each layer on these probes (computed when not
-    given): the layers before `layer` are the parent's own, so re-running
-    them would repeat work. A changed attention alone leaves every position
-    before its first_mask_difference with the parent's bits, so the variant
-    runs its queries from there and takes the rows before it from
-    `baseline_final`; a variant that changes no position scores 0 without a
-    forward. Returns (mean squared error, per-sequence MSE array).
-    """
-    if attention is None and expert_keep_set is None:
-        raise ConfigError("nothing to replace: give attention and/or expert_keep_set")
-    _check_layer(params, layer)
-    variant_arch = arch.with_layer(layer, attention=attention, expert_keep_set=expert_keep_set)
-    first = _first_changed_position(arch, variant_arch, layer)
-    if first is None or first >= probes.length:
-        return 0.0, np.zeros(probes.count)
-    if baseline_final is None:
-        baseline_final = forward_batch(params, arch, probes.tokens).final_hidden
-    if entering is None:
-        entering = [h for h, _, _ in _layer_walk(params, arch, probes.tokens, last_only=True)]
-    rows = final_hidden(params, resume_forward(params, variant_arch, layer, entering, first))
-    # the same array, in the same summation order, as a full variant forward
-    variant_final = np.concatenate([baseline_final[:, :first], rows], axis=1)
-    diff = baseline_final.astype(np.float64) - variant_final.astype(np.float64)
-    per_seq = np.square(diff).mean(axis=(1, 2))
-    return float(per_seq.mean()), per_seq
-
-
-def _first_changed_position(
-    arch: ArchitectureSpec, variant: ArchitectureSpec, layer: int
-) -> int | None:
-    """The first position at which `variant`, which differs from `arch` at
-    `layer` alone, can change any layer's output; None if it changes none."""
-    old, new = arch.layers[layer], variant.layers[layer]
-    if old.expert_keep_set != new.expert_keep_set:
-        return 0
-    return first_mask_difference(old.attention, new.attention)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +342,6 @@ class ScoreTable:
             if r.layer == layer and r.variant_id == variant_id and r.signal == signal:
                 return r
         raise KeyError(f"no score for layer={layer} variant={variant_id} signal={signal}")
-
-    def has(self, layer: int, variant_id: str, signal: str) -> bool:
-        try:
-            self.get(layer, variant_id, signal)
-            return True
-        except KeyError:
-            return False
-
-    def signals(self) -> tuple[str, ...]:
-        return tuple(sorted({r.signal for r in self.rows}))
 
     def save(self, path: Path | str) -> None:
         write_jsonl(path, (r.to_json() for r in self.sorted_rows()))
@@ -482,16 +388,16 @@ def _jobs(library: BlockLibrary) -> list[_Job]:
     return lm + task
 
 
-def _changes_a_position(arch: ArchitectureSpec, job: _Job, probes: ProbeSet) -> bool:
-    """Whether `job`'s variant can change any position of `probes`. One that
-    cannot (the parent's own block, a window as long as the probes) needs no
-    forward: the forward pass is pure, so it would reproduce the parent bit
-    for bit."""
+def _first_changed(arch: ArchitectureSpec, job: _Job) -> int | None:
+    """The first position at which `job`'s variant can change any layer's
+    output; None if it changes none. A job whose probes end before it needs
+    no forward: the forward pass is pure, so it would reproduce the parent
+    bit for bit. A keep count other than the parent's changes every position;
+    a changed attention, those from its first_mask_difference on."""
     block = arch.layers[job.layer]
     if isinstance(job.change, int):  # the top ranked of the kept experts
-        return job.change != block.experts_kept
-    first = first_mask_difference(block.attention, job.change)
-    return first is not None and first < probes.length
+        return 0 if job.change != block.experts_kept else None
+    return first_mask_difference(block.attention, job.change)
 
 
 def _walk(
@@ -504,11 +410,11 @@ def _walk(
     last_only = probes.kind == "retrieval"
     entering, ranked = [], []
     for i, (layer_input, ffn_input, leaving) in enumerate(
-        _layer_walk(params, arch, probes.tokens, last_only=last_only)
+        _token_walk(params, arch, probes.tokens, last_only=last_only)
     ):
         entering.append(layer_input)
         if rank:
-            ranked.append(_layer_ranking(params, arch, i, probes, ffn_input))
+            ranked.append(_layer_ranking(params, arch, i, ffn_input))
     outcome = _answered(params, probes, leaving) if last_only else final_hidden(params, leaving)
     return entering, outcome, tuple(ranked)
 
@@ -516,21 +422,31 @@ def _walk(
 def _score(
     params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, job: _Job, parent: tuple
 ) -> ScoreRow:
-    """`job`'s row, its variant resumed from `parent`, _walk's states on
-    `probes`, at its layer and its first changed position."""
+    """`job`'s row. Its variant differs from the parent in one layer only, so
+    its forward resumes from `parent`, _walk's states on `probes`, at that
+    layer and from its first changed position (_first_changed); the rows
+    before that position are the parent's."""
     entering, outcome, ranked = parent
-    if job.signal == SIGNAL_TASK_DROP:
-        first = first_mask_difference(arch.layers[job.layer].attention, job.change)
-        variant_arch = arch.with_layer(job.layer, attention=job.change)
-        correct = _retrieval_correct(params, variant_arch, probes, job.layer, entering, first)
+    if isinstance(job.change, int):
+        keep = top_experts(ranked[job.layer].order, job.change)
+        variant = arch.with_layer(job.layer, expert_keep_set=keep)
+    else:
+        variant = arch.with_layer(job.layer, attention=job.change)
+    first = _first_changed(arch, job)
+    task = job.signal == SIGNAL_TASK_DROP
+    run = _Pass.new(params.config, probes.length)
+    for _, _, leaving in _layer_walk(params, variant, run, entering[job.layer], job.layer,
+                                     first, entering, last_only=task):
+        pass
+    if task:
+        correct = _answered(params, probes, leaving)
         drop = float(outcome.mean()) - float(correct.mean())
         return _row(job, probes, max(0.0, drop), drop, outcome - correct)
-    if isinstance(job.change, int):
-        block = {"expert_keep_set": top_experts(ranked[job.layer].order, job.change)}
-    else:
-        block = {"attention": job.change}
-    mse, per_seq = replace_one_block_score(params, arch, job.layer, probes,
-                                           baseline_final=outcome, entering=entering, **block)
+    # the same array, in the same summation order, as a full variant forward
+    variant_final = np.concatenate([outcome[:, :first], final_hidden(params, leaving)], axis=1)
+    diff = outcome.astype(np.float64) - variant_final.astype(np.float64)
+    per_seq = np.square(diff).mean(axis=(1, 2))
+    mse = float(per_seq.mean())
     return _row(job, probes, mse, mse, per_seq)
 
 
@@ -576,9 +492,11 @@ def score_library(
     Activation MSE covers both attention and FFN variants (on the LM probes);
     FFN variants keep a prefix of the ranking made on the same probes. Task
     drop is restricted to attention variants (on the retrieval probes). A
-    variant differs from the parent in one layer only, so its forward resumes
-    from the parent's residual entering each layer, and an attention variant
-    from the first position its mask changes (model.first_mask_difference).
+    variant differs from the parent in one layer only, so its forward is one
+    resume of the model's layer loop at that layer, from the parent's
+    residual entering each layer and from the first position the variant
+    changes: 0 for a keep count, and for an attention variant the first
+    position its mask changes (model.first_mask_difference).
 
     Every row is a job (_jobs). A job that changes no probe position scores 0
     without a forward; the others go on their probe set's queue (_job_queue),
@@ -599,7 +517,8 @@ def score_library(
     jobs = _jobs(library)
     queued = {signal: [] for signal in probe_sets}
     for n, job in enumerate(jobs):
-        if _changes_a_position(arch, job, probe_sets[job.signal]):
+        first = _first_changed(arch, job)
+        if first is not None and first < probe_sets[job.signal].length:
             queued[job.signal].append(n)
     child_ranks = any(isinstance(jobs[n].change, int) for n in queued[SIGNAL_ACTIVATION_MSE])
     with _job_queue(queued[SIGNAL_ACTIVATION_MSE]) as lm_queue, \

@@ -53,10 +53,9 @@ from archsearch.scoring import (
     SIGNAL_TASK_DROP,
     ScoreRow,
     ScoreTable,
-    expert_contribution_scores,
     make_lm_probes,
     rank_experts,
-    replace_one_block_score,
+    score_library,
 )
 from archsearch.search import (
     SelectionProblem,
@@ -219,24 +218,25 @@ def test_criterion_4_selector_matches_exhaustive_search_on_1000_instances():
 
 
 def test_criterion_5_scoring_identities_hold_exactly(
-    toy_cfg, toy_params, toy_arch, lm_probes_small
+    toy_cfg, toy_params, toy_arch, lm_probes_small, retrieval_probes_small
 ):
     # replacing a block with itself scores exactly zero
-    parent_mse, _ = replace_one_block_score(
-        toy_params, toy_arch, layer=1, probes=lm_probes_small,
-        attention=toy_arch.layers[1].attention,
-    )
+    length = lm_probes_small.length
+    lib = build_library(toy_cfg, LibraryMenu(alt_windows=(length,)))
+    _, table = score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    parent_mse = table.get(1, toy_arch.layers[1].attention.variant_id,
+                           SIGNAL_ACTIVATION_MSE).value
     # a window at least as long as the probes is behaviorally global
-    length = lm_probes_small.tokens.shape[1]
-    window_mse, _ = replace_one_block_score(
-        toy_params, toy_arch, layer=1, probes=lm_probes_small,
-        attention=window_attention(length),
-    )
+    wide = toy_arch.with_layer(1, attention=window_attention(length))
+    window_mse = float(np.square(
+        forward_batch(toy_params, wide, lm_probes_small.tokens).final_hidden.astype(np.float64)
+        - forward_batch(toy_params, toy_arch, lm_probes_small.tokens).final_hidden
+    ).mean())
     # an expert the router never used contributes exactly zero; a 4-token
     # probe routes at most 8 of the 16 experts, so some are provably unused
     tiny = make_lm_probes(toy_cfg, count=1, length=4, seed=44)
-    scores = expert_contribution_scores(toy_params, toy_arch, layer=0, probes=tiny)
-    zero_scores = [s for s in scores.scores if s == 0.0]
+    scores = rank_experts(toy_params, toy_arch, tiny).layers[0].scores
+    zero_scores = [s for s in scores if s == 0.0]
 
     ok = parent_mse == 0.0 and window_mse <= 1e-10 and len(zero_scores) >= 8
     _verdict(

@@ -1,10 +1,13 @@
 """Source hygiene of the package, checked with the standard library's ast:
 every imported name is used, the package imports only the standard library,
 NumPy and itself, every class reads JSON by the one rule, parse_json, and
-writes it by its mirror, to_json; and importing the CLI loads no process
-pool."""
+writes it by its mirror, to_json; one function runs a forward's layers;
+every function the benchmark's tracer wraps still exists; and importing the
+CLI loads no process pool."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -115,3 +118,51 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.split("\n")[0] == "[]"
+
+
+def _readers(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) of every read of
+    `name`, as a bare name or an attribute, in the package."""
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append((module, where))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else where
+            visit(child, module, inner)
+
+    for path in MODULES:
+        visit(_parse(path), path.stem, None)
+    return found
+
+
+def test_one_function_runs_the_layers():
+    """Every forward, cached or not, from layer 0 or resumed at one layer,
+    runs its layers through model._layer_walk, the one caller of
+    model._layer_step."""
+    assert _readers("_layer_step") == [("model", "_layer_walk")]
+
+
+def test_every_function_the_tracer_wraps_exists(monkeypatch):
+    """bench/tracer.py wraps the functions its TARGETS name; a name the
+    package lost would drop the per-layer metrics it feeds from every traced
+    run. The tracer is loaded from its file without writing bytecode there."""
+    path = PACKAGE.parents[1] / "bench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module_name, attr, *_ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -31,7 +31,6 @@ from archsearch.model import (
     param_items,
     params_checksum,
     parse_json,
-    resume_forward,
     route_tokens,
     save_params,
     to_json,
@@ -502,18 +501,42 @@ def _same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _resumed(params, arch, layer, first, entering, last_only=False):
+    """Every item of the one layer loop resumed at `layer` from position
+    `first`, on the residuals `entering` each layer."""
+    run = model_mod._Pass.new(params.config, entering[layer].shape[1])
+    return list(model_mod._layer_walk(params, arch, run, entering[layer], layer, first,
+                                      entering, last_only=last_only))
+
+
+def _check_resumed(params, arch, tokens, firsts):
+    """At every layer and each of `firsts`, with and without last_only, the
+    resumed loop yields rows first.. of the full walk's items, and its last
+    leaving residual gives those rows of forward_batch's trace, bit for bit."""
+    full = forward_batch(params, arch, tokens)
+    walked = list(model_mod._token_walk(params, arch, tokens))
+    entering = [hidden for hidden, _, _ in walked]
+    for layer in range(len(walked)):
+        for first in firsts:
+            items = _resumed(params, arch, layer, first, entering)
+            assert len(items) == len(walked) - layer
+            for (hidden, ffn_in, leaving), (want, want_ffn, want_leaving) in zip(
+                items, walked[layer:]
+            ):
+                _same_bytes(hidden, want)
+                _same_bytes(ffn_in, want_ffn[:, first:])
+                _same_bytes(leaving, want_leaving[:, first:])
+            resumed = model_mod._finish(params, leaving)
+            _same_bytes(resumed.final_hidden, full.final_hidden[:, first:])
+            _same_bytes(resumed.logits, full.logits[:, first:])
+            *_, (_, _, last) = _resumed(params, arch, layer, first, entering, last_only=True)
+            _same_bytes(final_hidden(params, last), full.final_hidden[:, -1:])
+            _same_bytes(model_mod._finish(params, last).logits, full.logits[:, -1:])
+
+
 def test_resumed_forward_equals_the_full_forward_at_every_layer(toy_params, toy_arch):
-    arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(10).integers(0, 256, size=(3, 40), dtype=np.int64)
-    full = forward_batch(toy_params, arch, tokens)
-    entering = [hidden for hidden, _, _ in model_mod._layer_walk(toy_params, arch, tokens)]
-    for i in range(len(entering)):
-        resumed = model_mod._finish(toy_params, resume_forward(toy_params, arch, i, entering))
-        np.testing.assert_array_equal(resumed.final_hidden, full.final_hidden)
-        np.testing.assert_array_equal(resumed.logits, full.logits)
-        last = resume_forward(toy_params, arch, i, entering, last_only=True)
-        np.testing.assert_array_equal(model_mod._finish(toy_params, last).logits,
-                                      full.logits[:, -1:])
+    _check_resumed(toy_params, _pruned_window_arch(toy_arch), tokens, firsts=(0,))
 
 
 @pytest.mark.parametrize("length", [40, 200])
@@ -522,17 +545,9 @@ def test_resumed_forward_from_a_position_equals_the_full_forwards_rows(toy_param
     # window-4, window-16 and global layers; positions below, at and past a
     # multiple of 8 and a 32-query block; at 200 positions the last blocks
     # read past 128 keys
-    arch = _pruned_window_arch(toy_arch)
     tokens = np.random.default_rng(length).integers(0, 256, size=(2, length), dtype=np.int64)
-    full = forward_batch(toy_params, arch, tokens).final_hidden
-    walk = model_mod._layer_walk(toy_params, arch, tokens, last_only=True)
-    entering = [hidden for hidden, _, _ in walk]
-    for layer in range(len(entering)):
-        for first in (1, 7, 8, 31, 32, 33, length - 1):
-            rows = resume_forward(toy_params, arch, layer, entering, first)
-            _same_bytes(final_hidden(toy_params, rows), full[:, first:])
-            last = resume_forward(toy_params, arch, layer, entering, first, last_only=True)
-            _same_bytes(final_hidden(toy_params, last), full[:, -1:])
+    _check_resumed(toy_params, _pruned_window_arch(toy_arch), tokens,
+                   firsts=(1, 7, 8, 31, 32, 33, length - 1))
 
 
 def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, monkeypatch):
@@ -550,14 +565,14 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
     monkeypatch.setattr(model_mod, "_layer_step", recording_step)
     forward_batch(toy_params, arch, tokens)
     monkeypatch.undo()
-    walked = list(model_mod._layer_walk(toy_params, arch, tokens))
+    walked = list(model_mod._token_walk(toy_params, arch, tokens))
     assert sorted(entering) == list(range(len(walked)))
     for i, (hidden, ffn_in, leaving) in enumerate(walked):
         np.testing.assert_array_equal(hidden, entering[i])
         np.testing.assert_array_equal(ffn_in, ffn_inputs[i])
         np.testing.assert_array_equal(leaving, leaving_layer[i])
     # last_only runs the last layer at the last position alone
-    walked = list(model_mod._layer_walk(toy_params, arch, tokens, last_only=True))
+    walked = list(model_mod._token_walk(toy_params, arch, tokens, last_only=True))
     assert len(walked) == len(entering)
     for i, (hidden, _, _) in enumerate(walked):
         _same_bytes(hidden, entering[i])
@@ -577,30 +592,12 @@ def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch,
         return step(params, i, spec, hidden, run, first)
 
     monkeypatch.setattr(model_mod, "_layer_step", counting_step)
-    walk = model_mod._layer_walk(toy_params, toy_arch, tokens)
+    walk = model_mod._token_walk(toy_params, toy_arch, tokens)
     assert ran == []
     next(walk)
     assert ran == [0]
     next(walk)
     assert ran == [0, 1]
-
-
-def test_resume_validation(toy_params, toy_arch):
-    tokens = np.full((2, 4), 5, dtype=np.int64)
-    hidden = toy_params.embedding[tokens]
-    n = toy_params.config.n_layers
-    for layer in (-1, n):
-        with pytest.raises(MismatchError, match="cannot resume at layer"):
-            resume_forward(toy_params, toy_arch, layer, [hidden] * n)
-    with pytest.raises(MismatchError, match="entering each of 8 layers"):
-        resume_forward(toy_params, toy_arch, 2, [hidden] * (n - 1))
-    with pytest.raises(MismatchError, match="residuals of one shape"):
-        resume_forward(toy_params, toy_arch, 2, [hidden[..., :8]] * n)
-    with pytest.raises(MismatchError, match="residuals of one shape"):
-        resume_forward(toy_params, toy_arch, 2, [hidden] * (n - 1) + [hidden[:, :3]])
-    for first in (-1, 4):
-        with pytest.raises(MismatchError, match=f"from position {first} of 4"):
-            resume_forward(toy_params, toy_arch, 2, [hidden] * n, first)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from archsearch import model as model_mod
 from archsearch import scoring
-from archsearch.library import LibraryMenu, build_library, parent_spec
+from archsearch.library import BlockLibrary, LibraryMenu, build_library, parent_spec
 from archsearch.model import (
     ConfigError,
     MismatchError,
@@ -26,12 +26,10 @@ from archsearch.scoring import (
     ProbeError,
     ScoreRow,
     ScoreTable,
-    _retrieval_correct,
     expert_contribution_scores,
     make_lm_probes,
     make_retrieval_probes,
     rank_experts,
-    replace_one_block_score,
     score_library,
     validate_retrieval_probes,
 )
@@ -85,10 +83,10 @@ def test_retrieval_probe_validation_catches_tampering(toy_cfg):
 def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
     # 4 tokens route at most 4*top_k = 8 of the 16 experts, so some never run
     probes = make_lm_probes(toy_cfg, count=1, length=4, seed=44)
-    scores = expert_contribution_scores(toy_params, toy_arch, layer=0, probes=probes)
+    _, ffn_in, _ = next(model_mod._token_walk(toy_params, toy_arch, probes.tokens))
+    scores = expert_contribution_scores(toy_params, toy_arch, 0, ffn_in)
     # recompute which experts the router actually used on these probes
     from archsearch.model import route_tokens
-    _, ffn_in, _ = next(model_mod._layer_walk(toy_params, toy_arch, probes.tokens))
     logits = ffn_in @ toy_params.layers[0].router.T
     idx, _ = route_tokens(logits, np.ones(16, dtype=bool), toy_params.config.top_k)
     used = set(np.unique(idx).tolist())
@@ -142,10 +140,10 @@ def _dense_contribution_scores(params, arch, layer, ffn_input):
 
 @pytest.mark.parametrize("keep", [16, 8, 4])
 def test_compact_expert_outputs_score_as_dense_ones(toy_params, toy_arch, lm_probes_small, keep):
-    walk = model_mod._layer_walk(toy_params, toy_arch, lm_probes_small.tokens)
+    walk = model_mod._token_walk(toy_params, toy_arch, lm_probes_small.tokens)
     for layer, (_, ffn_input, _) in enumerate(walk):
         arch = toy_arch.with_layer(layer, expert_keep_set=tuple(range(0, 16, 16 // keep)))
-        got = expert_contribution_scores(toy_params, arch, layer, lm_probes_small, ffn_input)
+        got = expert_contribution_scores(toy_params, arch, layer, ffn_input)
         assert len(got.expert_ids) == keep
         want = _dense_contribution_scores(toy_params, arch, layer, ffn_input)
         assert want.any()
@@ -153,7 +151,8 @@ def test_compact_expert_outputs_score_as_dense_ones(toy_params, toy_arch, lm_pro
 
 
 def test_expert_scores_rank_by_damage(toy_params, toy_arch, lm_probes_small):
-    scores = expert_contribution_scores(toy_params, toy_arch, layer=3, probes=lm_probes_small)
+    _, ffn_in, _ = list(model_mod._token_walk(toy_params, toy_arch, lm_probes_small.tokens))[3]
+    scores = expert_contribution_scores(toy_params, toy_arch, 3, ffn_in)
     order = scores.ranking_order()
     vals = [scores.scores[scores.expert_ids.index(e)] for e in order]
     assert vals == sorted(vals, reverse=True)
@@ -171,55 +170,65 @@ def test_rank_experts_covers_all_layers(toy_params, toy_arch, lm_probes_small):
 # replace-one-block scores
 
 
-def test_parent_block_scores_exactly_zero(toy_params, toy_arch, lm_probes_small):
-    mse, per_seq = replace_one_block_score(
-        toy_params, toy_arch, layer=1, probes=lm_probes_small,
-        attention=toy_arch.layers[1].attention,
-    )
-    assert mse == 0.0
-    assert np.all(per_seq == 0.0)
+def test_parent_block_scores_exactly_zero(toy_cfg, toy_params, toy_arch, lm_probes_small,
+                                          retrieval_probes_small):
+    _, table = score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                             lm_probes_small, retrieval_probes_small)
+    for i, block in enumerate(toy_arch.layers):
+        for signal in (SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP):
+            row = table.get(i, block.attention.variant_id, signal)
+            assert row.value == row.raw == 0.0
+        row = table.get(i, f"ffn:keep:{block.experts_kept}", SIGNAL_ACTIVATION_MSE)
+        assert row.value == row.raw == 0.0
 
 
-def test_window_covering_probe_length_is_identity(toy_params, toy_arch, lm_probes_small):
-    length = lm_probes_small.tokens.shape[1]
-    mse, _ = replace_one_block_score(
-        toy_params, toy_arch, layer=1, probes=lm_probes_small,
-        attention=window_attention(length),
-    )
-    assert mse <= 1e-10
+def test_window_covering_probe_length_is_identity(toy_cfg, toy_params, toy_arch,
+                                                  lm_probes_small, retrieval_probes_small):
+    # the row is 0 with no forward, and a forward would give the parent's bits
+    length = lm_probes_small.length
+    lib = build_library(toy_cfg, LibraryMenu(alt_windows=(length,)))
+    _, table = score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    assert table.get(1, f"attn:window:{length}", SIGNAL_ACTIVATION_MSE).value == 0.0
+    wide = toy_arch.with_layer(1, attention=window_attention(length))
+    np.testing.assert_array_equal(
+        forward_batch(toy_params, wide, lm_probes_small.tokens).final_hidden,
+        forward_batch(toy_params, toy_arch, lm_probes_small.tokens).final_hidden)
 
 
-def test_deeper_pruning_hurts_more(toy_params, toy_arch, lm_probes_small):
-    ranking = rank_experts(toy_params, toy_arch, lm_probes_small)
-    mse8, _ = replace_one_block_score(
-        toy_params, toy_arch, layer=0, probes=lm_probes_small,
-        expert_keep_set=ranking.keep_set(0, 8),
-    )
-    mse4, _ = replace_one_block_score(
-        toy_params, toy_arch, layer=0, probes=lm_probes_small,
-        expert_keep_set=ranking.keep_set(0, 4),
-    )
+def test_deeper_pruning_hurts_more(toy_cfg, toy_params, toy_arch, lm_probes_small,
+                                   retrieval_probes_small):
+    lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25)))
+    _, table = score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    mse8 = table.get(0, "ffn:keep:8", SIGNAL_ACTIVATION_MSE).value
+    mse4 = table.get(0, "ffn:keep:4", SIGNAL_ACTIVATION_MSE).value
     assert 0.0 < mse8 < mse4
 
 
-def test_replace_one_block_rejects_a_missing_layer(toy_params, toy_arch, lm_probes_small):
-    for layer in (-1, toy_params.config.n_layers):
-        with pytest.raises(MismatchError, match="no layer"):
-            replace_one_block_score(
-                toy_params, toy_arch, layer=layer, probes=lm_probes_small,
-                attention=window_attention(4),
-            )
+def test_score_library_rejects_a_library_of_another_depth(toy_cfg, toy_params, toy_arch,
+                                                          lm_probes_small,
+                                                          retrieval_probes_small):
+    layers = _small_library(toy_cfg).layers
+    for other in (layers[:-1], layers + layers[:1]):
+        with pytest.raises(MismatchError, match="disagree on layer count"):
+            score_library(toy_params, toy_arch, BlockLibrary(other),
+                          lm_probes_small, retrieval_probes_small)
 
 
 # ---------------------------------------------------------------------------
 # the hand-built retrieval model: signals must detect the load-bearing layer
 
 
+def _answered(params, arch, probes):
+    """Per-probe 1.0/0.0: whether a forward predicts each probe's answer."""
+    logits = forward_batch(params, arch, probes.tokens, last_only=True).logits
+    return (np.argmax(logits[:, -1, :], axis=-1) == probes.answers).astype(np.float64)
+
+
 def test_induction_model_solves_retrieval_exactly(induction_model):
     cfg = induction_model.config
     arch = parent_spec(cfg)
     probes = make_retrieval_probes(cfg, count=64, length=64, n_pairs=4, seed=9)
-    assert _retrieval_correct(induction_model, arch, probes).mean() == 1.0
+    assert _answered(induction_model, arch, probes).mean() == 1.0
 
 
 def test_windowing_the_global_layer_destroys_retrieval(induction_model):
@@ -227,10 +236,10 @@ def test_windowing_the_global_layer_destroys_retrieval(induction_model):
     arch = parent_spec(cfg)
     probes = make_retrieval_probes(cfg, count=64, length=64, n_pairs=4, seed=9)
     crippled = arch.with_layer(1, attention=window_attention(8))
-    assert _retrieval_correct(induction_model, crippled, probes).mean() <= 0.1
+    assert _answered(induction_model, crippled, probes).mean() <= 0.1
     # the local hop needs to see the previous position, but nothing further
     narrow = arch.with_layer(0, attention=window_attention(1))
-    assert _retrieval_correct(induction_model, narrow, probes).mean() <= 0.1
+    assert _answered(induction_model, narrow, probes).mean() <= 0.1
 
 
 def test_task_drop_signal_flags_global_layer_conversion(induction_model):
@@ -258,12 +267,13 @@ def test_score_library_produces_both_signals(toy_params, toy_arch, toy_cfg,
                                              lm_probes_small, retrieval_probes_small):
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.25), alt_windows=(16,)))
     _, table = score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
-    assert set(table.signals()) == {SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP}
+    assert {r.signal for r in table.rows} == {SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP}
     # attention rows carry both signals; FFN rows only activation distance
-    assert table.has(1, "attn:window:16", SIGNAL_TASK_DROP)
-    assert table.has(1, "attn:window:16", SIGNAL_ACTIVATION_MSE)
-    assert table.has(1, "ffn:keep:4", SIGNAL_ACTIVATION_MSE)
-    assert not table.has(1, "ffn:keep:4", SIGNAL_TASK_DROP)
+    table.get(1, "attn:window:16", SIGNAL_TASK_DROP)
+    table.get(1, "attn:window:16", SIGNAL_ACTIVATION_MSE)
+    table.get(1, "ffn:keep:4", SIGNAL_ACTIVATION_MSE)
+    with pytest.raises(KeyError):
+        table.get(1, "ffn:keep:4", SIGNAL_TASK_DROP)
     # parent rows exist and are exactly zero
     assert table.get(0, "attn:window:4", SIGNAL_ACTIVATION_MSE).value == 0.0
     assert table.get(0, "ffn:keep:16", SIGNAL_ACTIVATION_MSE).value == 0.0
@@ -641,14 +651,14 @@ def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monke
     log = tmp_path / "claims.txt"
     _logged_claims(monkeypatch, log,
                    _opens_when_the_lm_queue_is_drained(open_gate, drainer == "this process"))
-    walks, walk = tmp_path / "walks.txt", scoring._layer_walk
+    walks, walk = tmp_path / "walks.txt", scoring._token_walk
 
     def logged_walk(params, arch, tokens, *rest, **kw):
         with open(walks, "a") as f:
             f.write(f"{os.getpid() == here} {len(tokens)}\n")
         return walk(params, arch, tokens, *rest, **kw)
 
-    monkeypatch.setattr(scoring, "_layer_walk", logged_walk)
+    monkeypatch.setattr(scoring, "_token_walk", logged_walk)
     if drainer == "this process":
         _before_walks(monkeypatch, retrieval=wait)
     else:
