@@ -320,7 +320,6 @@ class ScoreRow:
     value: float  # aggregate degradation, >= 0
     raw: float  # signed aggregate (task drop can be negative)
     n_samples: int
-    per_sample: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
         """model.to_json's object, with variant_id stored under the key
@@ -441,18 +440,18 @@ def _score(
     if task:
         correct = _answered(params, probes, leaving)
         drop = float(outcome.mean()) - float(correct.mean())
-        return _row(job, probes, max(0.0, drop), drop, outcome - correct)
+        return _row(job, probes, max(0.0, drop), drop)
     # the same array, in the same summation order, as a full variant forward
     variant_final = np.concatenate([outcome[:, :first], final_hidden(params, leaving)], axis=1)
     diff = outcome.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
     mse = float(per_seq.mean())
-    return _row(job, probes, mse, mse, per_seq)
+    return _row(job, probes, mse, mse)
 
 
-def _row(job: _Job, probes: ProbeSet, value: float, raw: float, per_sample: np.ndarray) -> ScoreRow:
+def _row(job: _Job, probes: ProbeSet, value: float, raw: float) -> ScoreRow:
     return ScoreRow(layer=job.layer, variant_id=job.variant_id, signal=job.signal, value=value,
-                    raw=raw, n_samples=probes.count, per_sample=tuple(per_sample.tolist()))
+                    raw=raw, n_samples=probes.count)
 
 
 def _drain(
@@ -532,7 +531,7 @@ def score_library(
         rows.update(child_rows())
     return ranking, ScoreTable(rows=[
         rows[n] if n in rows
-        else _row(job, probe_sets[job.signal], 0.0, 0.0, np.zeros(probe_sets[job.signal].count))
+        else _row(job, probe_sets[job.signal], 0.0, 0.0)
         for n, job in enumerate(jobs)
     ])
 

@@ -306,7 +306,7 @@ def test_criterion_7_end_to_end_search_finds_the_planted_optimum():
     def row(layer, variant_id, signal, value):
         rows.append(
             ScoreRow(layer=layer, variant_id=variant_id, signal=signal,
-                     value=value, raw=value, n_samples=1, per_sample=(value,))
+                     value=value, raw=value, n_samples=1)
         )
 
     for layer in range(8):

@@ -53,11 +53,12 @@ def test_every_stage_leaves_its_artifacts(pipeline):
 
 def test_toy_run_reproduces_the_recorded_hashes(pipeline):
     """The bundled toy run at seed 11 gives the artifact hashes bench/README.md
-    records. They are tied to the NumPy/OpenBLAS build they were recorded on
+    records, but for scores.jsonl: its rows lost their per_sample key after
+    that table was written. They are tied to the NumPy/OpenBLAS build they were recorded on
     (NumPy 2.4.6, OpenBLAS 0.3.31): another BLAS may sum a matmul in another
     order and move the last bits."""
     expected = {
-        "scores.jsonl": "12549bd31644c3955de606befad090c78a8d6babe8d6739363975168eb838798",
+        "scores.jsonl": "5570b7a4ac68aaf9c7cd2d0ca80d15dcde15718c3fa741bee37eb5a255525a95",
         "arch.json": "6bf4ae649e8df288e8d0927aede83861a9e54905efd8b12572e7a64d2e12b58d",
         "child.bin": "d430683f81405d179b99d1bf4b80d487f25600bc225c327328a2fe54af55b722",
         "ranking.json": "8e555691fc8aa1ea9d11c7ae7a124df7232155a46e4093ce2e0d0671f72d5c20",
@@ -443,7 +444,7 @@ def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage,
     assert not (out / ".lock").exists()
 
 
-@pytest.mark.parametrize("name, keep", [("scores.jsonl", 20000), ("ranking.json", 500)])
+@pytest.mark.parametrize("name, keep", [("scores.jsonl", 5000), ("ranking.json", 500)])
 def test_torn_artifacts_are_config_errors(pipeline, tmp_path, capsys, name, keep):
     out = tmp_path / "run"
     out.mkdir()

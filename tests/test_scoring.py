@@ -316,8 +316,7 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
     def mse_row(layer, variant_id, arch):
         per_seq = np.square(base - final(arch)).mean(axis=(1, 2))
         mse = float(per_seq.mean())
-        return ScoreRow(layer, variant_id, SIGNAL_ACTIVATION_MSE, mse, mse, lm.count,
-                        tuple(per_seq.tolist()))
+        return ScoreRow(layer, variant_id, SIGNAL_ACTIVATION_MSE, mse, mse, lm.count)
 
     base, parent_correct = final(parent), correct(parent)
     want = []  # every activation row, then every task row
@@ -332,7 +331,7 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
             ok = correct(parent.with_layer(i, attention=attn))
             drop = float(parent_correct.mean()) - float(ok.mean())
             want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop), drop,
-                                 retrieval.count, tuple((parent_correct - ok).tolist())))
+                                 retrieval.count))
     assert any(r.value > 0 for r in want)
     assert table.rows == want
 
@@ -785,9 +784,9 @@ def test_a_child_that_raises_holding_a_claim_leaves_no_fd_open(
 def test_score_table_roundtrip_and_line_errors(tmp_path):
     table = ScoreTable(rows=[
         ScoreRow(layer=1, variant_id="attn:global", signal="activation_mse",
-                 value=0.5, raw=0.5, n_samples=4, per_sample=(0.1, 0.2, 0.3, 0.4)),
+                 value=0.5, raw=0.5, n_samples=4),
         ScoreRow(layer=0, variant_id="ffn:keep:8", signal="activation_mse",
-                 value=0.25, raw=0.25, n_samples=4, per_sample=(0.25,) * 4),
+                 value=0.25, raw=0.25, n_samples=4),
     ])
     path = tmp_path / "scores.jsonl"
     table.save(path)
