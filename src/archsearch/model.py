@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -1147,9 +1147,8 @@ def forward_batch(
             raise MismatchError(f"cache holds at most {cache.length} positions, not {start + length}")
 
     run = _Pass.new(c, length, start, cache)
-    for _, _, hidden in _layer_walk(params, arch, run, params.embedding[tokens],
-                                    last_only=last_only):
-        pass
+    hidden = _last_leaving(_layer_walk(params, arch, run, params.embedding[tokens],
+                                       last_only=last_only))
     if cache is not None:
         cache.positions = start + length
     return _finish(params, hidden)
@@ -1164,7 +1163,7 @@ def _layer_walk(
     first: int = 0,
     entering: list[np.ndarray] | None = None,
     last_only: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray], None, np.ndarray]:
     """The one loop over a forward's layers. From `hidden` [batch, length,
     d_model], the residual stream entering layer `layer`, run layers layer..
     of `arch` over the positions of `run`, and yield for each in turn (the
@@ -1182,8 +1181,10 @@ def _layer_walk(
     (first = 0, or a changed attention's first_mask_difference), every item
     equals those rows of a walk from layer 0, bit for bit.
 
-    A layer runs only when its item is asked for. The walk holds that layer's
-    item, no earlier layer's; every layer shares the rotary tables of `run`.
+    A layer runs only when its item is asked for, and while it runs the walk
+    holds no earlier layer's item but its input. Every layer shares the
+    rotary tables of `run`. The walk returns the residual leaving the last
+    layer (see _last_leaving).
     """
     layer_specs = _layer_specs(params, arch)
     n, length = len(layer_specs), hidden.shape[1]
@@ -1194,11 +1195,24 @@ def _layer_walk(
         leaving, ffn_in = _layer_step(params, i, layer_specs[i], hidden, run, step_first)
         yield hidden, ffn_in, leaving
         hidden = leaving
+        del ffn_in, leaving
+    return hidden
+
+
+def _last_leaving(walk: Generator[tuple, None, np.ndarray]) -> np.ndarray:
+    """Run a _layer_walk to its end and return the residual leaving its last
+    layer (the walk's return value), holding none of its items: while a
+    layer runs, only its input is alive."""
+    try:
+        while True:
+            next(walk)
+    except StopIteration as end:
+        return end.value
 
 
 def _token_walk(
     params: ModelParams, arch: "ArchitectureSpec", tokens: np.ndarray, last_only: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray], None, np.ndarray]:
     """_layer_walk over every layer of a cache-free forward of [batch, length]
     `tokens`: its items are bit-identical to what forward_batch computes."""
     tokens = _check_tokens(params.config, tokens)

@@ -47,6 +47,7 @@ from .model import (
     ModelParams,
     _expert_allowed_mask,
     _finish,
+    _last_leaving,
     _layer_walk,
     _matmul,  # internal on purpose: identical math to the forward pass
     _Pass,
@@ -185,17 +186,6 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
         raise ProbeError("answers do not align with sequences")
     if not np.all(tokens[:, -2] == QUERY_MARKER):
         raise ProbeError("malformed task sequences: query marker missing at position -2")
-
-
-# ---------------------------------------------------------------------------
-# long-context task scoring
-
-
-def _answered(params: ModelParams, probes: ProbeSet, leaving: np.ndarray) -> np.ndarray:
-    """Per-probe 1.0/0.0: whether the logits of `leaving`, the residual
-    leaving the last layer, predict each probe's answer at its last row."""
-    predicted = np.argmax(_finish(params, leaving).logits[:, -1, :], axis=-1)
-    return (predicted == probes.answers).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +389,13 @@ def _first_changed(arch: ArchitectureSpec, job: _Job) -> int | None:
     return first_mask_difference(block.attention, job.change)
 
 
+def _answered(params: ModelParams, probes: ProbeSet, leaving: np.ndarray) -> np.ndarray:
+    """Per-probe 1.0/0.0: whether the logits of `leaving`, the residual
+    leaving the last layer, predict each probe's answer at its last row."""
+    predicted = np.argmax(_finish(params, leaving).logits[:, -1, :], axis=-1)
+    return (predicted == probes.answers).astype(np.float64)
+
+
 def _walk(
     params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, rank: bool
 ) -> tuple[list[np.ndarray], np.ndarray, tuple[LayerRanking, ...]]:
@@ -434,9 +431,8 @@ def _score(
     first = _first_changed(arch, job)
     task = job.signal == SIGNAL_TASK_DROP
     run = _Pass.new(params.config, probes.length)
-    for _, _, leaving in _layer_walk(params, variant, run, entering[job.layer], job.layer,
-                                     first, entering, last_only=task):
-        pass
+    leaving = _last_leaving(_layer_walk(params, variant, run, entering[job.layer], job.layer,
+                                        first, entering, last_only=task))
     if task:
         correct = _answered(params, probes, leaving)
         drop = float(outcome.mean()) - float(correct.mean())
