@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -580,6 +581,33 @@ def test_walk_residuals_equal_those_of_the_full_forward(toy_params, toy_arch, mo
     last = len(walked) - 1
     _same_bytes(ffn_in, ffn_inputs[last][:, -1:])
     _same_bytes(leaving, leaving_layer[last][:, -1:])
+
+
+def test_a_walk_run_to_its_end_holds_no_earlier_layers_arrays(toy_params, toy_arch,
+                                                             monkeypatch):
+    # While a layer runs, of the arrays earlier layers made only its input is
+    # alive: not the FFN input of the layer before, nor, in a walk resumed
+    # from a position, that layer's rows before the parent's were joined on.
+    arch = _pruned_window_arch(toy_arch)
+    tokens = np.random.default_rng(12).integers(0, 256, size=(2, 40), dtype=np.int64)
+    entering = [hidden for hidden, _, _ in model_mod._token_walk(toy_params, arch, tokens)]
+    step, earlier, ran = model_mod._layer_step, [], []
+
+    def watched_step(params, i, spec, hidden, run, first=0):
+        assert all(ref() is None or ref() is hidden for ref in earlier), i
+        leaving, ffn_in = step(params, i, spec, hidden, run, first)
+        earlier[:] = [weakref.ref(ffn_in), weakref.ref(leaving)]
+        ran.append(i)
+        return leaving, ffn_in
+
+    monkeypatch.setattr(model_mod, "_layer_step", watched_step)
+    full = forward_batch(toy_params, arch, tokens)
+    forward_batch(toy_params, arch, tokens, cache=KvCache(toy_params.config, arch, 2, 40))
+    run = model_mod._Pass.new(toy_params.config, 40)
+    walk = model_mod._layer_walk(toy_params, arch, run, entering[2], 2, 16, entering)
+    _same_bytes(final_hidden(toy_params, model_mod._last_leaving(walk)),
+                full.final_hidden[:, 16:])
+    assert ran == [*range(8), *range(8), *range(2, 8)]
 
 
 def test_walk_runs_a_layer_only_when_its_item_is_asked_for(toy_params, toy_arch, monkeypatch):
