@@ -12,23 +12,28 @@ block (an attention variant or a keep count); the signal fixes the probe
 set. A job's first changed position (_first_changed) decides its forward: a
 job that changes no probe position scores 0 without one; the others go on
 one queue per probe set. One loop (_drain) scores jobs: it claims from each
-queue in turn, walks the parent over that queue's probes on its first claim
-(model._token_walk), and scores each job (_score) with one resume of the
-model's layer loop (model._layer_walk) at the job's layer, from the parent's
-residual streams and from the job's first changed position. The walk of the
-LM probes also ranks each layer's experts.
+queue in turn, takes the parent's states on that queue's probes on its first
+claim, and scores each job (_score) with one resume of the model's layer
+loop (model._layer_walk) at the job's layer, from the parent's residual
+streams and from the job's first changed position.
 
-When this process may run on two or more CPUs, score_library forks one
-child. This process walks the LM probes, ranking the experts, and drains the
-LM queue; the child drains the retrieval queue, then the LM queue. The child
-sends its rows back pickled over a pipe, keyed by job, and the rows merge in
-job order. Under --trace, this process's counts cover only the jobs it
-claimed.
+The LM probes are walked once per score (model._token_walk), and that walk
+ranks each layer's experts. When this process may run on two or more CPUs,
+score_library forks one child. This process walks the LM probes into an
+anonymous shared mapping made before the fork (_SharedWalk), closes the
+write end of a "ready" pipe, and drains the LM queue; the child walks and
+drains the retrieval queue, then drains the LM queue from views of the
+mapping, once the pipe's end of file has come. The child sends its rows
+back pickled over a pipe, keyed by job, and the rows merge in job order.
+Under --trace, this process's counts cover only the jobs it claimed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+import mmap
 import os
 import pickle
 from contextlib import contextmanager
@@ -396,35 +401,26 @@ def _answered(params: ModelParams, probes: ProbeSet, leaving: np.ndarray) -> np.
     return (predicted == probes.answers).astype(np.float64)
 
 
-def _walk(
-    params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, rank: bool
-) -> tuple[list[np.ndarray], np.ndarray, tuple[LayerRanking, ...]]:
-    """The parent's states on `probes`, from one walk over its layers: the
-    residual entering each layer; then the final hidden on LM probes, or on
-    retrieval probes the parent's outcome, its last layer run at the query
-    position alone; and, when `rank`, each layer's expert ranking."""
-    last_only = probes.kind == "retrieval"
-    entering, ranked = [], []
-    for i, (layer_input, ffn_input, leaving) in enumerate(
-        _token_walk(params, arch, probes.tokens, last_only=last_only)
-    ):
+def _walk(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> tuple:
+    """The parent's states on retrieval probes, from one walk over its
+    layers: the residual entering each layer, the parent's outcome (its last
+    layer run at the query position alone) and no expert orders."""
+    entering = []
+    for layer_input, _, leaving in _token_walk(params, arch, probes.tokens, last_only=True):
         entering.append(layer_input)
-        if rank:
-            ranked.append(_layer_ranking(params, arch, i, ffn_input))
-    outcome = _answered(params, probes, leaving) if last_only else final_hidden(params, leaving)
-    return entering, outcome, tuple(ranked)
+    return entering, _answered(params, probes, leaving), ()
 
 
 def _score(
     params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet, job: _Job, parent: tuple
 ) -> ScoreRow:
     """`job`'s row. Its variant differs from the parent in one layer only, so
-    its forward resumes from `parent`, _walk's states on `probes`, at that
-    layer and from its first changed position (_first_changed); the rows
-    before that position are the parent's."""
-    entering, outcome, ranked = parent
+    its forward resumes from `parent`, the parent's states on `probes` (from
+    _walk or _SharedWalk), at that layer and from its first changed position
+    (_first_changed); the rows before that position are the parent's."""
+    entering, outcome, orders = parent
     if isinstance(job.change, int):
-        keep = top_experts(ranked[job.layer].order, job.change)
+        keep = top_experts(orders[job.layer], job.change)
         variant = arch.with_layer(job.layer, expert_keep_set=keep)
     else:
         variant = arch.with_layer(job.layer, attention=job.change)
@@ -454,22 +450,18 @@ def _drain(
     params: ModelParams,
     arch: ArchitectureSpec,
     jobs: list[_Job],
-    queues: list[tuple[ProbeSet, int, bool]],
-    held: dict[str, tuple],
+    queues: list[tuple[ProbeSet, int, Callable[[], tuple]]],
 ) -> dict[int, ScoreRow]:
-    """The row of every job claimed from each (probes, queue, rank) of
-    `queues` in turn, until that queue is drained, keyed by job.
-
-    The parent's states on a probe set are taken out of `held`, keyed by
-    probe kind, or else walked (ranking when `rank`) on the first claim from
-    its queue; either way they are dropped before the next queue.
-    """
+    """The row of every job claimed from each (probes, queue, states) of
+    `queues` in turn, until that queue is drained, keyed by job. states()
+    gives the parent's states on the probes; it is called on the first claim
+    from its queue, and they are dropped before the next queue."""
     rows = {}
-    for probes, queue, rank in queues:
-        parent = held.pop(probes.kind, None)
+    for probes, queue, states in queues:
+        parent = None
         while (job := _claim(queue)) is not None:
             if parent is None:
-                parent = _walk(params, arch, probes, rank)
+                parent = states()
             rows[job] = _score(params, arch, probes, jobs[job], parent)
     return rows
 
@@ -495,15 +487,17 @@ def score_library(
 
     Every row is a job (_jobs). A job that changes no probe position scores 0
     without a forward; the others go on their probe set's queue (_job_queue),
-    and _drain scores them. This process walks the LM probes, ranking each
-    layer's experts, and drains the LM queue. A forked child (_forked) drains
-    the retrieval queue, then the LM queue; its LM walk ranks only if a
-    keep-count job is queued. With one CPU nothing is forked: this process
-    drains the LM queue, then runs the child's part. Under --trace, this
-    process's counts cover only the jobs it claimed. The rows are the same
-    whoever scores them, in job order: all activation-MSE rows, then all
-    task-drop rows, each in layer order, a layer's attention variants before
-    its keep counts (ScoreTable.save sorts them).
+    and _drain scores them. The LM probes are walked and ranked once, here:
+    this process copies the walk into a shared mapping made before the fork
+    (_SharedWalk), signals that it is written, and drains the LM queue. A
+    forked child (_forked) drains the retrieval queue, then the LM queue
+    from views of that mapping, once the signal has come. With one CPU
+    nothing is forked: this process drains the LM queue, then runs the
+    child's part on the same states. Under --trace, this process's counts
+    cover only the jobs it claimed. The rows are the same whoever scores
+    them, in job order: all activation-MSE rows, then all task-drop rows,
+    each in layer order, a layer's attention variants before its keep counts
+    (ScoreTable.save sorts them).
     """
     if library.n_layers != len(params.layers):
         raise MismatchError("library and parameters disagree on layer count")
@@ -515,21 +509,107 @@ def score_library(
         first = _first_changed(arch, job)
         if first is not None and first < probe_sets[job.signal].length:
             queued[job.signal].append(n)
-    child_ranks = any(isinstance(jobs[n].change, int) for n in queued[SIGNAL_ACTIVATION_MSE])
     with _job_queue(queued[SIGNAL_ACTIVATION_MSE]) as lm_queue, \
             _job_queue(queued[SIGNAL_TASK_DROP]) as task_queue, \
-            _forked(_drain, params, arch, jobs,
-                    [(retrieval_probes, task_queue, False), (lm_probes, lm_queue, child_ranks)],
-                    {}) as child_rows:
-        held = {lm_probes.kind: _walk(params, arch, lm_probes, rank=True)}
-        ranking = ExpertRanking(held[lm_probes.kind][2])
-        rows = _drain(params, arch, jobs, [(lm_probes, lm_queue, True)], held)
+            _SharedWalk(params, arch, lm_probes) as shared, \
+            _forked(_drain, params, arch, jobs, [
+                (retrieval_probes, task_queue, lambda: _walk(params, arch, retrieval_probes)),
+                (lm_probes, lm_queue, shared.read),
+            ]) as child_rows:
+        parent, ranking = shared.walk(params, arch, lm_probes)
+        rows = _drain(params, arch, jobs, [(lm_probes, lm_queue, lambda: parent)])
+        del parent  # views of the shared mapping, which closes on leaving
         rows.update(child_rows())
     return ranking, ScoreTable(rows=[
         rows[n] if n in rows
         else _row(job, probe_sets[job.signal], 0.0, 0.0)
         for n, job in enumerate(jobs)
     ])
+
+
+# ---------------------------------------------------------------------------
+# the parent's LM walk, shared with the forked child
+
+
+class _SharedWalk:
+    """This process's walk of the parent over the LM probes, for the forked
+    child to read: the residual entering each layer, the final hidden and
+    each layer's expert order, in one anonymous shared mapping made before
+    the fork, and a "ready" pipe whose end of file says they are written.
+
+    No data goes through the pipe, so this process never blocks on it.
+    Leaving the `with` closes the pipe, and then the mapping, which
+    mmap.close refuses while any view of it is alive; after an exception (a
+    traceback may hold a view) the mapping goes with its last view instead.
+    """
+
+    def __init__(self, params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet):
+        self.shape = (len(params.layers) + 1, probes.count, probes.length, params.config.d_model)
+        self.order_sizes = [len(block.expert_keep_set) for block in arch.layers]
+        self.states_bytes = math.prod(self.shape) * np.dtype(F32).itemsize
+        self.buffer = mmap.mmap(-1, self.states_bytes + 8 * sum(self.order_sizes))
+        self.ready, self.write_end = os.pipe()
+
+    def __enter__(self) -> "_SharedWalk":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        os.close(self.ready)
+        self.close_write_end()
+        if exc_type is None:
+            self.buffer.close()
+
+    def close_write_end(self) -> None:
+        """Close this process's write end of the ready pipe, once. End of file
+        comes when both processes have closed theirs: this one once its walk
+        is written, the child before it waits."""
+        if self.write_end is not None:
+            os.close(self.write_end)
+            self.write_end = None
+
+    def _views(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mapping as [layers + 1, count, length, d_model] residuals (the
+        last one the final hidden) and the flat expert orders."""
+        states = np.frombuffer(self.buffer, F32, count=math.prod(self.shape))
+        orders = np.frombuffer(self.buffer, np.int64, offset=self.states_bytes)
+        return states.reshape(self.shape), orders
+
+    def _parent(self, states: np.ndarray, orders: list[int]) -> tuple:
+        """The parent's states as _score reads them."""
+        ids = iter(orders)
+        per_layer = tuple(tuple(itertools.islice(ids, size)) for size in self.order_sizes)
+        return list(states[:-1]), states[-1], per_layer
+
+    def walk(
+        self, params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet
+    ) -> tuple[tuple, ExpertRanking]:
+        """This process's part: walk the parent over `probes`, copying the
+        residual entering each layer into the mapping as the walk yields it
+        and ranking each layer's experts; write the final hidden and the
+        orders, and signal. Returns the parent's states, views of the
+        mapping, and the ranking."""
+        states, orders = self._views()
+        ranked = []
+        for i, (layer_input, ffn_input, leaving) in enumerate(
+            _token_walk(params, arch, probes.tokens)
+        ):
+            states[i] = layer_input
+            ranked.append(_layer_ranking(params, arch, i, ffn_input))
+        states[-1] = final_hidden(params, leaving)
+        flat = [eid for layer in ranked for eid in layer.order]
+        orders[:] = flat
+        self.close_write_end()
+        return self._parent(states, flat), ExpertRanking(tuple(ranked))
+
+    def read(self) -> tuple:
+        """The child's part: close its inherited write end, without which end
+        of file never comes, and wait for the ready pipe's end of file; then
+        the parent's states as views of the mapping. The child never walks or
+        ranks the LM probes."""
+        self.close_write_end()
+        os.read(self.ready, 1)  # returns at end of file: nothing is ever written
+        states, orders = self._views()
+        return self._parent(states, orders.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +624,14 @@ def _job_queue(jobs: list[int]) -> Iterator[int]:
     A process that holds the read end, forked children included, claims the
     next job with _claim. Every id is written before anyone reads, so no read
     blocks; ids that do not fit in the pipe's buffer raise ConfigError, as a
-    blocking write would hang.
+    blocking write would hang, and so do ids past 2 bytes.
     """
+    if max(jobs, default=0) >= 1 << 16:
+        raise ConfigError(f"{len(jobs)} scoring jobs do not fit in a pipe's buffer "
+                          f"(job id {max(jobs)} needs more than 2 bytes)")
+    payload = b"".join(job.to_bytes(2, "little") for job in jobs)
     read_fd, write_fd = os.pipe()
     try:
-        payload = b"".join(job.to_bytes(2, "little") for job in jobs)
         try:
             os.set_blocking(write_fd, False)
             written = os.write(write_fd, payload)

@@ -238,14 +238,10 @@ def test_leftover_unheld_lock_file_does_not_block(tmp_path):
 ])
 def test_a_failed_scoring_child_exits_1_and_unlocks(tmp_path, capsys, monkeypatch,
                                                       death, message):
-    walk = scoring._walk
-
-    def retrieval_walk_fails(params, arch, probes, rank):  # only the child walks these
-        if probes.kind == "retrieval":
-            if death == "exit":
-                os._exit(3)
-            raise ProbeError("retrieval probe 3 has no answer")
-        return walk(params, arch, probes, rank)
+    def retrieval_walk_fails(params, arch, probes):  # only the child walks these
+        if death == "exit":
+            os._exit(3)
+        raise ProbeError("retrieval probe 3 has no answer")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(scoring, "_walk", retrieval_walk_fails)

@@ -3,6 +3,7 @@ import select
 import signal
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -353,11 +354,10 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     # 64 and 16 at each global layer (1, 3, 5, 7), scored on both probe sets.
     # Probes of 80 positions are longer than both windows. Each pass runs a
     # layer's queries for positions first.. of the probes.
-    # - Parent: an LM walk of 8 layers in each process that scores an LM row
-    #   (this one always, for the ranking; the child if it claims an LM
-    #   job), and a retrieval pass of the 7 layers before the
-    #   last, all from 0; the parent's retrieval outcome resumes at the last
-    #   layer for the last position alone.
+    # - Parent: one LM walk of 8 layers, in this process only (the child
+    #   reads it from shared memory), and a retrieval pass of the 7 layers
+    #   before the last, all from 0; the parent's retrieval outcome resumes
+    #   at the last layer for the last position alone.
     # - A keep-count variant changes every position: layers i.. from 0.
     # - A window-W variant of a global layer leaves positions before W as the
     #   parent has them: layers i.. from W, except that a retrieval outcome
@@ -393,8 +393,7 @@ def test_score_library_walks_the_parent_once_per_probe_set(toy_cfg, toy_params, 
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     child = Counter((i, n) for pid, i, n in calls if pid != os.getpid())
     assert not Counter(task) - child  # the child scored every task-drop row
-    lm_walks = 2 if child - Counter(task) else 1
-    assert sorted((i, n) for _, i, n in calls) == sorted(lm_walks * lm_walk + task + variants)
+    assert sorted((i, n) for _, i, n in calls) == sorted(lm_walk + task + variants)
 
 
 @pytest.mark.parametrize("model, moving", [("toy_params", SIGNAL_ACTIVATION_MSE),
@@ -429,16 +428,24 @@ def _small_library(cfg):
 
 def _before_walks(monkeypatch, **before):
     """Every parent walk over probes of kind "lm" or "retrieval" calls
-    before[kind]() first. With two processes only the child walks the
-    retrieval probes."""
-    walk = scoring._walk
+    before[kind]() first. Only this process walks the LM probes; with two
+    processes only the child walks the retrieval probes."""
+    walk, lm_walk = scoring._walk, scoring._SharedWalk.walk
 
-    def patched(params, arch, probes, rank):
-        if probes.kind in before:
-            before[probes.kind]()
-        return walk(params, arch, probes, rank)
+    def call(kind):
+        if kind in before:
+            before[kind]()
 
-    monkeypatch.setattr(scoring, "_walk", patched)
+    def retrieval_walk(params, arch, probes):
+        call("retrieval")
+        return walk(params, arch, probes)
+
+    def shared_walk(self, params, arch, probes):
+        call("lm")
+        return lm_walk(self, params, arch, probes)
+
+    monkeypatch.setattr(scoring, "_walk", retrieval_walk)
+    monkeypatch.setattr(scoring._SharedWalk, "walk", shared_walk)
 
 
 def test_a_child_exception_is_raised_here(toy_cfg, toy_params, toy_arch, monkeypatch,
@@ -488,17 +495,39 @@ def test_a_child_that_dies_names_its_exit_status(toy_cfg, toy_params, toy_arch, 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_error_here_kills_and_reaps_the_child(toy_cfg, toy_params, toy_arch, monkeypatch,
                                                  lm_probes_small, retrieval_probes_small,
-                                                 two_cpus, error):
+                                                 two_cpus, gate, error):
+    # This process raises before its LM walk, so before its ready signal,
+    # while the child sleeps in its retrieval walk, or once the child waits
+    # for the signal in its first LM claim.
+    wait, open_gate = gate
+    read = scoring._SharedWalk.read
+
+    def opening_read(self):
+        open_gate()
+        return read(self)
+
     def interrupted():
         raise error("stop")
 
-    _before_walks(monkeypatch, retrieval=lambda: time.sleep(60), lm=interrupted)
-    start = time.monotonic()
-    with pytest.raises(error, match="stop"):
-        score_library(toy_params, toy_arch, _small_library(toy_cfg),
-                      lm_probes_small, retrieval_probes_small)
-    assert time.monotonic() - start < 30  # the child was killed, not waited for
-    assert_no_child_left()
+    def interrupted_after_the_gate():
+        wait()
+        raise error("stop")
+
+    before = _open_fds()
+    for child_waits in (False, True):
+        with monkeypatch.context() as m:
+            if child_waits:
+                m.setattr(scoring._SharedWalk, "read", opening_read)
+                _before_walks(m, lm=interrupted_after_the_gate)
+            else:
+                _before_walks(m, retrieval=lambda: time.sleep(60), lm=interrupted)
+            start = time.monotonic()
+            with pytest.raises(error, match="stop"):
+                score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                              lm_probes_small, retrieval_probes_small)
+            assert time.monotonic() - start < 30  # the child was killed, not waited for
+            assert_no_child_left()
+            assert _open_fds() == before
 
 
 def test_a_timer_signal_does_not_break_the_wait(toy_cfg, toy_params, toy_arch, monkeypatch,
@@ -561,10 +590,12 @@ def _open_fds():
 
 def test_ids_that_overflow_the_pipe_raise_and_leave_no_fd():
     before = _open_fds()
-    with pytest.raises(ConfigError, match="do not fit in a pipe's buffer"):
-        with scoring._job_queue(list(range(1 << 16))):  # 128 KiB of ids
-            pass
-    assert _open_fds() == before
+    # 128 KiB of ids; then one id more than 2 bytes hold
+    for count in (1 << 16, (1 << 16) + 1):
+        with pytest.raises(ConfigError, match="do not fit in a pipe's buffer"):
+            with scoring._job_queue(list(range(count))):
+                pass
+        assert _open_fds() == before
 
 
 @pytest.fixture
@@ -599,8 +630,7 @@ def _logged_claims(monkeypatch, log, on_claim):
 
 
 def _first_ranking_waits(monkeypatch, wait):
-    """This process calls wait() as it ranks layer 0, before any claim; the
-    child's ranking does not wait."""
+    """This process calls wait() as it ranks layer 0, before any claim."""
     ranking, here = scoring._layer_ranking, os.getpid()
 
     def waiting_ranking(params, arch, layer, *rest):
@@ -609,6 +639,19 @@ def _first_ranking_waits(monkeypatch, wait):
         return ranking(params, arch, layer, *rest)
 
     monkeypatch.setattr(scoring, "_layer_ranking", waiting_ranking)
+
+
+def _first_claim_here_waits(monkeypatch, wait):
+    """This process calls wait() before its first claim, so after its LM
+    walk and its ready signal; the child's claims do not wait."""
+    claim, here, waited = scoring._claim, os.getpid(), []
+
+    def waiting_claim(queue):
+        if os.getpid() == here and not waited:
+            waited.append(wait())
+        return claim(queue)
+
+    monkeypatch.setattr(scoring, "_claim", waiting_claim)
 
 
 def _opens_when_the_lm_queue_is_drained(open_gate, by_this_process):
@@ -632,36 +675,64 @@ def _claims(log):
     return [(int(pid), int(job)) for pid, job in lines if job != "None"]
 
 
+def _one_cpu_rows(monkeypatch, args):
+    """score_library(*args) on one CPU; later calls fork the scoring child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rows = score_library(*args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return rows
+
+
+def _logged_lm_work(monkeypatch, log, lm_probes):
+    """Log "pid walk" for every token walk over `lm_probes` and "pid rank"
+    for every layer ranking."""
+    walk, ranking = scoring._token_walk, scoring._layer_ranking
+
+    def logged_walk(params, arch, tokens, *rest, **kw):
+        if tokens is lm_probes.tokens:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} walk\n")
+        return walk(params, arch, tokens, *rest, **kw)
+
+    def logged_ranking(params, arch, layer, *rest):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} rank\n")
+        return ranking(params, arch, layer, *rest)
+
+    monkeypatch.setattr(scoring, "_token_walk", logged_walk)
+    monkeypatch.setattr(scoring, "_layer_ranking", logged_ranking)
+
+
+def _lm_work(log):
+    """Counter of (in this process, "walk" or "rank") from _logged_lm_work."""
+    here = os.getpid()
+    return Counter((int(pid) == here, what) for pid, what in map(str.split,
+                                                                  log.read_text().splitlines()))
+
+
 @pytest.mark.parametrize("drainer", ["this process", "the child"])
 def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monkeypatch,
                                            tmp_path, lm_probes_small, retrieval_probes_small,
                                            gate, drainer):
     lib = _small_library(toy_cfg)
     args = (toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one_cpu = score_library(*args)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    one_cpu = _one_cpu_rows(monkeypatch, args)
 
     # The drainer's last LM claim opens the gate; the other process waits for
-    # it before its first LM claim: this process in its first ranking, the
-    # child before its retrieval walk.
+    # it before its first LM claim: this process after its LM walk, the child
+    # before its retrieval walk. This process does not wait for the child
+    # before it asks for the child's rows.
     wait, open_gate = gate
     here = os.getpid()
     log = tmp_path / "claims.txt"
     _logged_claims(monkeypatch, log,
                    _opens_when_the_lm_queue_is_drained(open_gate, drainer == "this process"))
-    walks, walk = tmp_path / "walks.txt", scoring._token_walk
-
-    def logged_walk(params, arch, tokens, *rest, **kw):
-        with open(walks, "a") as f:
-            f.write(f"{os.getpid() == here} {len(tokens)}\n")
-        return walk(params, arch, tokens, *rest, **kw)
-
-    monkeypatch.setattr(scoring, "_token_walk", logged_walk)
+    work = tmp_path / "work.txt"
+    _logged_lm_work(monkeypatch, work, lm_probes_small)
     if drainer == "this process":
         _before_walks(monkeypatch, retrieval=wait)
     else:
-        _first_ranking_waits(monkeypatch, wait)
+        _first_claim_here_waits(monkeypatch, wait)
     two = score_library(*args)
     assert_no_child_left()
     assert two[0] == one_cpu[0]
@@ -685,30 +756,83 @@ def test_either_process_may_drain_the_queue(toy_cfg, toy_params, toy_arch, monke
     assert sorted(job for _, job in claimed) == sorted(lm | task)  # each exactly once
     assert {pid == here for pid, job in claimed if job in lm} == {drainer == "this process"}
     assert {pid == here for pid, job in claimed if job in task} == {False}
-    # one LM walk here; the child walks the LM probes only if it claims a job
-    lm_walks = Counter(line for line in walks.read_text().splitlines()
-                       if line.endswith(f" {lm_probes_small.count}"))
-    assert lm_walks == Counter({f"True {lm_probes_small.count}": 1,
-                                f"False {lm_probes_small.count}": drainer == "the child"})
+    # one LM walk, here, whoever drains the LM queue
+    assert _lm_work(work) == Counter({(True, "walk"): 1, (True, "rank"): toy_cfg.n_layers})
+
+
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the body once it has run `seconds`, so that a
+    score whose child never sees the ready signal fails instead of hanging
+    (the wait for the child's rows is retried only after a handler that
+    returns). A forked child inherits no pending alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_childs_first_lm_claim_waits_for_the_walk(toy_cfg, toy_params, toy_arch,
+                                                      monkeypatch, tmp_path, lm_probes_small,
+                                                      retrieval_probes_small, gate):
+    # This process starts its LM walk only once the child has claimed an LM
+    # job; the child then waits for the ready signal, and reads the walk.
+    args = (toy_params, toy_arch, _small_library(toy_cfg), lm_probes_small,
+            retrieval_probes_small)
+    one_cpu = _one_cpu_rows(monkeypatch, args)
+    wait, open_gate = gate
+    here, jobs = os.getpid(), scoring._jobs(args[2])
+    events = tmp_path / "events.txt"
+
+    def event(what):
+        with open(events, "a") as f:
+            f.write(f"{os.getpid() == here} {what}\n")
+
+    def on_claim(job):
+        if os.getpid() != here and job is not None and jobs[job].signal == SIGNAL_ACTIVATION_MSE:
+            event("claim")
+            open_gate()
+
+    close, read = scoring._SharedWalk.close_write_end, scoring._SharedWalk.read
+
+    def signalling_close(self):
+        if os.getpid() == here and self.write_end is not None:
+            event("signal")
+        close(self)
+
+    def logged_read(self):
+        states = read(self)
+        event("read")
+        return states
+
+    _logged_claims(monkeypatch, tmp_path / "claims.txt", on_claim)
+    monkeypatch.setattr(scoring._SharedWalk, "close_write_end", signalling_close)
+    monkeypatch.setattr(scoring._SharedWalk, "read", logged_read)
+    _before_walks(monkeypatch, lm=wait)
+    with _within(60):
+        two = score_library(*args)
+    assert_no_child_left()
+    assert two[0] == one_cpu[0]
+    assert two[1].rows == one_cpu[1].rows
+    lines = events.read_text().splitlines()
+    assert lines[:3] == ["False claim", "True signal", "False read"]
+    assert lines.count("False read") == 1
 
 
 def _child_drains_the_lm_queue(monkeypatch, tmp_path, gate):
-    """Make this process wait in its first ranking until the child has
-    drained the LM queue. Returns the claims log and a log of "pid layer" per
-    expert ranking."""
+    """Make this process wait before its first claim until the child has
+    drained the LM queue. Returns the claims log."""
     wait, open_gate = gate
-    claims, ranked = tmp_path / "claims.txt", tmp_path / "ranked.txt"
+    claims = tmp_path / "claims.txt"
     _logged_claims(monkeypatch, claims, _opens_when_the_lm_queue_is_drained(open_gate, False))
-    _first_ranking_waits(monkeypatch, wait)
-    ranking = scoring._layer_ranking
-
-    def logged_ranking(params, arch, layer, *rest):
-        with open(ranked, "a") as f:
-            f.write(f"{os.getpid()} {layer}\n")
-        return ranking(params, arch, layer, *rest)
-
-    monkeypatch.setattr(scoring, "_layer_ranking", logged_ranking)
-    return claims, ranked
+    _first_claim_here_waits(monkeypatch, wait)
+    return claims
 
 
 def test_the_child_scores_keep_count_rows_as_this_process_does(
@@ -716,10 +840,8 @@ def test_the_child_scores_keep_count_rows_as_this_process_does(
         retrieval_probes_small, gate):
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0, 0.5, 0.25), alt_windows=(16,)))
     args = (toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one_cpu = score_library(*args)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    claims, _ = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
+    one_cpu = _one_cpu_rows(monkeypatch, args)
+    claims = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
     two = score_library(*args)
     assert_no_child_left()
     assert two[0] == one_cpu[0]
@@ -731,31 +853,39 @@ def test_the_child_scores_keep_count_rows_as_this_process_does(
 
 
 @pytest.mark.parametrize("keep_fractions", [(1.0, 0.5), (1.0,)])
-def test_the_child_ranks_experts_only_when_a_keep_count_is_queued(
+def test_the_child_never_walks_or_ranks_the_lm_probes(
         toy_cfg, toy_params, toy_arch, monkeypatch, tmp_path, lm_probes_small,
-        retrieval_probes_small, two_cpus, gate, keep_fractions):
+        retrieval_probes_small, gate, keep_fractions):
     # keep_fractions (1.0,) is decode-long's library: its one keep count
-    # keeps every expert, so no keep-count row needs a forward or a ranking.
+    # keeps every expert, so no keep-count row needs a forward.
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=keep_fractions, alt_windows=(16,)))
-    claims, ranked = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
-    score_library(toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    args = (toy_params, toy_arch, lib, lm_probes_small, retrieval_probes_small)
+    one_cpu = _one_cpu_rows(monkeypatch, args)
+    claims = _child_drains_the_lm_queue(monkeypatch, tmp_path, gate)
+    work = tmp_path / "work.txt"
+    _logged_lm_work(monkeypatch, work, lm_probes_small)
+    two = score_library(*args)
     assert_no_child_left()
+    assert two[0] == one_cpu[0]
+    assert two[1].rows == one_cpu[1].rows
     jobs, here = scoring._jobs(lib), os.getpid()
-    assert any(pid != here and jobs[n].signal == SIGNAL_ACTIVATION_MSE
-               for pid, n in _claims(claims))  # the child walked the LM probes
-    layers = Counter(int(pid) == here for pid, _ in map(str.split,
-                                                         ranked.read_text().splitlines()))
-    assert layers == Counter({True: toy_cfg.n_layers,
-                              False: toy_cfg.n_layers if len(keep_fractions) > 1 else 0})
+    child_lm = [jobs[n] for pid, n in _claims(claims)
+                if pid != here and jobs[n].signal == SIGNAL_ACTIVATION_MSE]
+    assert child_lm  # the child scored LM rows, keep counts among them when queued
+    assert any(isinstance(job.change, int) for job in child_lm) == (len(keep_fractions) > 1)
+    assert _lm_work(work) == Counter({(True, "walk"): 1, (True, "rank"): toy_cfg.n_layers})
 
 
 def test_score_leaves_no_fd_open(toy_cfg, toy_params, toy_arch, lm_probes_small,
-                                 retrieval_probes_small, two_cpus):
+                                 retrieval_probes_small, monkeypatch):
+    # One CPU forks no child, but opens the job queues and the ready pipe too.
     before = _open_fds()
-    score_library(toy_params, toy_arch, _small_library(toy_cfg),
-                  lm_probes_small, retrieval_probes_small)
-    assert _open_fds() == before
-    assert_no_child_left()
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        score_library(toy_params, toy_arch, _small_library(toy_cfg),
+                      lm_probes_small, retrieval_probes_small)
+        assert _open_fds() == before
+        assert_no_child_left()
 
 
 def test_a_child_that_raises_holding_a_claim_leaves_no_fd_open(
