@@ -8,152 +8,3 @@ KV cache to 8-bit floating point with calibrated scales.
 """
 
 __version__ = "0.1.0"
-
-from .costs import (
-    Budget,
-    CostEntry,
-    CostTable,
-    HardwareProfile,
-    Scenario,
-    build_cost_table,
-    kv_bytes_layer,
-    kv_bytes_per_sequence,
-    scenario_time_budget,
-)
-from .kvquant import (
-    QuantScales,
-    calibrate_scales,
-    decode,
-    encode,
-    forward_with_quantized_kv,
-    round_up_pow2,
-)
-from .library import (
-    ArchitectureSpec,
-    BlockLibrary,
-    BlockVariant,
-    ExpertRanking,
-    LayerBlockSpec,
-    LayerRanking,
-    LibraryMenu,
-    assemble,
-    assembled_spec,
-    build_library,
-    parent_spec,
-    prune_layer,
-)
-from .metrics import (
-    FrontierPoint,
-    RunRecord,
-    accuracy_retention,
-    build_frontier,
-    effort_length_ratio,
-    emit_frontier,
-    relative_request_rate,
-    request_rate,
-)
-from .model import (
-    AttentionVariant,
-    ConfigError,
-    KvCache,
-    MismatchError,
-    ModelConfig,
-    ModelParams,
-    count_params,
-    forward_batch,
-    generate_batch,
-    global_attention,
-    init_model,
-    load_params,
-    save_params,
-    toy_config,
-    window_attention,
-)
-from .scoring import (
-    ProbeSet,
-    ScoreTable,
-    expert_contribution_scores,
-    make_lm_probes,
-    make_retrieval_probes,
-    rank_experts,
-    score_library,
-)
-from .search import (
-    InfeasibleError,
-    KvBudget,
-    SelectionProblem,
-    Solution,
-    VariantChoice,
-    brute_force,
-    search_pipeline,
-    solve,
-)
-
-__all__ = [
-    "__version__",
-    "ArchitectureSpec",
-    "AttentionVariant",
-    "BlockLibrary",
-    "BlockVariant",
-    "Budget",
-    "ConfigError",
-    "CostEntry",
-    "CostTable",
-    "ExpertRanking",
-    "FrontierPoint",
-    "HardwareProfile",
-    "InfeasibleError",
-    "KvBudget",
-    "KvCache",
-    "LayerBlockSpec",
-    "LayerRanking",
-    "LibraryMenu",
-    "MismatchError",
-    "ModelConfig",
-    "ModelParams",
-    "ProbeSet",
-    "QuantScales",
-    "RunRecord",
-    "Scenario",
-    "ScoreTable",
-    "SelectionProblem",
-    "Solution",
-    "VariantChoice",
-    "accuracy_retention",
-    "assemble",
-    "assembled_spec",
-    "brute_force",
-    "build_cost_table",
-    "build_frontier",
-    "build_library",
-    "calibrate_scales",
-    "count_params",
-    "decode",
-    "effort_length_ratio",
-    "emit_frontier",
-    "encode",
-    "expert_contribution_scores",
-    "forward_batch",
-    "forward_with_quantized_kv",
-    "generate_batch",
-    "global_attention",
-    "init_model",
-    "kv_bytes_layer",
-    "kv_bytes_per_sequence",
-    "load_params",
-    "make_lm_probes",
-    "make_retrieval_probes",
-    "parent_spec",
-    "prune_layer",
-    "rank_experts",
-    "relative_request_rate",
-    "request_rate",
-    "round_up_pow2",
-    "save_params",
-    "scenario_time_budget",
-    "score_library",
-    "search_pipeline",
-    "solve",
-    "toy_config",
-    "window_attention",
-]

@@ -72,7 +72,6 @@ from .scoring import (
     make_lm_probes,
     make_retrieval_probes,
     score_library,
-    validate_retrieval_probes,
 )
 from .search import InfeasibleError, KvBudget, search_pipeline
 
@@ -171,10 +170,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _lm_probes(rc: RunConfig):
-    return make_lm_probes(
-        rc.config, rc.probes.lm_count, rc.probes.lm_length, rc.seed + _SEED_LM
-    )
+def _lm_probes(rc: RunConfig, seed: int):
+    return make_lm_probes(rc.config, rc.probes.lm_count, rc.probes.lm_length, seed)
 
 
 def _retrieval_probes(rc: RunConfig, seed: int):
@@ -208,9 +205,8 @@ def cmd_score(args) -> int:
         params = init_model(rc.config, rc.seed)
         arch = parent_spec(rc.config)
         library = build_library(rc.config, rc.library)
-        lm = _lm_probes(rc)
+        lm = _lm_probes(rc, rc.seed + _SEED_LM)
         retrieval = _retrieval_probes(rc, rc.seed + _SEED_RETRIEVAL)
-        validate_retrieval_probes(retrieval)
 
         params_path = save_params(params, out / "params.bin")
         write_json(out / "probes.json", {"lm": lm.manifest, "retrieval": retrieval.manifest})
@@ -340,9 +336,7 @@ def cmd_quantize(args) -> int:
     out = _out_dir(args)
     with RunLock(out):
         params, arch, source = _eval_params(out)
-        calib = make_lm_probes(
-            rc.config, rc.probes.lm_count, rc.probes.lm_length, rc.seed + _SEED_CALIB
-        )
+        calib = _lm_probes(rc, rc.seed + _SEED_CALIB)
         if args.kv_scales == "calibrated":
             scales = calibrate_scales(params, arch, calib.tokens)
         else:

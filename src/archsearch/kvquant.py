@@ -49,7 +49,6 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-EXP_BITS = 4
 MANT_BITS = 3
 EXP_BIAS = 7
 MAX_FINITE = 448.0

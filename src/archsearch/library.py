@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .model import (
     LAYER_TENSORS,
     AttentionVariant,
@@ -25,8 +23,6 @@ from .model import (
     window_attention,
     write_json,
 )
-
-F32 = np.float32
 
 
 # ---------------------------------------------------------------------------

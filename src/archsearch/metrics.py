@@ -23,12 +23,10 @@ import io
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .costs import KV_BYTES
-from .model import (
-    ConfigError, parse_json, read_jsonl, to_json, write_atomic, write_json, write_jsonl,
-)
+from .model import ConfigError, parse_json, read_jsonl, to_json, write_atomic, write_json
 
 EFFORTS = ("high", "medium", "low")
 _EFFORT_RANK = {e: i for i, e in enumerate(EFFORTS)}
@@ -69,10 +67,6 @@ class RunRecord:
     from_json = classmethod(parse_json)
 
 
-def save_run_records(records: Iterable[RunRecord], path: Path | str) -> None:
-    write_jsonl(path, records)
-
-
 def load_run_records(path: Path | str) -> list[RunRecord]:
     return read_jsonl(path, RunRecord.from_json)
 
@@ -86,12 +80,6 @@ def bundled_run_records() -> list[RunRecord]:
 
 # ---------------------------------------------------------------------------
 # scalar metrics
-
-
-def request_rate(throughput_tokens_per_s: float, avg_tokens_per_request: float) -> float:
-    if not (throughput_tokens_per_s > 0 and avg_tokens_per_request > 0):
-        raise ConfigError("request_rate needs positive throughput and token counts")
-    return throughput_tokens_per_s / avg_tokens_per_request
 
 
 def relative_request_rate(record: RunRecord, baseline: RunRecord) -> float:

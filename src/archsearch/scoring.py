@@ -63,7 +63,6 @@ from .model import (
     parse_json,
     read_jsonl,
     route_tokens,
-    to_json,
     write_jsonl,
 )
 
@@ -197,26 +196,16 @@ def validate_retrieval_probes(probes: ProbeSet) -> None:
 # expert contribution scores
 
 
-@dataclass(frozen=True)
-class ExpertScores:
-    layer: int
-    expert_ids: tuple[int, ...]  # ascending ids the scores align to
-    scores: np.ndarray  # [n] float64, >= 0
-
-    def ranking_order(self) -> tuple[int, ...]:
-        # most important first; ties break toward the lower expert id
-        order = sorted(range(len(self.expert_ids)), key=lambda i: (-self.scores[i], self.expert_ids[i]))
-        return tuple(self.expert_ids[i] for i in order)
-
-
 def expert_contribution_scores(
     params: ModelParams,
     arch: ArchitectureSpec,
     layer: int,
     ffn_input: np.ndarray,
-) -> ExpertScores:
-    """Mean squared FFN-output change from removing each kept expert, on
-    `ffn_input` [probes, positions, d_model], the FFN input of `layer`.
+) -> LayerRanking:
+    """`layer`'s kept expert ids, most important first (ties going to the
+    lower id), and their scores: the mean squared FFN-output change from
+    removing each, on `ffn_input` [probes, positions, d_model], the FFN
+    input of `layer`.
 
     Removing expert i re-selects the per-token top-k over the remaining experts
     and renormalizes the routing weights. Tokens that never routed to i are
@@ -281,24 +270,15 @@ def expert_contribution_scores(
         row_total = np.zeros(n_tokens, dtype=np.float64)
         row_total[affected] = sq
         scores[out_i] = row_total.reshape(n_probes, seq_len).mean(axis=1).mean()
-    return ExpertScores(layer=layer, expert_ids=ids, scores=scores)
-
-
-def _layer_ranking(
-    params: ModelParams, arch: ArchitectureSpec, layer: int, ffn_input: np.ndarray
-) -> LayerRanking:
-    """One layer's expert ids, most important first, and their scores."""
-    es = expert_contribution_scores(params, arch, layer, ffn_input)
-    order = es.ranking_order()
-    by_id = dict(zip(es.expert_ids, es.scores.tolist()))
-    return LayerRanking(order, tuple(by_id[eid] for eid in order))
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    return LayerRanking(tuple(ids[i] for i in order), tuple(scores[order].tolist()))
 
 
 def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) -> ExpertRanking:
     """Per-layer expert importance ranking from contribution scores, from one
     walk of the parent over `probes` (score_library ranks the same way)."""
     return ExpertRanking(tuple(
-        _layer_ranking(params, arch, i, ffn_input)
+        expert_contribution_scores(params, arch, i, ffn_input)
         for i, (_, ffn_input, _) in enumerate(_token_walk(params, arch, probes.tokens))
     ))
 
@@ -310,18 +290,13 @@ def rank_experts(params: ModelParams, arch: ArchitectureSpec, probes: ProbeSet) 
 @dataclass(frozen=True)
 class ScoreRow:
     layer: int
-    variant_id: str  # "attn:..." or "ffn:keep:N"
+    variant: str  # "attn:..." or "ffn:keep:N"
     signal: str
     value: float  # aggregate degradation, >= 0
     raw: float  # signed aggregate (task drop can be negative)
     n_samples: int
 
-    def to_json(self) -> dict:
-        """model.to_json's object, with variant_id stored under the key
-        "variant" (ScoreTable.load reads it back)."""
-        obj = to_json(self)  # the module function; a method sees no class names
-        obj["variant"] = obj.pop("variant_id")
-        return obj
+    from_json = classmethod(parse_json)
 
 
 @dataclass
@@ -329,25 +304,20 @@ class ScoreTable:
     rows: list[ScoreRow] = field(default_factory=list)
 
     def sorted_rows(self) -> list[ScoreRow]:
-        return sorted(self.rows, key=lambda r: (r.layer, r.variant_id, r.signal))
+        return sorted(self.rows, key=lambda r: (r.layer, r.variant, r.signal))
 
-    def get(self, layer: int, variant_id: str, signal: str) -> ScoreRow:
+    def get(self, layer: int, variant: str, signal: str) -> ScoreRow:
         for r in self.rows:
-            if r.layer == layer and r.variant_id == variant_id and r.signal == signal:
+            if r.layer == layer and r.variant == variant and r.signal == signal:
                 return r
-        raise KeyError(f"no score for layer={layer} variant={variant_id} signal={signal}")
+        raise KeyError(f"no score for layer={layer} variant={variant} signal={signal}")
 
     def save(self, path: Path | str) -> None:
-        write_jsonl(path, (r.to_json() for r in self.sorted_rows()))
+        write_jsonl(path, self.sorted_rows())
 
     @staticmethod
     def load(path: Path | str) -> "ScoreTable":
-        def row(obj) -> ScoreRow:
-            if isinstance(obj, dict):  # ScoreRow.to_json writes variant_id as "variant"
-                obj = {("variant_id" if k == "variant" else k): v for k, v in obj.items()}
-            return parse_json(ScoreRow, obj)
-
-        return ScoreTable(rows=read_jsonl(path, row))
+        return ScoreTable(rows=read_jsonl(path, ScoreRow.from_json))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +412,7 @@ def _score(
 
 
 def _row(job: _Job, probes: ProbeSet, value: float, raw: float) -> ScoreRow:
-    return ScoreRow(layer=job.layer, variant_id=job.variant_id, signal=job.signal, value=value,
+    return ScoreRow(layer=job.layer, variant=job.variant_id, signal=job.signal, value=value,
                     raw=raw, n_samples=probes.count)
 
 
@@ -594,7 +564,7 @@ class _SharedWalk:
             _token_walk(params, arch, probes.tokens)
         ):
             states[i] = layer_input
-            ranked.append(_layer_ranking(params, arch, i, ffn_input))
+            ranked.append(expert_contribution_scores(params, arch, i, ffn_input))
         states[-1] = final_hidden(params, leaving)
         flat = [eid for layer in ranked for eid in layer.order]
         orders[:] = flat

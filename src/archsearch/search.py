@@ -491,7 +491,6 @@ def minmax_normalizer(values: Sequence[float]):
 class SearchResult:
     arch: ArchitectureSpec
     solution: Solution
-    problem: SelectionProblem
     report: dict = field(default_factory=dict)
 
 
@@ -527,7 +526,7 @@ def build_selection_problem(
     mse_values = [
         r.value
         for r in score_table.rows
-        if r.signal == SIGNAL_ACTIVATION_MSE and r.variant_id.startswith("ffn:")
+        if r.signal == SIGNAL_ACTIVATION_MSE and r.variant.startswith("ffn:")
     ]
     if not attn_values:
         raise ConfigError(
@@ -578,7 +577,6 @@ def build_selection_problem(
 
 
 def _arch_from_choice_ids(
-    config: ModelConfig,
     library: BlockLibrary,
     ranking: ExpertRanking,
     chosen: Sequence[int],
@@ -628,7 +626,7 @@ def search_pipeline(
     solution = solve(problem)
     if not solution.is_optimal:
         raise InfeasibleError(solution.binding)
-    arch = _arch_from_choice_ids(config, library, ranking, solution.chosen)
+    arch = _arch_from_choice_ids(library, ranking, solution.chosen)
     report = dict(meta)
     report["objective"] = solution.total_degradation
     report["nodes_expanded"] = solution.nodes_expanded
@@ -653,4 +651,4 @@ def search_pipeline(
         }
         for k, b in enumerate(problem.budgets)
     ]
-    return SearchResult(arch=arch, solution=solution, problem=problem, report=report)
+    return SearchResult(arch=arch, solution=solution, report=report)

@@ -303,9 +303,9 @@ def test_criterion_7_end_to_end_search_finds_the_planted_optimum():
     mse8 = {0: 0.5, 1: 0.7, 2: 0.8, 3: 0.01, 4: 0.02, 5: 0.9, 6: 0.55, 7: 0.6}
     rows = []
 
-    def row(layer, variant_id, signal, value):
+    def row(layer, variant, signal, value):
         rows.append(
-            ScoreRow(layer=layer, variant_id=variant_id, signal=signal,
+            ScoreRow(layer=layer, variant=variant, signal=signal,
                      value=value, raw=value, n_samples=1)
         )
 

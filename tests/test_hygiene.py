@@ -2,8 +2,8 @@
 every imported name is used, the package imports only the standard library,
 NumPy and itself, every class reads JSON by the one rule, parse_json, and
 writes it by its mirror, to_json; one function runs a forward's layers;
-every function the benchmark's tracer wraps still exists; and importing the
-CLI loads no process pool."""
+every function the benchmark's tracer wraps still exists; importing the
+CLI loads no process pool; and the package root re-exports nothing."""
 
 import ast
 import importlib
@@ -58,8 +58,7 @@ def _parse(path: Path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
-                         ids=lambda m: m.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda m: m.name)
 def test_every_imported_name_is_used(path):
     tree = _parse(path)
     used = _used_names(tree)
@@ -91,7 +90,6 @@ def test_every_from_json_is_parse_json(path):
 
 # The classes whose JSON is not model.to_json of their fields, and why.
 OWN_TO_JSON = {
-    "ScoreRow": "scores.jsonl stores the field variant_id under the key \"variant\"",
     "KvQuantReport": "its JSON is a per-layer view derived from its tallies",
 }
 
@@ -106,6 +104,15 @@ def test_every_to_json_is_the_one_rule(path):
                 assert cls.name in OWN_TO_JSON, f"{path.name}: {cls.name} defines to_json"
 
 
+def _fresh_python(code: str) -> list[str]:
+    """The lines `code` prints in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout.splitlines()
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """score forks its one child with os.fork, and the two processes share
     the attention variants through a plain os.pipe of job ids;
@@ -113,11 +120,18 @@ def test_importing_the_cli_loads_no_process_pool():
     CLI start."""
     code = ("import sys, archsearch.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert done.stdout.split("\n")[0] == "[]"
+    assert _fresh_python(code)[0] == "[]"
+
+
+def test_the_package_root_binds_only_its_version():
+    """Callers import the module they use (from archsearch import scoring), so
+    the root re-exports nothing: `import archsearch` binds no public name,
+    only __version__, and loads none of the package's modules."""
+    code = ("import sys, archsearch; "
+            "print(sorted(n for n in vars(archsearch) if not n.startswith('_'))); "
+            "print(sorted(m for m in sys.modules if m.startswith('archsearch.'))); "
+            "print(archsearch.__version__)")
+    assert _fresh_python(code) == ["[]", "[]", archsearch.__version__]
 
 
 def _readers(name: str) -> list[tuple[str, str | None]]:

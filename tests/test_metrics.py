@@ -15,10 +15,8 @@ from archsearch.metrics import (
     find_baseline,
     load_run_records,
     relative_request_rate,
-    request_rate,
-    save_run_records,
 )
-from archsearch.model import ConfigError, to_json
+from archsearch.model import ConfigError, to_json, write_jsonl
 
 
 def rec(model="m", precision="bf16", effort="high", tps=1000.0, avg=100.0,
@@ -33,12 +31,7 @@ def rec(model="m", precision="bf16", effort="high", tps=1000.0, avg=100.0,
 
 
 def test_request_rate_is_throughput_over_length():
-    assert request_rate(1000.0, 100.0) == 10.0
     assert rec(tps=1000.0, avg=100.0).request_rate == 10.0
-    with pytest.raises(ConfigError):
-        request_rate(0.0, 100.0)
-    with pytest.raises(ConfigError):
-        request_rate(1000.0, 0.0)
 
 
 def test_relative_rate_is_scale_invariant():
@@ -81,7 +74,7 @@ def test_run_record_validation():
 def test_record_file_roundtrip(tmp_path):
     records = [rec(), rec(model="m2", effort="low", accuracy=None)]
     path = tmp_path / "runs.jsonl"
-    save_run_records(records, path)
+    write_jsonl(path, records)
     assert load_run_records(path) == records
 
 

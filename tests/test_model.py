@@ -123,7 +123,7 @@ HARDWARE = {"mem_bandwidth_bytes_per_s": 1e9, "compute_flops_per_s": 1e12}
 RECORD = {"model": "m", "kv_precision": "bf16", "effort": "high",
           "throughput_tokens_per_s": 4000.0, "avg_tokens_per_request": 100.0}
 SCALES = {"mode": "unit", "k_scales": [1.0], "v_scales": [1.0], "k_raw": [1.0], "v_raw": [1.0]}
-SCORE = {"layer": 1, "variant_id": "attn:global", "signal": "activation_mse",
+SCORE = {"layer": 1, "variant": "attn:global", "signal": "activation_mse",
          "value": 0.5, "raw": 0.5, "n_samples": 1}
 WINDOW = {"kind": "window", "window_size": 4}
 TOY = to_json(toy_config())

@@ -1,3 +1,4 @@
+import json
 import os
 import select
 import signal
@@ -85,7 +86,8 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
     # 4 tokens route at most 4*top_k = 8 of the 16 experts, so some never run
     probes = make_lm_probes(toy_cfg, count=1, length=4, seed=44)
     _, ffn_in, _ = next(model_mod._token_walk(toy_params, toy_arch, probes.tokens))
-    scores = expert_contribution_scores(toy_params, toy_arch, 0, ffn_in)
+    ranking = expert_contribution_scores(toy_params, toy_arch, 0, ffn_in)
+    scores = dict(zip(ranking.order, ranking.scores))
     # recompute which experts the router actually used on these probes
     from archsearch.model import route_tokens
     logits = ffn_in @ toy_params.layers[0].router.T
@@ -94,7 +96,7 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
     unused = set(range(16)) - used
     assert len(unused) >= 8  # the tiny probe really does leave experts unused
     for eid in range(16):
-        s = scores.scores[scores.expert_ids.index(eid)]
+        s = scores[eid]
         if eid in unused:
             assert s == 0.0  # exactly, not approximately
         else:
@@ -103,7 +105,8 @@ def test_never_routed_expert_scores_exactly_zero(toy_cfg, toy_params, toy_arch):
 
 def _dense_contribution_scores(params, arch, layer, ffn_input):
     """The reference: expert_contribution_scores with each kept expert's output
-    held for every token in one dense [n_present, tokens, d_model] array."""
+    held for every token in one dense [n_present, tokens, d_model] array, the
+    scores in ascending expert id order."""
     c, lp = params.config, params.layers[layer]
     x = ffn_input.reshape(-1, ffn_input.shape[-1])
     allowed = model_mod._expert_allowed_mask(lp, arch.layers[layer].expert_keep_set, c.top_k)
@@ -145,19 +148,22 @@ def test_compact_expert_outputs_score_as_dense_ones(toy_params, toy_arch, lm_pro
     for layer, (_, ffn_input, _) in enumerate(walk):
         arch = toy_arch.with_layer(layer, expert_keep_set=tuple(range(0, 16, 16 // keep)))
         got = expert_contribution_scores(toy_params, arch, layer, ffn_input)
-        assert len(got.expert_ids) == keep
+        assert sorted(got.order) == list(arch.layers[layer].expert_keep_set)
         want = _dense_contribution_scores(toy_params, arch, layer, ffn_input)
         assert want.any()
-        np.testing.assert_array_equal(got.scores, want)
+        by_id = dict(zip(got.order, got.scores))
+        np.testing.assert_array_equal([by_id[eid] for eid in sorted(by_id)], want)
 
 
 def test_expert_scores_rank_by_damage(toy_params, toy_arch, lm_probes_small):
     _, ffn_in, _ = list(model_mod._token_walk(toy_params, toy_arch, lm_probes_small.tokens))[3]
-    scores = expert_contribution_scores(toy_params, toy_arch, 3, ffn_in)
-    order = scores.ranking_order()
-    vals = [scores.scores[scores.expert_ids.index(e)] for e in order]
-    assert vals == sorted(vals, reverse=True)
-    assert len(order) == 16
+    ranking = expert_contribution_scores(toy_params, toy_arch, 3, ffn_in)
+    ranked = list(zip(ranking.scores, ranking.order))
+    assert ranked == sorted(ranked, key=lambda pair: (-pair[0], pair[1]))  # ties: lower id
+    assert sorted(ranking.order) == list(range(16))
+    # plain Python numbers, as ranking.json writes them
+    assert {type(eid) for eid in ranking.order} == {int}
+    assert {type(score) for score in ranking.scores} == {float}
 
 
 def test_rank_experts_covers_all_layers(toy_params, toy_arch, lm_probes_small):
@@ -631,14 +637,14 @@ def _logged_claims(monkeypatch, log, on_claim):
 
 def _first_ranking_waits(monkeypatch, wait):
     """This process calls wait() as it ranks layer 0, before any claim."""
-    ranking, here = scoring._layer_ranking, os.getpid()
+    ranking, here = scoring.expert_contribution_scores, os.getpid()
 
     def waiting_ranking(params, arch, layer, *rest):
         if layer == 0 and os.getpid() == here:
             wait()
         return ranking(params, arch, layer, *rest)
 
-    monkeypatch.setattr(scoring, "_layer_ranking", waiting_ranking)
+    monkeypatch.setattr(scoring, "expert_contribution_scores", waiting_ranking)
 
 
 def _first_claim_here_waits(monkeypatch, wait):
@@ -686,7 +692,7 @@ def _one_cpu_rows(monkeypatch, args):
 def _logged_lm_work(monkeypatch, log, lm_probes):
     """Log "pid walk" for every token walk over `lm_probes` and "pid rank"
     for every layer ranking."""
-    walk, ranking = scoring._token_walk, scoring._layer_ranking
+    walk, ranking = scoring._token_walk, scoring.expert_contribution_scores
 
     def logged_walk(params, arch, tokens, *rest, **kw):
         if tokens is lm_probes.tokens:
@@ -700,7 +706,7 @@ def _logged_lm_work(monkeypatch, log, lm_probes):
         return ranking(params, arch, layer, *rest)
 
     monkeypatch.setattr(scoring, "_token_walk", logged_walk)
-    monkeypatch.setattr(scoring, "_layer_ranking", logged_ranking)
+    monkeypatch.setattr(scoring, "expert_contribution_scores", logged_ranking)
 
 
 def _lm_work(log):
@@ -913,17 +919,29 @@ def test_a_child_that_raises_holding_a_claim_leaves_no_fd_open(
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
     table = ScoreTable(rows=[
-        ScoreRow(layer=1, variant_id="attn:global", signal="activation_mse",
+        ScoreRow(layer=1, variant="attn:global", signal="activation_mse",
                  value=0.5, raw=0.5, n_samples=4),
-        ScoreRow(layer=0, variant_id="ffn:keep:8", signal="activation_mse",
+        ScoreRow(layer=0, variant="ffn:keep:8", signal="activation_mse",
                  value=0.25, raw=0.25, n_samples=4),
     ])
     path = tmp_path / "scores.jsonl"
     table.save(path)
     loaded = ScoreTable.load(path)
     assert loaded.sorted_rows() == table.sorted_rows()
+    lines = path.read_text().splitlines()
+    assert lines[0] == ('{"layer": 0, "n_samples": 4, "raw": 0.25, "signal": "activation_mse", '
+                        '"value": 0.25, "variant": "ffn:keep:8"}')
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text(path.read_text() + "{not json\n")
     with pytest.raises(ValueError, match="line 3"):
         ScoreTable.load(bad)
+    renamed = json.loads(lines[1])
+    renamed["variant_id"] = renamed.pop("variant")
+    without = {k: v for k, v in renamed.items() if k != "variant_id"}
+    for row, message in [(without, "variant is missing"),
+                         (renamed, "variant_id is not a score row field")]:
+        bad.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            ScoreTable.load(bad)
+        assert str(exc.value) == f"{message} (in {bad} line 2)"
