@@ -936,11 +936,11 @@ def test_score_table_roundtrip_and_line_errors(tmp_path):
     bad.write_text(path.read_text() + "{not json\n")
     with pytest.raises(ValueError, match="line 3"):
         ScoreTable.load(bad)
-    renamed = json.loads(lines[1])
-    renamed["variant_id"] = renamed.pop("variant")
-    without = {k: v for k, v in renamed.items() if k != "variant_id"}
+    good = json.loads(lines[1])
+    without = {k: v for k, v in good.items() if k != "variant"}
     for row, message in [(without, "variant is missing"),
-                         (renamed, "variant_id is not a score row field")]:
+                         ({**without, "variant_id": good["variant"]},
+                          "variant_id is not a score row field")]:
         bad.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
         with pytest.raises(ConfigError) as exc:
             ScoreTable.load(bad)
