@@ -57,7 +57,6 @@ from .model import (
     init_model,
     load_params,
     manifest_path_for,
-    params_checksum,
     parse_json,
     read_json,
     save_params,
@@ -228,7 +227,6 @@ def cmd_score(args) -> int:
             },
             extra={
                 "param_count": count_params(params),
-                "params_checksum": params_checksum(params),
                 "score_rows": len(table.rows),
             },
         )
@@ -322,7 +320,6 @@ def cmd_assemble(args) -> int:
                 "child_manifest": manifest_path_for(child_path),
                 "report": out / "assemble_report.json",
             },
-            extra={"child_checksum": params_checksum(child)},
         )
     print(
         f"assembled child: {report['child_params']} params "
@@ -484,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score, needs_config=True)
 
     p = sub.add_parser("search", help="select the best per-layer blocks under the budgets")
-    p.add_argument("--measured-costs", help="JSONL overriding analytic cost entries")
+    p.add_argument("--measured-costs", help="JSONL of measured times, in the format of costs.jsonl")
     p.add_argument(
         "--signal", choices=("task-drop", "activation-mse"), default="task-drop",
         help="which signal scores attention variants (default task-drop)",

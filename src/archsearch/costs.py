@@ -20,7 +20,7 @@ integers, so budget feasibility checks are exact.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -124,16 +124,6 @@ def ffn_shared_params(config: ModelConfig, keep_count: int) -> int:
     return keep_count * config.d_model + config.d_model  # router rows + ffn norm gain
 
 
-def layer_weight_bytes(config: ModelConfig, variant: BlockVariant) -> int:
-    """Resident weight bytes of one layer under this variant."""
-    params = (
-        attention_weight_params(config)
-        + ffn_shared_params(config, variant.keep_count)
-        + variant.keep_count * expert_params(config)
-    )
-    return params * WEIGHT_BYTES
-
-
 def _proj_flops_per_token(config: ModelConfig) -> int:
     c = config
     qkv = 2 * c.d_model * (c.n_heads + 2 * c.n_kv_heads) * c.head_dim
@@ -204,24 +194,14 @@ def time_ns(seconds: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cost table: integer costs per (layer, variant, scenario)
-
-
-@dataclass(frozen=True)
-class CostEntry:
-    time_ns: int
-    kv_bytes_per_seq: int  # at full request context isl + osl, scenario precision
-    weight_bytes: int
-
-
-COST_FIELDS = tuple(f.name for f in fields(CostEntry))
+# cost table: integer time per (layer, variant, scenario)
 
 
 @dataclass
 class CostTable:
-    entries: dict[tuple[int, str, str], CostEntry] = field(default_factory=dict)
+    entries: dict[tuple[int, str, str], int] = field(default_factory=dict)  # time_ns
 
-    def get(self, layer: int, variant_id: str, scenario: str) -> CostEntry:
+    def get(self, layer: int, variant_id: str, scenario: str) -> int:
         try:
             return self.entries[(layer, variant_id, scenario)]
         except KeyError:
@@ -230,35 +210,22 @@ class CostTable:
             ) from None
 
     def save(self, path: Path | str) -> None:
-        write_jsonl(path, (
-            CostLine(*key, **asdict(self.entries[key])) for key in sorted(self.entries)
-        ))
-
-    @staticmethod
-    def load(path: Path | str) -> "CostTable":
-        def entry(obj):
-            line = CostLine.from_json(obj)
-            return line.key, parse_json(CostEntry, line.costs())
-
-        return CostTable(entries=dict(read_jsonl(path, entry)))
+        write_jsonl(path, (CostLine(*key, self.entries[key]) for key in sorted(self.entries)))
 
 
 @dataclass(frozen=True)
 class CostLine:
-    """One line of a cost file. costs.jsonl gives every cost of its key; a
-    measured-cost file gives time_ns and may give the others."""
+    """One line of a cost file: costs.jsonl, or a --measured-costs file."""
 
     layer: int
     variant: str
     scenario: str
     time_ns: int
-    kv_bytes_per_seq: int | None = None
-    weight_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("layer", *COST_FIELDS):
+        for name in ("layer", "time_ns"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
 
     from_json = classmethod(parse_json)
@@ -267,18 +234,10 @@ class CostLine:
     def key(self) -> tuple[int, str, str]:
         return (self.layer, self.variant, self.scenario)
 
-    def costs(self) -> dict[str, int]:
-        """The costs this line gives, by CostEntry field name."""
-        given = {name: getattr(self, name) for name in COST_FIELDS}
-        return {name: v for name, v in given.items() if v is not None}
 
-
-def load_measured_costs(path: Path | str) -> dict[tuple[int, str, str], dict[str, int]]:
-    """Measured overrides keyed by (layer, variant, scenario); later lines win."""
-    overrides: dict[tuple[int, str, str], dict[str, int]] = {}
-    for line in read_jsonl(path, CostLine.from_json):
-        overrides.setdefault(line.key, {}).update(line.costs())
-    return overrides
+def load_measured_costs(path: Path | str) -> dict[tuple[int, str, str], int]:
+    """Measured times keyed by (layer, variant, scenario); later lines win."""
+    return {line.key: line.time_ns for line in read_jsonl(path, CostLine.from_json)}
 
 
 def build_cost_table(
@@ -286,26 +245,17 @@ def build_cost_table(
     library: BlockLibrary,
     scenarios: Iterable[Scenario],
     hw: HardwareProfile,
-    measured: Mapping[tuple[int, str, str], Mapping[str, int]] | None = None,
+    measured: Mapping[tuple[int, str, str], int] | None = None,
 ) -> CostTable:
-    """Analytic costs for every (layer, block variant, scenario), measured wins."""
+    """Analytic time for every (layer, block variant, scenario), measured wins."""
     measured = dict(measured or {})
     table = CostTable()
     for scenario in scenarios:
-        full_ctx = scenario.isl + scenario.osl
         for layer_idx, layer_lib in enumerate(library.layers):
             for variant in layer_lib.block_variants():
                 key = (layer_idx, variant.variant_id, scenario.name)
-                entry = CostEntry(
-                    time_ns=time_ns(block_time_cost(config, variant, scenario, hw)),
-                    kv_bytes_per_seq=kv_bytes_layer(
-                        variant.attention, config, full_ctx, scenario.kv_precision
-                    ),
-                    weight_bytes=layer_weight_bytes(config, variant),
-                )
-                if key in measured:
-                    entry = replace(entry, **measured.pop(key))
-                table.entries[key] = entry
+                analytic = time_ns(block_time_cost(config, variant, scenario, hw))
+                table.entries[key] = measured.pop(key, analytic)
     if measured:
         extras = sorted(measured)[:5]
         raise ConfigError(

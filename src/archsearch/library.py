@@ -158,6 +158,15 @@ class LibraryMenu:
     from_json = classmethod(parse_json)
 
 
+KEEP_ID_PREFIX = "ffn:keep:"
+
+
+def keep_variant_id(keep_count: int) -> str:
+    """The id of an FFN keeping `keep_count` experts: a score row's variant,
+    and the second half of a block variant's id."""
+    return f"{KEEP_ID_PREFIX}{keep_count}"
+
+
 @dataclass(frozen=True)
 class BlockVariant:
     """One candidate block for one layer: an attention variant plus a keep-count."""
@@ -167,7 +176,7 @@ class BlockVariant:
 
     @property
     def variant_id(self) -> str:
-        return f"{self.attention.variant_id}+ffn:keep:{self.keep_count}"
+        return f"{self.attention.variant_id}+{keep_variant_id(self.keep_count)}"
 
 
 @dataclass(frozen=True)

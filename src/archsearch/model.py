@@ -459,10 +459,6 @@ def _flat_bytes(params: ModelParams) -> bytes:
     return b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in param_items(params))
 
 
-def params_checksum(params: ModelParams) -> str:
-    return hashlib.sha256(_flat_bytes(params)).hexdigest()
-
-
 def manifest_path_for(bin_path: Path | str) -> Path:
     return Path(str(bin_path) + ".json")
 

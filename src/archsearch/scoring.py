@@ -43,7 +43,9 @@ from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
-from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, LayerRanking, top_experts
+from .library import (
+    ArchitectureSpec, BlockLibrary, ExpertRanking, LayerRanking, keep_variant_id, top_experts,
+)
 from .model import (
     AttentionVariant,
     ConfigError,
@@ -293,8 +295,6 @@ class ScoreRow:
     variant: str  # "attn:..." or "ffn:keep:N"
     signal: str
     value: float  # aggregate degradation, >= 0
-    raw: float  # signed aggregate (task drop can be negative)
-    n_samples: int
 
     from_json = classmethod(parse_json)
 
@@ -337,7 +337,7 @@ class _Job:
     @property
     def variant_id(self) -> str:
         if isinstance(self.change, int):
-            return f"ffn:keep:{self.change}"
+            return keep_variant_id(self.change)
         return self.change.variant_id
 
 
@@ -402,18 +402,16 @@ def _score(
     if task:
         correct = _answered(params, probes, leaving)
         drop = float(outcome.mean()) - float(correct.mean())
-        return _row(job, probes, max(0.0, drop), drop)
+        return _row(job, max(0.0, drop))
     # the same array, in the same summation order, as a full variant forward
     variant_final = np.concatenate([outcome[:, :first], final_hidden(params, leaving)], axis=1)
     diff = outcome.astype(np.float64) - variant_final.astype(np.float64)
     per_seq = np.square(diff).mean(axis=(1, 2))
-    mse = float(per_seq.mean())
-    return _row(job, probes, mse, mse)
+    return _row(job, float(per_seq.mean()))
 
 
-def _row(job: _Job, probes: ProbeSet, value: float, raw: float) -> ScoreRow:
-    return ScoreRow(layer=job.layer, variant=job.variant_id, signal=job.signal, value=value,
-                    raw=raw, n_samples=probes.count)
+def _row(job: _Job, value: float) -> ScoreRow:
+    return ScoreRow(layer=job.layer, variant=job.variant_id, signal=job.signal, value=value)
 
 
 def _drain(
@@ -491,9 +489,7 @@ def score_library(
         del parent  # views of the shared mapping, which closes on leaving
         rows.update(child_rows())
     return ranking, ScoreTable(rows=[
-        rows[n] if n in rows
-        else _row(job, probe_sets[job.signal], 0.0, 0.0)
-        for n, job in enumerate(jobs)
+        rows[n] if n in rows else _row(job, 0.0) for n, job in enumerate(jobs)
     ])
 
 

@@ -93,7 +93,9 @@ import numpy as np
 
 from .costs import Budget, CostTable, HardwareProfile, Scenario, build_cost_table
 from .costs import KV_BYTES, kv_bytes_layer, scenario_time_budget
-from .library import ArchitectureSpec, BlockLibrary, ExpertRanking, LayerBlockSpec
+from .library import (
+    KEEP_ID_PREFIX, ArchitectureSpec, BlockLibrary, ExpertRanking, LayerBlockSpec, keep_variant_id,
+)
 from .model import ConfigError, ModelConfig, parse_json
 from .scoring import SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP, ScoreTable
 
@@ -526,7 +528,7 @@ def build_selection_problem(
     mse_values = [
         r.value
         for r in score_table.rows
-        if r.signal == SIGNAL_ACTIVATION_MSE and r.variant.startswith("ffn:")
+        if r.signal == SIGNAL_ACTIVATION_MSE and r.variant.startswith(KEEP_ID_PREFIX)
     ]
     if not attn_values:
         raise ConfigError(
@@ -545,12 +547,11 @@ def build_selection_problem(
                 layer_idx, variant.attention.variant_id, attention_signal
             )
             ffn_row = score_table.get(
-                layer_idx, f"ffn:keep:{variant.keep_count}", SIGNAL_ACTIVATION_MSE
+                layer_idx, keep_variant_id(variant.keep_count), SIGNAL_ACTIVATION_MSE
             )
             degradation = norm_attn(attn_row.value) + norm_mse(ffn_row.value)
             costs = [
-                cost_table.get(layer_idx, variant.variant_id, s.name).time_ns
-                for s in scenarios
+                cost_table.get(layer_idx, variant.variant_id, s.name) for s in scenarios
             ]
             if kv_budget is not None:
                 costs.append(

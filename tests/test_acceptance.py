@@ -304,10 +304,7 @@ def test_criterion_7_end_to_end_search_finds_the_planted_optimum():
     rows = []
 
     def row(layer, variant, signal, value):
-        rows.append(
-            ScoreRow(layer=layer, variant=variant, signal=signal,
-                     value=value, raw=value, n_samples=1)
-        )
+        rows.append(ScoreRow(layer=layer, variant=variant, signal=signal, value=value))
 
     for layer in range(8):
         parent_attn = arch.layers[layer].attention.variant_id
@@ -333,7 +330,7 @@ def test_criterion_7_end_to_end_search_finds_the_planted_optimum():
             intended[layer] = "attn:window:4+ffn:keep:8"
         else:
             intended[layer] = arch.layers[layer].attention.variant_id + "+ffn:keep:16"
-    intended_ns = sum(costs.get(l, v, "long").time_ns for l, v in intended.items())
+    intended_ns = sum(costs.get(l, v, "long") for l, v in intended.items())
     parent_ns = sum(parent_layer_times_ns(cfg, scenario, hw))
     speedup = parent_ns / intended_ns  # budget lands exactly on the optimum
 

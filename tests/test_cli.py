@@ -53,12 +53,13 @@ def test_every_stage_leaves_its_artifacts(pipeline):
 
 def test_toy_run_reproduces_the_recorded_hashes(pipeline):
     """The bundled toy run at seed 11 gives the artifact hashes bench/README.md
-    records, but for scores.jsonl: its rows lost their per_sample key after
-    that table was written. They are tied to the NumPy/OpenBLAS build they were recorded on
-    (NumPy 2.4.6, OpenBLAS 0.3.31): another BLAS may sum a matmul in another
-    order and move the last bits."""
+    records, but for scores.jsonl: its rows lost their per_sample key, then
+    their raw and n_samples keys, after that table was written. They are tied
+    to the NumPy/OpenBLAS build they were recorded on (NumPy 2.4.6, OpenBLAS
+    0.3.31): another BLAS may sum a matmul in another order and move the last
+    bits."""
     expected = {
-        "scores.jsonl": "5570b7a4ac68aaf9c7cd2d0ca80d15dcde15718c3fa741bee37eb5a255525a95",
+        "scores.jsonl": "9f188fd912fd34d20c5d8c15c32f0784dfba6505d4086dc441a3536be7bf51fc",
         "arch.json": "6bf4ae649e8df288e8d0927aede83861a9e54905efd8b12572e7a64d2e12b58d",
         "child.bin": "d430683f81405d179b99d1bf4b80d487f25600bc225c327328a2fe54af55b722",
         "ranking.json": "8e555691fc8aa1ea9d11c7ae7a124df7232155a46e4093ce2e0d0671f72d5c20",
@@ -66,7 +67,7 @@ def test_toy_run_reproduces_the_recorded_hashes(pipeline):
         "kv_quant_report.json": "bbd839a95ad0a1806ed282fa5e65af797c81cc13d4141f29d0ce7ad1d3d0f9bf",
         # the fp8 eval runs last, so its report is the one left
         "eval_report.json": "ad1a75b1005fdecf71c7f108e05f26980036a119ba1b08c354747ce8d00f4610",
-        "costs.jsonl": "9042e4f8d16eadc9530ef2b8996c7a31e8c079ef585e528b445d551107291c21",
+        "costs.jsonl": "f296ed043203c08dd435909b22d0b4736022b36a281515a29692f7fbba651df4",
         "frontier.json": "e53a29b828b21f4d1d9b67e1e40c7bba1c932457bc49a0ce22a4b2e7c3bab655",
     }
     for name, digest in expected.items():
@@ -84,9 +85,9 @@ def test_manifest_records_hashed_stages(pipeline):
     digest = hashlib.sha256((pipeline / "scores.jsonl").read_bytes()).hexdigest()
     assert out_stamp["sha256"] == digest
     assert out_stamp["path"] == "scores.jsonl"  # stored relative to the run dir
-    # the parameter checksum the manifest reports matches the weight file's own
+    # the weight file's stamp is the checksum its own shape manifest records
     params_manifest = json.loads((pipeline / "params.bin.json").read_text())
-    assert score["extra"]["params_checksum"] == params_manifest["checksum_sha256"]
+    assert score["outputs"]["params"]["sha256"] == params_manifest["checksum_sha256"]
     assert score["completed_utc"]  # timestamps live here and only here
 
 
@@ -208,6 +209,34 @@ def test_measured_costs_flow_through(pipeline, tmp_path):
            if (r["layer"], r["variant"], r["scenario"])
            == (1, "attn:global+ffn:keep:16", "long")]
     assert hit[0]["time_ns"] == 1
+
+
+def test_a_runs_costs_replay_its_search(pipeline, tmp_path):
+    """costs.jsonl is a --measured-costs file: given back, it prices every
+    block as before, so the search writes the same bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(pipeline, out)
+    assert run("--config", bundled_config(), "--out", out, "search",
+               "--measured-costs", pipeline / "costs.jsonl") == 0
+    for name in ("costs.jsonl", "arch.json", "search_report.json"):
+        assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def test_measured_costs_take_only_the_time(pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("scores.jsonl", "ranking.json"):
+        shutil.copy(pipeline / name, out / name)
+    lines = (pipeline / "costs.jsonl").read_text().splitlines()[:2]
+    for key in ("kv_bytes_per_seq", "weight_bytes"):
+        measured = tmp_path / f"{key}.jsonl"
+        measured.write_text(lines[0] + "\n" + json.dumps({**json.loads(lines[1]), key: 64})
+                            + "\n")
+        assert run("--config", bundled_config(), "--out", out, "search",
+                   "--measured-costs", measured) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} is not a cost line field (in {measured} line 2)" in err
+        assert not (out / "arch.json").exists()
 
 
 def test_lock_contention_exits_1(tmp_path, capsys):
@@ -440,7 +469,7 @@ def test_mistyped_fields_are_config_errors(tmp_path, capsys, path, value, stage,
     assert not (out / ".lock").exists()
 
 
-@pytest.mark.parametrize("name, keep", [("scores.jsonl", 5000), ("ranking.json", 500)])
+@pytest.mark.parametrize("name, keep", [("scores.jsonl", 3000), ("ranking.json", 500)])
 def test_torn_artifacts_are_config_errors(pipeline, tmp_path, capsys, name, keep):
     out = tmp_path / "run"
     out.mkdir()

@@ -4,19 +4,17 @@ import pytest
 
 from archsearch.costs import (
     KV_BYTES,
-    CostEntry,
-    CostTable,
     HardwareProfile,
     Scenario,
     block_time_cost,
     build_cost_table,
     kv_bytes_layer,
     kv_bytes_per_sequence,
-    layer_weight_bytes,
     load_measured_costs,
     parent_layer_times_ns,
     prefill_context_sum,
     scenario_time_budget,
+    time_ns,
 )
 from archsearch.library import BlockVariant, LibraryMenu, build_library
 from archsearch.model import ConfigError, global_attention, window_attention
@@ -104,14 +102,6 @@ def test_overheads_and_devices_scale_time(toy_cfg):
     assert block_time_cost(toy_cfg, v, LONG, padded) == pytest.approx(base + 1e-3, rel=1e-9)
 
 
-def test_layer_weight_bytes_tracks_kept_experts(toy_cfg):
-    full = layer_weight_bytes(toy_cfg, variant(global_attention(), 16))
-    half = layer_weight_bytes(toy_cfg, variant(global_attention(), 8))
-    per_expert = 2 * toy_cfg.d_model * toy_cfg.expert_hidden * 4
-    router_row = toy_cfg.d_model * 4
-    assert full - half == 8 * (per_expert + router_row)
-
-
 # ---------------------------------------------------------------------------
 # budgets
 
@@ -142,8 +132,8 @@ def test_cost_table_roundtrip_bit_exact(tmp_path, toy_cfg):
     table = build_cost_table(toy_cfg, lib, [LONG], HW)
     path = tmp_path / "costs.jsonl"
     table.save(path)
-    loaded = CostTable.load(path)
-    assert loaded.entries == table.entries  # integers roundtrip exactly
+    # costs.jsonl is read back by the --measured-costs rule; integers roundtrip exactly
+    assert load_measured_costs(path) == table.entries
 
 
 def test_measured_costs_override_and_later_lines_win(tmp_path, toy_cfg):
@@ -160,9 +150,7 @@ def test_measured_costs_override_and_later_lines_win(tmp_path, toy_cfg):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     measured = load_measured_costs(path)
     table = build_cost_table(toy_cfg, lib, [LONG], HW, measured=measured)
-    assert table.entries[key].time_ns == 222
-    # an override only touches the named field; analytic values fill the rest
-    assert table.entries[key].kv_bytes_per_seq == analytic.entries[key].kv_bytes_per_seq
+    assert table.entries[key] == 222
     untouched = (3, "attn:global+ffn:keep:16", "long")
     assert table.entries[untouched] == analytic.entries[untouched]
 
@@ -189,9 +177,14 @@ FOUND_LINE = {"layer": True, "variant": 5, "scenario": "long", "time_ns": 3, "bo
     ({k: v for k, v in FOUND_LINE.items() if k != "bogus"}, "layer must be an integer, got True"),
     ({"layer": 1, "variant": 5, "scenario": "long", "time_ns": 3},
      "variant must be a string, got 5"),
-    ({"layer": 1, "variant": "v", "scenario": "long", "time_ns": 3, "weight_bytes": -2},
-     "weight_bytes must be non-negative, got -2"),
-], ids=["unknown-key", "layer-bool", "variant-number", "negative-cost"])
+    ({"layer": 1, "variant": "v", "scenario": "long", "time_ns": -2},
+     "time_ns must be non-negative, got -2"),
+    ({"layer": 1, "variant": "v", "scenario": "long", "time_ns": 3, "kv_bytes_per_seq": 64},
+     "kv_bytes_per_seq is not a cost line field"),
+    ({"layer": 1, "variant": "v", "scenario": "long", "time_ns": 3, "weight_bytes": 4},
+     "weight_bytes is not a cost line field"),
+], ids=["unknown-key", "layer-bool", "variant-number", "negative-cost", "kv-bytes-key",
+        "weight-bytes-key"])
 def test_measured_cost_lines_name_the_bad_field(tmp_path, line, message):
     path = tmp_path / "m.jsonl"
     path.write_text(json.dumps({"layer": 0, "variant": "v", "scenario": "s", "time_ns": 1})
@@ -203,10 +196,9 @@ def test_measured_cost_lines_name_the_bad_field(tmp_path, line, message):
 
 def test_cost_table_lines_need_every_cost(tmp_path):
     path = tmp_path / "costs.jsonl"
-    path.write_text(json.dumps({"layer": 0, "variant": "v", "scenario": "s", "time_ns": 1,
-                                "weight_bytes": 4}) + "\n")
-    with pytest.raises(ConfigError, match=r"^kv_bytes_per_seq is missing \(in .* line 1\)$"):
-        CostTable.load(path)
+    path.write_text(json.dumps({"layer": 0, "variant": "v", "scenario": "s"}) + "\n")
+    with pytest.raises(ConfigError, match=r"^time_ns is missing \(in .* line 1\)$"):
+        load_measured_costs(path)
 
 
 def test_unmatched_measured_key_is_an_error(tmp_path, toy_cfg):
@@ -239,14 +231,11 @@ def test_hardware_validation():
         HardwareProfile(mem_bandwidth_bytes_per_s=1.0, compute_flops_per_s=1.0, n_devices=0)
 
 
-def test_cost_entry_has_all_dimensions(toy_cfg):
+def test_cost_table_entry_is_the_analytic_time(toy_cfg):
     lib = build_library(toy_cfg, LibraryMenu(keep_fractions=(1.0,), alt_windows=(16,)))
     table = build_cost_table(toy_cfg, lib, [LONG], HW)
     entry = table.get(1, "attn:global+ffn:keep:16", "long")
-    assert isinstance(entry, CostEntry)
-    assert entry.time_ns > 0
-    assert entry.kv_bytes_per_seq == kv_bytes_layer(
-        global_attention(), toy_cfg, LONG.isl + LONG.osl, "bf16")
-    assert entry.weight_bytes > 0
+    assert type(entry) is int and entry > 0
+    assert entry == time_ns(block_time_cost(toy_cfg, variant(global_attention(), 16), LONG, HW))
     with pytest.raises(KeyError, match="no cost entry"):
         table.get(99, "attn:global+ffn:keep:16", "long")

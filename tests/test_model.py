@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from archsearch import model as model_mod
-from archsearch.costs import (
-    CostEntry, CostLine, HardwareProfile, Scenario, kv_bytes_per_sequence,
-)
+from archsearch.costs import CostLine, HardwareProfile, Scenario, kv_bytes_per_sequence
 from archsearch.kvquant import (
     QuantScales, calibrate_scales, forward_with_quantized_kv, quantize_roundtrip,
 )
@@ -30,7 +28,6 @@ from archsearch.model import (
     init_model,
     load_params,
     param_items,
-    params_checksum,
     parse_json,
     route_tokens,
     save_params,
@@ -45,6 +42,12 @@ from archsearch.search import KvBudget
 # frozen from the first verified build; init uses a counter-based generator
 # keyed by (seed, parameter name), so this is platform independent
 TOY_SEED11_CHECKSUM = "ef58a50f24ebfe4a48c339a14b42f214843f922a80ee6a1f23e03f359276e7a3"
+
+
+def saved_sha256(params, path):
+    """The sha256 of the weight blob save_params writes for `params` at `path`."""
+    save_params(params, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,7 @@ RECORD = {"model": "m", "kv_precision": "bf16", "effort": "high",
           "throughput_tokens_per_s": 4000.0, "avg_tokens_per_request": 100.0}
 SCALES = {"mode": "unit", "k_scales": [1.0], "v_scales": [1.0], "k_raw": [1.0], "v_raw": [1.0]}
 SCORE = {"layer": 1, "variant": "attn:global", "signal": "activation_mse",
-         "value": 0.5, "raw": 0.5, "n_samples": 1}
+         "value": 0.5}
 WINDOW = {"kind": "window", "window_size": 4}
 TOY = to_json(toy_config())
 
@@ -204,8 +207,7 @@ def test_every_written_record_reads_back_as_itself(toy_cfg, toy_params, toy_arch
         global_attention(), window_attention(4), toy_cfg, arch.layers[1], arch, ranking,
         QuantScales("calibrated", (0.5,), (2.0,), (0.375,), (1.5,)),
         RunRecord(**RECORD), RunRecord(**RECORD, accuracy=61.5, suite="s"), point,
-        CostLine(1, "attn:global", "s", 7, 8, 9), CostLine(1, "attn:global", "s", 7),
-        CostEntry(7, 8, 9), manifest.entries[0], manifest,
+        CostLine(1, "attn:global", "s", 7), ScoreRow(**SCORE), manifest.entries[0], manifest,
     ]
     for record in records:
         assert parse_json(type(record), json.loads(json.dumps(to_json(record)))) == record
@@ -215,12 +217,13 @@ def test_every_written_record_reads_back_as_itself(toy_cfg, toy_params, toy_arch
 # initialization
 
 
-def test_init_deterministic_and_seed_sensitive(toy_cfg):
+def test_init_deterministic_and_seed_sensitive(toy_cfg, tmp_path):
     a = init_model(toy_cfg, seed=11)
     b = init_model(toy_cfg, seed=11)
     c = init_model(toy_cfg, seed=12)
-    assert params_checksum(a) == params_checksum(b) == TOY_SEED11_CHECKSUM
-    assert params_checksum(c) != TOY_SEED11_CHECKSUM
+    assert (saved_sha256(a, tmp_path / "a.bin") == saved_sha256(b, tmp_path / "b.bin")
+            == TOY_SEED11_CHECKSUM)
+    assert saved_sha256(c, tmp_path / "c.bin") != TOY_SEED11_CHECKSUM
 
 
 def test_param_count_matches_arithmetic(toy_cfg, toy_params):
@@ -1105,7 +1108,9 @@ def test_save_load_roundtrip(tmp_path, toy_params, toy_arch):
     for (name, a), (name2, b) in zip(param_items(toy_params), param_items(loaded)):
         assert name == name2
         np.testing.assert_array_equal(a, b)
-    assert params_checksum(loaded) == params_checksum(toy_params)
+    # saving what was loaded writes the same bytes
+    assert (saved_sha256(loaded, tmp_path / "again.bin")
+            == hashlib.sha256(path.read_bytes()).hexdigest())
     rng = np.random.default_rng(9)
     tokens = rng.integers(0, 256, size=(2, 16), dtype=np.int64)
     np.testing.assert_array_equal(
@@ -1160,12 +1165,11 @@ def test_a_write_that_fails_part_way_leaves_the_old_file(monkeypatch, tmp_path):
 
     # an artifact writer: the second row cannot be serialized
     table = tmp_path / "scores.jsonl"
-    ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.5, 0.5, 1)]).save(table)
+    ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.5)]).save(table)
     kept = table.read_bytes()
-    broken = ScoreRow(1, "ffn:keep:8", "activation_mse", object(), 0.5, 1)
+    broken = ScoreRow(1, "ffn:keep:8", "activation_mse", object())
     with pytest.raises(TypeError):
-        ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.25, 0.25, 1),
-                         broken]).save(table)
+        ScoreTable(rows=[ScoreRow(0, "ffn:keep:8", "activation_mse", 0.25), broken]).save(table)
     assert table.read_bytes() == kept
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "scores.jsonl"]
 

@@ -183,10 +183,9 @@ def test_parent_block_scores_exactly_zero(toy_cfg, toy_params, toy_arch, lm_prob
                              lm_probes_small, retrieval_probes_small)
     for i, block in enumerate(toy_arch.layers):
         for signal in (SIGNAL_ACTIVATION_MSE, SIGNAL_TASK_DROP):
-            row = table.get(i, block.attention.variant_id, signal)
-            assert row.value == row.raw == 0.0
+            assert table.get(i, block.attention.variant_id, signal).value == 0.0
         row = table.get(i, f"ffn:keep:{block.experts_kept}", SIGNAL_ACTIVATION_MSE)
-        assert row.value == row.raw == 0.0
+        assert row.value == 0.0
 
 
 def test_window_covering_probe_length_is_identity(toy_cfg, toy_params, toy_arch,
@@ -322,8 +321,7 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
 
     def mse_row(layer, variant_id, arch):
         per_seq = np.square(base - final(arch)).mean(axis=(1, 2))
-        mse = float(per_seq.mean())
-        return ScoreRow(layer, variant_id, SIGNAL_ACTIVATION_MSE, mse, mse, lm.count)
+        return ScoreRow(layer, variant_id, SIGNAL_ACTIVATION_MSE, float(per_seq.mean()))
 
     base, parent_correct = final(parent), correct(parent)
     want = []  # every activation row, then every task row
@@ -337,8 +335,7 @@ def test_score_library_equals_scoring_by_full_forwards(request, model):
         for attn in layer_lib.attention_options:
             ok = correct(parent.with_layer(i, attention=attn))
             drop = float(parent_correct.mean()) - float(ok.mean())
-            want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop), drop,
-                                 retrieval.count))
+            want.append(ScoreRow(i, attn.variant_id, SIGNAL_TASK_DROP, max(0.0, drop)))
     assert any(r.value > 0 for r in want)
     assert table.rows == want
 
@@ -919,18 +916,16 @@ def test_a_child_that_raises_holding_a_claim_leaves_no_fd_open(
 
 def test_score_table_roundtrip_and_line_errors(tmp_path):
     table = ScoreTable(rows=[
-        ScoreRow(layer=1, variant="attn:global", signal="activation_mse",
-                 value=0.5, raw=0.5, n_samples=4),
-        ScoreRow(layer=0, variant="ffn:keep:8", signal="activation_mse",
-                 value=0.25, raw=0.25, n_samples=4),
+        ScoreRow(layer=1, variant="attn:global", signal="activation_mse", value=0.5),
+        ScoreRow(layer=0, variant="ffn:keep:8", signal="activation_mse", value=0.25),
     ])
     path = tmp_path / "scores.jsonl"
     table.save(path)
     loaded = ScoreTable.load(path)
     assert loaded.sorted_rows() == table.sorted_rows()
     lines = path.read_text().splitlines()
-    assert lines[0] == ('{"layer": 0, "n_samples": 4, "raw": 0.25, "signal": "activation_mse", '
-                        '"value": 0.25, "variant": "ffn:keep:8"}')
+    assert lines[0] == ('{"layer": 0, "signal": "activation_mse", "value": 0.25, '
+                        '"variant": "ffn:keep:8"}')
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text(path.read_text() + "{not json\n")
@@ -940,7 +935,8 @@ def test_score_table_roundtrip_and_line_errors(tmp_path):
     without = {k: v for k, v in good.items() if k != "variant"}
     for row, message in [(without, "variant is missing"),
                          ({**without, "variant_id": good["variant"]},
-                          "variant_id is not a score row field")]:
+                          "variant_id is not a score row field"),
+                         ({**good, "raw": good["value"]}, "raw is not a score row field")]:
         bad.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
         with pytest.raises(ConfigError) as exc:
             ScoreTable.load(bad)
